@@ -337,16 +337,13 @@ def constant_field_pair(F, u0, calibration: EpsilonCalibration, q: float = 1.0,
     gdots = np.concatenate([-bwd.gamma_dots[::-1][:-1], fwd.gamma_dots])
     traj = Trajectory(s, gammas, gdots, q=q)
 
-    # classical action along the worldline, I(0) = 0
+    # classical action along the worldline, I(0) = 0; the Lagrangian is
+    # 1/2 xdot.xdot + q xdot.A with A_mu = -1/2 F_{mu nu} x^nu
     F_lower = METRIC @ np.asarray(F, dtype=float) @ METRIC
-    lag = np.empty(s.size)
-    for i in range(s.size):
-        xdot = gdots[i]
-        A_low = -0.5 * F_lower @ gammas[i]
-        lag[i] = 0.5 * minkowski_dot(xdot, xdot) + q * float(xdot @ A_low)
+    A_low = -0.5 * gammas @ F_lower.T
+    lag = np.einsum("ij,ij->i", gdots, 0.5 * gdots @ METRIC + q * A_low)
     from scipy.integrate import cumulative_trapezoid
     I_cum = cumulative_trapezoid(lag, s, initial=0.0)
-    i0 = int(np.searchsorted(s, 0.0))
     I_cum -= np.interp(0.0, s, I_cum)
     action_along = lambda sv: float(np.interp(sv, s, I_cum))
 

@@ -14,7 +14,7 @@ Lagrangians (free motion, constant field) the semiclassical form is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -82,7 +82,6 @@ class ActionProvider:
     action: Callable[[np.ndarray, np.ndarray, float], float]
     grad_x: Callable = None
     mixed_hessian: Callable = None
-    path_solver: Callable = None
 
     def gradient(self, x, xp, s, h=1e-5) -> np.ndarray:
         if self.grad_x is not None:
@@ -144,13 +143,14 @@ def van_vleck(action: ActionProvider, x, xp, s: float) -> float:
     return float(np.sqrt(abs(det)))
 
 
-def _g_scalar(y: complex) -> complex:
-    """g(y) = y^2 / (2 - 2 cosh y); -> -1 as y -> 0 (since 2 - 2cosh y ~ -y^2)."""
-    y = complex(y)
-    if abs(y) < 1e-3:
-        # series of (2 - 2 cosh y)/(-y^2) = 1 + y^2/12 + y^4/360 + ...
-        return -1.0 / (1.0 + y ** 2 / 12.0 + y ** 4 / 360.0)
-    return y ** 2 / (2.0 - 2.0 * np.cosh(y))
+def _g(y) -> np.ndarray:
+    """g(y) = y^2 / (2 - 2 cosh y) elementwise; -> -1 as y -> 0 (2 - 2cosh y ~ -y^2)."""
+    y = np.asarray(y, dtype=complex)
+    small = np.abs(y) < 1e-3
+    safe = np.where(small, 1.0, y)
+    # series of (2 - 2 cosh y)/(-y^2) = 1 + y^2/12 + y^4/360 + ...
+    series = -1.0 / (1.0 + y ** 2 / 12.0 + y ** 4 / 360.0)
+    return np.where(small, series, safe ** 2 / (2.0 - 2.0 * np.cosh(safe)))
 
 
 def constant_field_van_vleck(F, s: float, q: float = 1.0) -> float:
@@ -170,7 +170,7 @@ def constant_field_van_vleck(F, s: float, q: float = 1.0) -> float:
     eigs = np.linalg.eigvals(M)
     if np.any(np.abs(np.real(eigs)) > 700):
         raise OverflowError("cosh overflow: |q F s| too large")
-    det = np.prod([_g_scalar(y) for y in eigs])
+    det = np.prod(_g(eigs))
     return float(np.abs(det) ** 0.25 / s ** 2)
 
 
@@ -202,87 +202,51 @@ def delta_potential_propagator(x, xp, s: float, hbar: float = 1.0) -> complex:
     return free_propagator(x, xp, s, hbar) + bounce
 
 
-def _phi1(Z: np.ndarray) -> np.ndarray:
-    """phi_1(Z) = (e^Z - I) Z^{-1}, by series (the matrices here are tiny)."""
-    term = np.eye(4)
-    out = np.eye(4)
-    for k in range(2, 40):
-        term = term @ Z / k
-        out = out + term
-        if np.abs(term).max() < 1e-18:
-            break
-    return out
-
-
 def constant_field_action_provider(F, q: float = 1.0) -> ActionProvider:
     """Closed-form boundary-value action for a constant field in the linear gauge.
 
     Gauge choice A_nu = -1/2 F_{nu mu} x^mu (so F = dA holds exactly).  The
-    path solves d^2x/dtau^2 = M dx/dtau with M = q F^mu_nu; the initial
-    velocity follows from x - x' = s phi_1(M s) v0, the kinetic term 1/2 v.v
-    is constant along the path, and the gauge term is integrated with
-    Gauss-Legendre nodes along the closed-form path.
+    path solves d^2x/dtau^2 = M dx/dtau with M = q F^mu_nu, so its velocity is
+    e^{M tau} v0 and x - x' = s phi_1(M s) v0 with phi_1(Z) = (e^Z - I) Z^{-1}
+    (Schwinger's proper-time solution, Phys. Rev. 82, 664 (1951)).  One
+    exponential of the 8x8 block [[M s, I], [0, 0]] gives e^{M s} (top left)
+    and phi_1(M s) (top right) without an eigendecomposition, so null fields
+    (|E| = |B|, E.B = 0) need no special case.  The action of the quadratic
+    Lagrangian is then
+
+        I = 1/4 (x - x').g.(e^{M s} + I) v0 - q/2 x^T F_low x',
+
+    and grad_x is the endpoint canonical momentum g e^{M s} v0 + q A(x).
     """
     F = np.asarray(F, dtype=float)
     M0 = q * (F @ METRIC)                 # mixed tensor acting on velocities
     F_lower = METRIC @ F @ METRIC
 
-    def A_lower(x):
-        return -0.5 * F_lower @ as_four(x)
-
     def solve(x, xp, s):
-        x = as_four(x)
-        xp = as_four(xp)
-        Ms = M0 * s
+        """(e^{M s}, v0) of the classical path from x' to x in proper time s."""
+        block = np.zeros((8, 8))
+        block[:4, :4] = M0 * s
+        block[:4, 4:] = np.eye(4)
+        E = expm(block)
         try:
-            v0 = np.linalg.solve(s * _phi1(Ms), x - xp)
+            v0 = np.linalg.solve(s * E[:4, 4:], x - xp)
         except np.linalg.LinAlgError as exc:
             raise NoPathError("singular boundary-value map (caustic)") from exc
-        return v0
-
-    nodes, weights = np.polynomial.legendre.leggauss(32)
-
-    def path_points(xp, v0, s, taus):
-        out = np.empty((taus.size, 4, 2))
-        for i, tau in enumerate(taus):
-            eM = expm(M0 * tau)
-            vel = eM @ v0
-            pos = xp + tau * (_phi1(M0 * tau) @ v0)
-            out[i, :, 0] = pos
-            out[i, :, 1] = vel
-        return out
+        return E[:4, :4], v0
 
     def action(x, xp, s):
         x = as_four(x)
         xp = as_four(xp)
-        v0 = solve(x, xp, s)
-        kinetic = 0.5 * minkowski_dot(v0, v0) * s
-        taus = 0.5 * s * (nodes + 1.0)
-        pts = path_points(xp, v0, s, taus)
-        gauge_vals = np.array([
-            q * float(pts[i, :, 1] @ A_lower(pts[i, :, 0])) for i in range(taus.size)])
-        gauge = 0.5 * s * float(weights @ gauge_vals)
-        return kinetic + gauge
+        eMs, v0 = solve(x, xp, s)
+        return (0.25 * float((x - xp) @ METRIC @ (eMs @ v0 + v0))
+                - 0.5 * q * float(x @ F_lower @ xp))
 
     def grad(x, xp, s):
-        """Endpoint canonical momentum p_mu = v_mu(s) + q A_mu(x)."""
         x = as_four(x)
-        xp = as_four(xp)
-        v0 = solve(x, xp, s)
-        v_end = expm(M0 * s) @ v0
-        return METRIC @ v_end + q * A_lower(x)
+        eMs, v0 = solve(x, as_four(xp), s)
+        return METRIC @ (eMs @ v0) - 0.5 * q * (F_lower @ x)
 
-    def solver(x, xp, s):
-        v0 = solve(x, xp, s)
-        taus = np.linspace(0.0, s, 65)
-        pts = path_points(xp, v0, s, taus)
-        return ClassicalPath(action=action(x, xp, s),
-                             van_vleck=constant_field_van_vleck(F, s, q),
-                             samples=pts[:, :, 0],
-                             initial_velocity=pts[0, :, 1],
-                             final_velocity=pts[-1, :, 1])
-
-    return ActionProvider(action, grad, None, solver)
+    return ActionProvider(action, grad)
 
 
 def hamilton_jacobi_residual(action: ActionProvider, A: Callable, x, xp, s: float,

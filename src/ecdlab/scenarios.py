@@ -27,15 +27,17 @@ from .dynamics import (FieldProvider, IntegratorConfig, IntegrationBlowup,
 from .grids import DepositError, DepositKernel, EventGrid, grid_charge
 from .em_sources import (CoverageError, lw_field, lw_potential,
                          deposit_electric_current)
-from .ecd_core import (EcdPair, calibrate, classical_phase_gradient_check,
-                       consistency_residual, constant_field_pair,
-                       integrate_guiding)
+from .ecd_core import (EcdPair, QuadratureBudgetError, calibrate,
+                       classical_phase_gradient_check, consistency_residual,
+                       constant_field_pair, integrate_guiding)
 from .ecd_currents import (charge_tail, divergent_coefficient,
                            fit_loglog_slope, free_charge_j0, radial_smear,
                            subtracted_profile_slope)
+from .propagators import NoPathError
 
 SCHEMA_VERSION = "1"
 OUT_DIR_ENV = "ECDLAB_OUT_DIR"
+_FREE_ECD_S_MAX = 50.0          # default s'-window of free-ecd
 
 SCENARIO_KINDS = (
     "classical-orbit",
@@ -249,7 +251,7 @@ class RunManifest:
 
 
 def validate_config(doc) -> list:
-    """Schema-only diagnostics; empty list means valid."""
+    """Schema, then semantic, diagnostics; empty list means valid."""
     diags = []
     validator = jsonschema.Draft202012Validator(_TOP_SCHEMA)
     for err in sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path)):
@@ -266,7 +268,19 @@ def validate_config(doc) -> list:
                       key=lambda e: list(e.absolute_path)):
         path = "parameters." + ".".join(str(p) for p in err.absolute_path)
         diags.append(f"{path.rstrip('.')}: {err.message}")
-    return diags
+    if diags:
+        return diags
+    return _semantic_diagnostics(kind, doc["parameters"])
+
+
+def _semantic_diagnostics(kind, p) -> list:
+    """Constraints between schema-valid values that the schema cannot state."""
+    if kind == "free-ecd":
+        s_max, eps = p.get("s_max", _FREE_ECD_S_MAX), max(p["epsilons"])
+        if s_max <= eps:
+            return [f"parameters.s_max: {s_max:g} must exceed the largest "
+                    f"epsilon {eps:g}"]
+    return []
 
 
 def validate_file(path) -> list:
@@ -433,7 +447,7 @@ def _run_free_ecd(p, out: Path, workers):
     """consistency.csv columns: epsilon, N, residual, tail_bound."""
     u = tuple(p.get("u", (1.0, 0.0, 0.0, 0.0)))
     c0 = p.get("c0", 1.0)
-    s_max = p.get("s_max", 50.0)
+    s_max = p.get("s_max", _FREE_ECD_S_MAX)
     s_samples = np.linspace(-2.0, 2.0, 5)
     rows = []
     residuals = {"by_epsilon": {}}
@@ -601,7 +615,8 @@ def run_scenario(scenario: Scenario, out_dir, workers: Optional[int] = None) -> 
     try:
         residuals, tolerances, outputs = _RUNNERS[scenario.kind](
             scenario.parameters, out, workers)
-    except (IntegrationBlowup, DepositError, CoverageError, FloatingPointError,
+    except (IntegrationBlowup, DepositError, CoverageError, NoPathError,
+            QuadratureBudgetError, FloatingPointError, OverflowError,
             ZeroDivisionError, np.linalg.LinAlgError) as exc:
         raise NumericFailure(str(exc)) from exc
     manifest = RunManifest(

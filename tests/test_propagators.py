@@ -139,3 +139,54 @@ def test_bvp_matches_closed_form_action():
     path = classical_path_bvp(fieldp, xp, x, s, q=1.0)
     assert path.action == pytest.approx(prov.action(x, xp, s), rel=1e-6)
     assert np.abs(path.initial_velocity - v0).max() < 1e-6
+
+
+# Oracle fields for the closed-form constant-field action: pure E, mixed E+B,
+# and a null crossed field (|E| = |B|, E.B = 0), where M = qF is nilpotent.
+ORACLE_FIELDS = {
+    "pure-E": ((0.3, 0.0, 0.0), (0.0, 0.0, 0.0)),
+    "mixed-EB": ((0.3, -0.1, 0.2), (0.1, 0.0, 0.5)),
+    "null-crossed": ((0.3, 0.0, 0.0), (0.0, 0.3, 0.0)),
+}
+
+
+@pytest.mark.parametrize("fields", ORACLE_FIELDS.values(), ids=ORACLE_FIELDS.keys())
+def test_constant_field_action_matches_shooting(fields):
+    from ecdlab.dynamics import IntegratorConfig, integrate_worldline
+
+    F = np.asarray(AntisymTensor.from_fields(*fields))
+    q = 1.3
+    prov = constant_field_action_provider(F, q=q)
+    fieldp = FieldProvider.constant(F)
+    xp = np.array([0.2, -0.1, 0.3, 0.0])
+    s = 1.2
+    v0 = np.array([1.1, 0.2, -0.3, 0.1])
+    traj = integrate_worldline((xp, v0), fieldp, q, (0.0, s),
+                               IntegratorConfig(step=1e-3, tolerance=1e-8))
+    x = traj.gammas[-1]
+    path = classical_path_bvp(fieldp, xp, x, s, q=q)
+    F_lower = METRIC @ F @ METRIC
+    p_end = METRIC @ path.final_velocity - 0.5 * q * (F_lower @ x)
+    assert prov.action(x, xp, s) == pytest.approx(path.action, rel=1e-10)
+    np.testing.assert_allclose(prov.grad_x(x, xp, s), p_end, rtol=0, atol=1e-10)
+
+
+def test_constant_field_action_singular_at_zero_s():
+    prov = constant_field_action_provider(np.asarray(AntisymTensor.from_fields((0.3, 0, 0))))
+    with pytest.raises(NoPathError):
+        prov.action(np.ones(4), np.zeros(4), 0.0)
+
+
+field_components = st.tuples(*[st.floats(min_value=-0.5, max_value=0.5)] * 6)
+
+
+@given(eb=field_components, x=events, xp=events,
+       s=st.floats(min_value=0.3, max_value=2.0), sign=st.sampled_from([-1.0, 1.0]))
+@settings(max_examples=30, deadline=None)
+def test_hamilton_jacobi_residual_random_constant_fields(eb, x, xp, s, sign):
+    """d_s I + 1/2 (dI - qA)^2 = 0 for any constant field and either sign of s."""
+    F = np.asarray(AntisymTensor.from_fields(eb[:3], eb[3:]))
+    prov = constant_field_action_provider(F, q=1.0)
+    F_lower = METRIC @ F @ METRIC
+    A = lambda y: METRIC @ (-0.5 * F_lower @ np.asarray(y, float))
+    assert hamilton_jacobi_residual(prov, A, x, xp, sign * s, q=1.0) < 1e-5

@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+from ecdlab import scenarios
 from ecdlab.cli import (EXIT_ACCURACY, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION,
                         main)
+from ecdlab.ecd_core import QuadratureBudgetError
+from ecdlab.propagators import NoPathError
 from ecdlab.scenarios import (SCENARIO_KINDS, ScenarioValidationError,
                               load_scenario, validate_config, validate_file)
 
@@ -147,6 +150,38 @@ def test_cli_run_numeric_failure(tmp_path, capsys):
     assert main(["run", cfg, "--out", str(tmp_path / "o"),
                  "--workers", "1"]) == EXIT_NUMERIC
     assert "numeric failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc", [NoPathError("caustic"),
+                                 QuadratureBudgetError("budget"),
+                                 OverflowError("cosh overflow")],
+                         ids=lambda e: type(e).__name__)
+def test_cli_run_numeric_exceptions_exit_3(tmp_path, capsys, monkeypatch, exc):
+    def runner(p, out, workers):
+        raise exc
+
+    monkeypatch.setitem(scenarios._RUNNERS, "guiding-run", runner)
+    cfg = write(tmp_path, guiding_config())
+    assert main(["run", cfg, "--out", str(tmp_path / "o"),
+                 "--workers", "1"]) == EXIT_NUMERIC
+    assert f"numeric failure: {exc}" in capsys.readouterr().err
+
+
+def test_free_ecd_s_max_must_exceed_epsilons(tmp_path, capsys):
+    doc = {"schema_version": "1", "kind": "free-ecd",
+           "parameters": {"epsilons": [0.01, 0.1], "s_max": 0.05,
+                          "tolerance_factor": 1.0}}
+    cfg = write(tmp_path, doc)
+    assert main(["validate", cfg]) == EXIT_VALIDATION
+    assert "parameters.s_max" in capsys.readouterr().err
+    assert main(["run", cfg, "--out", str(tmp_path / "o"),
+                 "--workers", "1"]) == EXIT_VALIDATION
+    assert "parameters.s_max" in capsys.readouterr().err
+    # the default s_max (50) bounds the epsilons as well
+    del doc["parameters"]["s_max"]
+    assert validate_config(doc) == []
+    doc["parameters"]["epsilons"] = [60.0]
+    assert [d.split(":")[0] for d in validate_config(doc)] == ["parameters.s_max"]
 
 
 def test_cli_run_accuracy_failure_via_override(tmp_path, capsys):
