@@ -40,8 +40,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=None,
                      help=f"output directory (default: ${OUT_DIR_ENV} or ./ecdlab-out)")
     run.add_argument("--workers", type=int, default=None,
-                     help="worker processes for parallel map stages "
-                          "(default: all cores; results are independent of this)")
+                     help="accepted for compatibility; no scenario starts "
+                          "worker processes, and results never depend on it")
     run.add_argument("--override", action="append", type=_parse_override,
                      default=[], metavar="KEY.PATH=VALUE",
                      help="replace a config value before validation")
@@ -64,7 +64,6 @@ def main(argv=None) -> int:
         return EXIT_OK
 
     out_dir = args.out or os.environ.get(OUT_DIR_ENV) or "ecdlab-out"
-    workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
     try:
         scenario = load_scenario(args.config, overrides=args.override)
     except ScenarioValidationError as exc:
@@ -72,7 +71,7 @@ def main(argv=None) -> int:
             print(d, file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        manifest = run_scenario(scenario, out_dir, workers=workers)
+        manifest = run_scenario(scenario, out_dir, workers=args.workers)
     except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -12,8 +12,7 @@ legitimate solutions and are classified, not rejected.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -84,26 +83,32 @@ class Trajectory:
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "gammas", g)
         object.__setattr__(self, "gamma_dots", gd)
+        # interpolation table [gammas | gamma_dots] and its per-interval slopes;
+        # the last slope row is a zero pad, so a one-sample worldline is constant
+        table = np.hstack([g, gd])
+        slopes = np.zeros_like(table)
+        slopes[:-1] = np.diff(table, axis=0) / np.diff(s)[:, None]
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_slopes", slopes)
 
-    def state_at(self, s: float):
-        """Linear interpolation of (gamma, gamma_dot) at parameter s."""
-        gamma = np.array([np.interp(s, self.s, self.gammas[:, mu]) for mu in range(4)])
-        gdot = np.array([np.interp(s, self.s, self.gamma_dots[:, mu]) for mu in range(4)])
-        return gamma, gdot
+    def state_at(self, s):
+        """Linear interpolation of (gamma, gamma_dot) at parameter s.
+
+        ``s`` is a scalar or an array; each result has shape ``s.shape + (4,)``.
+        The values are np.interp's to the last bit: its formula
+        slope[j] (s - s_j) + f_j, the sample value at a knot, and clamping to
+        the end samples outside the sampled range.
+        """
+        x = np.minimum(np.maximum(s, self.s[0]), self.s[-1])
+        j = np.searchsorted(self.s, x, side="right") - 1
+        knot = (x == self.s[j])[..., None]
+        vals = np.where(knot, self._table[j],
+                        self._slopes[j] * (x - self.s[j])[..., None] + self._table[j])
+        return vals[..., :4], vals[..., 4:]
 
     def norm2_samples(self) -> np.ndarray:
         gd = self.gamma_dots
         return gd[:, 0] ** 2 - np.sum(gd[:, 1:] ** 2, axis=1)
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["s"] + [f"gamma{mu}" for mu in range(4)]
-                       + [f"gamma_dot{mu}" for mu in range(4)])
-            for i in range(self.s.size):
-                w.writerow([repr(float(self.s[i]))]
-                           + [repr(float(v)) for v in self.gammas[i]]
-                           + [repr(float(v)) for v in self.gamma_dots[i]])
 
     @staticmethod
     def uniform(u, x0=(0.0, 0.0, 0.0, 0.0), s_span=(-10.0, 10.0), n=201, q=0.0) -> "Trajectory":

@@ -16,8 +16,6 @@ slice charges, never pointwise values of distributional identities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .minkowski import METRIC, AntisymTensor, as_four, minkowski_dot
@@ -36,69 +34,166 @@ class WorldlineSingularity(ZeroDivisionError):
     """Evaluation point lies on the worldline (or its light-cone caustic)."""
 
 
-def _retarded_root(x, traj: Trajectory) -> float:
-    """Solve (x - gamma_s)^2 = 0 with x^0 > gamma^0(s): bisection + Newton."""
-    x = as_four(x)
-    dx = x[None, :] - traj.gammas
-    f = dx[:, 0] ** 2 - np.sum(dx[:, 1:] ** 2, axis=1)
-    past = dx[:, 0] > 0
-    sign_change = np.where(past[:-1] & past[1:] & (f[:-1] * f[1:] <= 0))[0]
-    if sign_change.size == 0:
-        raise CoverageError("retarded root not bracketed by the trajectory samples")
-    i = int(sign_change[-1])    # latest crossing on the past branch
-    lo, hi = traj.s[i], traj.s[i + 1]
+# Events per bracketing chunk: the sign-change search holds a few
+# (events x samples) float temporaries, so this bounds its memory.  With a
+# 1001-sample worldline each temporary is then ~128 kB and stays in cache;
+# 16 ran faster than 32 or 64 on the lw-map workload (2-core x86-64).
+_BRACKET_CHUNK = 16
 
-    def fval(s):
-        gamma, _ = traj.state_at(s)
-        d = x - gamma
-        return minkowski_dot(d, d)
 
-    flo = fval(lo)
+def _mdot(u, v):
+    """u.v over the last axis, in minkowski_dot's order of operations."""
+    return u[..., 0] * v[..., 0] - u[..., 1] * v[..., 1] - u[..., 2] * v[..., 2] \
+        - u[..., 3] * v[..., 3]
+
+
+def _brackets(X, traj: Trajectory):
+    """Index i of the latest past-branch sign change of (x - gamma_s)^2 in
+    [s_i, s_i+1] for each event, and whether one exists."""
+    n = traj.s.size
+    last = np.zeros(len(X), dtype=np.intp)
+    found = np.zeros(len(X), dtype=bool)
+    if n < 2:
+        return last, found
+    g = traj.gammas.T
+    for c in range(0, len(X), _BRACKET_CHUNK):
+        x = X[c:c + _BRACKET_CHUNK, :, None]
+        dt = x[:, 0] - g[0]
+        # dt^2 - ((dx^2 + dy^2) + dz^2): this order fixes the rounding, and so
+        # the sign of f next to the light cone, to that of np.sum
+        f = dt ** 2 - (((x[:, 1] - g[1]) ** 2 + (x[:, 2] - g[2]) ** 2)
+                       + (x[:, 3] - g[3]) ** 2)
+        past = dt > 0
+        cross = past[:, :-1] & past[:, 1:] & (f[:, :-1] * f[:, 1:] <= 0)
+        last[c:c + _BRACKET_CHUNK] = n - 2 - np.argmax(cross[:, ::-1], axis=1)
+        found[c:c + _BRACKET_CHUNK] = cross.any(axis=1)
+    return last, found
+
+
+def retarded_roots(X, traj: Trajectory):
+    """Solve (x - gamma_s)^2 = 0 with x^0 > gamma^0(s) for a stack X (m, 4).
+
+    Returns (s_star (m,), found (m,)); s_star is NaN where the samples do not
+    bracket a root.  Each event runs up to 60 bisection steps and 8 Newton
+    steps and stops on its own condition: the steps are masked array updates
+    over the events still running, so an event's root does not depend on
+    the other events in the stack.
+    """
+    X = np.asarray(X, dtype=float).reshape(-1, 4)
+    i, found = _brackets(X, traj)
+    s_star = np.full(len(X), np.nan)
+    ev = np.flatnonzero(found)
+    Xf = X[ev]
+    lo, hi = traj.s[i[ev]], traj.s[i[ev] + 1]
+
+    def fval(k, s):
+        d = Xf[k] - traj.state_at(s)[0]
+        return _mdot(d, d)
+
+    flo = fval(slice(None), lo)
+    run = np.arange(ev.size)
     for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        fm = fval(mid)
-        if flo * fm <= 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-        if hi - lo < 1e-9 * max(1.0, abs(hi)):
+        if run.size == 0:
             break
-    s_star = 0.5 * (lo + hi)
+        mid = 0.5 * (lo[run] + hi[run])
+        fm = fval(run, mid)
+        left = flo[run] * fm <= 0
+        hi[run[left]] = mid[left]
+        right = run[~left]
+        lo[right], flo[right] = mid[~left], fm[~left]
+        run = run[~(hi[run] - lo[run] < 1e-9 * np.maximum(1.0, np.abs(hi[run])))]
+    s = 0.5 * (lo + hi)
+    run = np.arange(ev.size)
     for _ in range(8):          # Newton polish: f'(s) = -2 gamma_dot.(x - gamma)
-        gamma, gdot = traj.state_at(s_star)
-        d = x - gamma
-        fv = minkowski_dot(d, d)
-        fp = -2.0 * minkowski_dot(gdot, d)
-        if fp == 0.0:
+        if run.size == 0:
             break
-        step = fv / fp
-        s_star -= step
-        if abs(fv) < 1e-12:
-            break
-    return float(s_star)
+        gamma, gdot = traj.state_at(s[run])
+        d = Xf[run] - gamma
+        fv = _mdot(d, d)
+        fp = -2.0 * _mdot(gdot, d)
+        step = fp != 0.0
+        s[run[step]] -= fv[step] / fp[step]
+        run = run[step & ~(np.abs(fv) < 1e-12)]
+    s_star[ev] = s
+    return s_star, found
+
+
+def _potentials(X, traj: Trajectory):
+    """(A (m, 4), bracketed (m,), regular (m,)); A is NaN where not both."""
+    X = np.asarray(X, dtype=float).reshape(-1, 4)
+    s_star, bracketed = retarded_roots(X, traj)
+    A = np.full(X.shape, np.nan)
+    ev = np.flatnonzero(bracketed)
+    gamma, gdot = traj.state_at(s_star[ev])
+    denom = np.abs(_mdot(gdot, X[ev] - gamma))
+    ok = ~(denom < 1e-14)
+    regular = np.zeros(len(X), dtype=bool)
+    regular[ev] = ok
+    A[ev[ok]] = LW_KAPPA * traj.q * gdot[ok] / (2.0 * denom[ok, None])
+    return A, bracketed, regular
+
+
+def _raise_uncovered(bracketed, regular):
+    """Raise for the first event, in order, without a regular retarded root."""
+    for b, r in zip(bracketed, regular):
+        if not b:
+            raise CoverageError("retarded root not bracketed by the trajectory samples")
+        if not r:
+            raise WorldlineSingularity("evaluation point on the worldline light-cone vertex")
+
+
+def lw_potentials(X, traj: Trajectory):
+    """Retarded potentials A^mu at a stack of events X (m, 4).
+
+    Returns (A (m, 4), covered (m,)): covered is False, and the row of A NaN,
+    where the samples do not bracket the retarded root or the event lies on
+    the worldline.
+    """
+    A, bracketed, regular = _potentials(X, traj)
+    return A, bracketed & regular
 
 
 def lw_potential(x, traj: Trajectory) -> np.ndarray:
     """Retarded potential A^mu(x) of the charge q carried by the trajectory."""
-    x = as_four(x)
-    s_star = _retarded_root(x, traj)
-    gamma, gdot = traj.state_at(s_star)
-    denom = abs(minkowski_dot(gdot, x - gamma))
-    if denom < 1e-14:
-        raise WorldlineSingularity("evaluation point on the worldline light-cone vertex")
-    return LW_KAPPA * traj.q * gdot / (2.0 * denom)
+    A, bracketed, regular = _potentials(as_four(x)[None], traj)
+    _raise_uncovered(bracketed, regular)
+    return A[0]
+
+
+def _stencil(X, traj: Trajectory, h: float):
+    """Potentials on the 9-point stencil x, x + h e_0, x - h e_0, x + h e_1, ...
+
+    Returns (A (m, 9, 4), bracketed (m, 9), regular (m, 9), F (m, 4, 4)) with
+    F^{mu nu} = d^mu A^nu - d^nu A^mu by central differences.
+    """
+    X = np.asarray(X, dtype=float).reshape(-1, 4)
+    P = np.repeat(X[:, None, :], 9, axis=1)
+    P[:, 1::2] += h * np.eye(4)
+    P[:, 2::2] -= h * np.eye(4)
+    A, bracketed, regular = _potentials(P.reshape(-1, 4), traj)
+    A = A.reshape(len(X), 9, 4)
+    dA = (A[:, 1::2] - A[:, 2::2]) / (2 * h)     # dA[:, mu, nu] = d_mu A^nu
+    dA_up = METRIC @ dA                           # d^mu A^nu
+    F = dA_up - np.swapaxes(dA_up, -1, -2)
+    return A, bracketed.reshape(-1, 9), regular.reshape(-1, 9), F
+
+
+def lw_fields(X, traj: Trajectory, h: float = 1e-4):
+    """Retarded potentials and fields at a stack of events X (m, 4), one pass.
+
+    Returns (A (m, 4), F (m, 4, 4), covered (m,)): A at the events, F^{mu nu}
+    by central differences of step h, and covered False where any of the nine
+    stencil evaluations lacks a regular retarded root.
+    """
+    A, bracketed, regular, F = _stencil(X, traj, h)
+    return A[:, 0], F, np.all(bracketed & regular, axis=1)
 
 
 def lw_field(x, traj: Trajectory, h: float = 1e-4) -> AntisymTensor:
-    """F^{mu nu} = d^mu A^nu - d^nu A^mu by central differences of lw_potential."""
-    x = as_four(x)
-    dA = np.zeros((4, 4))       # dA[mu, nu] = d_mu A^nu
-    for mu in range(4):
-        e = np.zeros(4)
-        e[mu] = h
-        dA[mu] = (lw_potential(x + e, traj) - lw_potential(x - e, traj)) / (2 * h)
-    dA_up = METRIC @ dA         # d^mu A^nu
-    return AntisymTensor(dA_up - dA_up.T)
+    """F^{mu nu} = d^mu A^nu - d^nu A^mu at x by central differences of step h."""
+    _, bracketed, regular, F = _stencil(as_four(x)[None], traj, h)
+    _raise_uncovered(bracketed[0, 1:], regular[0, 1:])
+    return AntisymTensor(F[0])
 
 
 def stress_tensor(F) -> np.ndarray:
@@ -128,30 +223,10 @@ def deposit_electric_current(traj: Trajectory, grid: EventGrid,
                                 label="electric")
 
 
-def deposit_mass_squared_current(traj: Trajectory, grid: EventGrid,
-                                 kernel: DepositKernel) -> CurrentField:
-    """int ds delta^4(x - gamma_s) gamma_dot^2 gamma_dot_s."""
-    def weight(s, gamma, gdot):
-        return minkowski_dot(gdot, gdot)
-    return deposit_line_current(traj, grid, kernel, weight, label="mass-squared")
-
-
 def mechanical_momentum(traj: Trajectory, x0_time: float) -> np.ndarray:
     """gamma_dot(s*) sign(gamma_dot^0) where the worldline crosses x^0 = x0_time."""
     _, _, gdot = _crossing_state(traj, x0_time)
     return gdot * np.sign(gdot[0])
-
-
-def angular_momentum_current(p: TensorField):
-    """The six currents J^{nu rho, mu} = p^{mu nu} x^rho - p^{mu rho} x^nu."""
-    pts = p.grid.points()
-    out = {}
-    for nu in range(4):
-        for rho in range(nu + 1, 4):
-            vals = (p.values[..., :, nu] * pts[..., rho, None]
-                    - p.values[..., :, rho] * pts[..., nu, None])
-            out[(nu, rho)] = CurrentField(p.grid, vals, label=f"J[{nu}{rho}]")
-    return out
 
 
 def geometric_dilatation_term(p: TensorField) -> CurrentField:

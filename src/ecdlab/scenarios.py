@@ -10,23 +10,20 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 import jsonschema
 
 from . import __version__
-from .minkowski import METRIC, as_four
+from .minkowski import as_four
 from .dynamics import (FieldProvider, IntegratorConfig, IntegrationBlowup,
                        Trajectory, integrate_worldline)
 from .grids import DepositError, DepositKernel, EventGrid, grid_charge
-from .em_sources import (CoverageError, lw_field, lw_potential,
-                         deposit_electric_current)
+from .em_sources import CoverageError, deposit_electric_current, lw_fields
 from .ecd_core import (EcdPair, QuadratureBudgetError, calibrate,
                        classical_phase_gradient_check, consistency_residual,
                        constant_field_pair, integrate_guiding)
@@ -38,6 +35,9 @@ from .propagators import NoPathError
 SCHEMA_VERSION = "1"
 OUT_DIR_ENV = "ECDLAB_OUT_DIR"
 _FREE_ECD_S_MAX = 50.0          # default s'-window of free-ecd
+_LW_FD_STEP = 1e-4              # default finite-difference step of lw-field-map
+_SWEEP_S_MAX = 10.0             # s'-window of classical-limit-sweep
+_SWEEP_EPSILON = 1e-2           # default epsilon of classical-limit-sweep
 
 SCENARIO_KINDS = (
     "classical-orbit",
@@ -280,7 +280,24 @@ def _semantic_diagnostics(kind, p) -> list:
         if s_max <= eps:
             return [f"parameters.s_max: {s_max:g} must exceed the largest "
                     f"epsilon {eps:g}"]
-    return []
+    if kind == "classical-limit-sweep":
+        eps = p.get("epsilon", _SWEEP_EPSILON)
+        if eps >= _SWEEP_S_MAX:
+            return [f"parameters.epsilon: {eps:g} must be below the sweep's "
+                    f"s'-window {_SWEEP_S_MAX:g}"]
+    if kind == "lw-field-map":
+        worldlines = {"worldline": p["worldline"]}
+    elif kind == "conservation-audit":
+        worldlines = {f"worldlines.{i}": wl for i, wl in enumerate(p["worldlines"])}
+    else:
+        return []
+    diags = []
+    for path, wl in worldlines.items():
+        try:        # s_span and n must give strictly increasing samples
+            _traj_from(wl)
+        except ValueError as exc:
+            diags.append(f"parameters.{path}.s_span: {exc}")
+    return diags
 
 
 def validate_file(path) -> list:
@@ -371,56 +388,33 @@ def _run_classical_orbit(p, out: Path, workers):
     return residuals, {"tolerance": p["tolerance"]}, ["trajectory.csv"]
 
 
-def _lw_point(args):
-    x, traj = args
-    try:
-        A = lw_potential(x, traj)
-        F = np.asarray(lw_field(x, traj))
-    except (CoverageError, ZeroDivisionError):
-        return None
-    E = F[1:, 0]
-    B = np.array([-F[2, 3], -F[3, 1], -F[1, 2]])
-    return (list(A), list(E), list(B))
-
-
 def _run_lw_field_map(p, out: Path, workers):
     """fields.csv columns: t,x,y,z, A0..3, E1..3, B1..3 (NaN where uncovered)."""
     traj = _traj_from(p["worldline"])
     grid = _grid_from(p["grid"])
     pts = grid.points().reshape(-1, 4)
-    tasks = [(x, traj) for x in pts]
-    if workers and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_lw_point, tasks, chunksize=64))
-    else:
-        results = [_lw_point(t) for t in tasks]
-    rows = []
-    covered = 0
-    for x, res in zip(pts, results):
-        if res is None:
-            rows.append(list(x) + [float("nan")] * 10)
-        else:
-            A, E, B = res
-            covered += 1
-            rows.append(list(x) + A + E + B)
+    h = p.get("fd_step", _LW_FD_STEP)
+    A, F, covered = lw_fields(pts, traj, h)
+    E = F[:, 1:, 0]
+    B = -F[:, [2, 3, 1], [3, 1, 2]]
+    vals = np.hstack([A, E, B])
+    vals[~covered] = np.nan
     _write_csv(out / "fields.csv",
                ["t", "x", "y", "z"] + [f"A{m}" for m in range(4)]
-               + ["E1", "E2", "E3", "B1", "B2", "B3"], rows)
-    residuals = {"covered_points": covered, "total_points": len(pts)}
+               + ["E1", "E2", "E3", "B1", "B2", "B3"], np.hstack([pts, vals]))
+    residuals = {"covered_points": int(covered.sum()), "total_points": len(pts)}
     # Coulomb cross-check when the worldline is at rest
     u = as_four(p["worldline"]["u"])
-    if np.all(u[1:] == 0.0) and covered:
-        errs = []
-        for x, res in zip(pts, results):
-            if res is None:
-                continue
-            r = float(np.linalg.norm(x[1:] - as_four(p["worldline"].get("x0", (0, 0, 0, 0)))[1:]))
-            if r > 3 * max(grid.spacings[1:]):
-                q = p["worldline"].get("q", 1.0)
-                errs.append(abs(res[0][0] - q / (4 * np.pi * r)) / (abs(q) / (4 * np.pi * r)))
-        if errs:
-            residuals["coulomb_max_rel_error"] = float(max(errs))
-    return residuals, {}, ["fields.csv"]
+    if np.all(u[1:] == 0.0) and covered.any():
+        x0 = as_four(p["worldline"].get("x0", (0, 0, 0, 0)))
+        r = np.linalg.norm(pts[:, 1:] - x0[1:], axis=1)
+        far = covered & (r > 3 * max(grid.spacings[1:]))
+        if far.any():
+            q = p["worldline"].get("q", 1.0)
+            coulomb = q / (4 * np.pi * r[far])
+            residuals["coulomb_max_rel_error"] = float(
+                (np.abs(A[far, 0] - coulomb) / np.abs(coulomb)).max())
+    return residuals, {"fd_step": h}, ["fields.csv"]
 
 
 def _run_conservation_audit(p, out: Path, workers):
@@ -518,8 +512,8 @@ def _run_classical_limit_sweep(p, out: Path, workers):
     u0 = as_four(p.get("u0", (1.0, 0.0, 0.0, 0.0)))
     s_span = tuple(p.get("s_span", (-1.0, 1.0)))
     step = p.get("step", 1e-2)
-    eps = p.get("epsilon", 1e-2)
-    s_max = 10.0
+    eps = p.get("epsilon", _SWEEP_EPSILON)
+    s_max = _SWEEP_S_MAX
     cal = calibrate(eps, s_max=s_max)
     s_samples = np.linspace(s_span[0], s_span[1], 2)
     rows = []

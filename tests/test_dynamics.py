@@ -118,3 +118,35 @@ def test_state_at_interpolates():
     gamma, gdot = traj.state_at(0.25)
     assert np.allclose(gamma, [0.25, 0.125, 0.0, 0.0])
     assert np.allclose(gdot, [1.0, 0.5, 0.0, 0.0])
+
+
+def _interp_columns(traj, s):
+    """State by eight scalar np.interp calls per point: the reference."""
+    s = np.asarray(s, dtype=float)
+    table = np.hstack([traj.gammas, traj.gamma_dots])
+    vals = np.stack([np.interp(s, traj.s, table[:, c]) for c in range(8)], axis=-1)
+    return vals[..., :4], vals[..., 4:]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 300])
+def test_state_at_arrays_equal_np_interp_bitwise(n):
+    rng = np.random.default_rng(n)
+    s = np.cumsum(rng.uniform(0.01, 1.0, n)) - 0.3 * n
+    traj = Trajectory(s, rng.normal(size=(n, 4)) * 1e3, rng.normal(size=(n, 4)))
+    queries = np.concatenate([
+        rng.uniform(s[0] - 5, s[-1] + 5, 200),          # inside and out of range
+        s, [s[0], s[-1], -1e300, 1e300],                  # knots and end points
+        np.nextafter(s, -np.inf), np.nextafter(s, np.inf)])
+    gamma, gdot = traj.state_at(queries)
+    assert gamma.shape == gdot.shape == queries.shape + (4,)
+    ref_gamma, ref_gdot = _interp_columns(traj, queries)
+    assert np.array_equal(gamma.view(np.int64), ref_gamma.view(np.int64))
+    assert np.array_equal(gdot.view(np.int64), ref_gdot.view(np.int64))
+    grid = queries[:12].reshape(3, 4)
+    assert traj.state_at(grid)[0].shape == (3, 4, 4)
+    for q in queries[::7]:
+        g1, d1 = traj.state_at(float(q))
+        g0, d0 = _interp_columns(traj, q)
+        assert g1.shape == d1.shape == (4,)
+        assert np.array_equal(g1.view(np.int64), g0.view(np.int64))
+        assert np.array_equal(d1.view(np.int64), d0.view(np.int64))

@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecdlab.dynamics import Trajectory, charge_conjugate
-from ecdlab.em_sources import (CoverageError, classical_dilatation_charge,
+from ecdlab.em_sources import (CoverageError, WorldlineSingularity,
+                               classical_dilatation_charge,
                                deposit_electric_current, dilatation_current,
                                dilatation_shift_check, geometric_dilatation_term,
-                               lw_field, lw_potential, mechanical_momentum,
-                               stress_tensor, stress_tensor_field)
+                               lw_field, lw_fields, lw_potential, lw_potentials,
+                               mechanical_momentum, stress_tensor,
+                               stress_tensor_field)
 from ecdlab.grids import DepositKernel, EventGrid, grid_charge
 from ecdlab.minkowski import METRIC, AntisymTensor, lorentz_boost_matrix
 
@@ -46,6 +48,61 @@ def test_coverage_error_when_root_not_bracketed():
     short = Trajectory.uniform((1.0, 0.0, 0.0, 0.0), s_span=(-0.1, 0.1), n=11, q=1.0)
     with pytest.raises(CoverageError):
         lw_potential(np.array([5.0, 1.0, 0.0, 0.0]), short)
+
+
+def test_batched_coverage_matches_one_event_calls():
+    short = Trajectory.uniform((1.0, 0.2, 0.0, 0.0), s_span=(-1.0, 1.0), n=21, q=1.0)
+    rng = np.random.default_rng(3)
+    X = np.column_stack([rng.uniform(-2, 3, 300), rng.uniform(-2, 2, (300, 3))])
+    A, covered = lw_potentials(X, short)
+    assert 0 < covered.sum() < len(X)
+    for x, a, ok in zip(X, A, covered):
+        if ok:
+            assert np.array_equal(a, lw_potential(x, short))
+        else:
+            assert np.all(np.isnan(a))
+            with pytest.raises(CoverageError):
+                lw_potential(x, short)
+    A9, F, covered9 = lw_fields(X[:60], short)
+    for x, a, f, ok in zip(X[:60], A9, F, covered9):
+        try:
+            expected = (lw_potential(x, short), np.asarray(lw_field(x, short)))
+        except CoverageError:
+            expected = None
+        assert ok == (expected is not None)
+        if ok:
+            assert np.array_equal(a, expected[0]) and np.array_equal(f, expected[1])
+
+
+def test_worldline_singularity_is_uncovered():
+    # a charge with gamma_dot = 0 sits at x0 for all s: every event on the
+    # light cone of x0 brackets a root whose LW denominator vanishes
+    still = Trajectory.uniform((0.0, 0.0, 0.0, 0.0), s_span=(-1.0, 1.0), n=5, q=1.0)
+    x = np.array([1.0, 1.0, 0.0, 0.0])
+    with pytest.raises(WorldlineSingularity):
+        lw_potential(x, still)
+    A, covered = lw_potentials(np.array([x, [1.0, 0.5, 0.0, 0.0]]), still)
+    assert not covered.any() and np.all(np.isnan(A))
+
+
+def test_uniform_motion_field_is_boosted_coulomb():
+    beta = np.array([0.18, -0.24, 0.0])          # |v| = 0.3
+    L = lorentz_boost_matrix(beta)
+    Linv = lorentz_boost_matrix(-beta)
+    u = L @ np.array([1.0, 0.0, 0.0, 0.0])
+    moving = Trajectory.uniform(u, s_span=(-40, 40), n=801, q=-1.3)
+    rng = np.random.default_rng(7)
+    X = np.column_stack([rng.uniform(-1, 1, 80), rng.uniform(-1.5, 1.5, (80, 3))])
+    X_rest = X @ Linv.T
+    far = np.linalg.norm(X_rest[:, 1:], axis=1) > 0.5
+    A, F, covered = lw_fields(X[far], moving)
+    assert covered.all()
+    for x_rest, f in zip(X_rest[far], F):
+        r = x_rest[1:]
+        E_rest = -1.3 * r / (4 * np.pi * np.linalg.norm(r) ** 3)
+        F_rest = np.asarray(AntisymTensor.from_fields(E_rest))
+        expected = L @ F_rest @ L.T
+        assert np.abs(f - expected).max() < 1e-6 * np.abs(expected).max()
 
 
 def test_conjugate_worldline_flips_potential():

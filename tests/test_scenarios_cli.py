@@ -1,6 +1,13 @@
+import csv
+import hashlib
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ecdlab import scenarios
 from ecdlab.cli import (EXIT_ACCURACY, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION,
@@ -184,6 +191,36 @@ def test_free_ecd_s_max_must_exceed_epsilons(tmp_path, capsys):
     assert [d.split(":")[0] for d in validate_config(doc)] == ["parameters.s_max"]
 
 
+def test_classical_limit_sweep_epsilon_must_fit_window(tmp_path, capsys):
+    doc = {"schema_version": "1", "kind": "classical-limit-sweep",
+           "parameters": {"electric": [0.1, 0.0, 0.0], "factors": [1.0, 0.5],
+                          "ratio_bound": 1.0, "epsilon": 12.0}}
+    cfg = write(tmp_path, doc)
+    assert main(["validate", cfg]) == EXIT_VALIDATION
+    assert "parameters.epsilon" in capsys.readouterr().err
+    assert main(["run", cfg, "--out", str(tmp_path / "o"),
+                 "--workers", "1"]) == EXIT_VALIDATION
+    assert "parameters.epsilon" in capsys.readouterr().err
+    doc["parameters"]["epsilon"] = 1e-2
+    assert validate_config(doc) == []
+
+
+@pytest.mark.parametrize("kind", ["lw-field-map", "conservation-audit"])
+def test_worldline_s_span_must_give_increasing_samples(kind, tmp_path, capsys):
+    doc = lw_config() if kind == "lw-field-map" else audit_config()
+    wl = (doc["parameters"]["worldline"] if kind == "lw-field-map"
+          else doc["parameters"]["worldlines"][0])
+    path = "worldline" if kind == "lw-field-map" else "worldlines.0"
+    for span in ([1.0, -1.0], [2.0, 2.0]):
+        wl["s_span"] = span
+        assert [d.split(":")[0] for d in validate_config(doc)] == [
+            f"parameters.{path}.s_span"]
+    cfg = write(tmp_path, doc)
+    assert main(["run", cfg, "--out", str(tmp_path / "o"),
+                 "--workers", "1"]) == EXIT_VALIDATION
+    assert f"parameters.{path}.s_span" in capsys.readouterr().err
+
+
 def test_cli_run_accuracy_failure_via_override(tmp_path, capsys):
     cfg = write(tmp_path, guiding_config())
     out = tmp_path / "o"
@@ -241,3 +278,90 @@ def test_csv_has_no_timestamps(tmp_path, capsys):
     assert "20" not in text.split("\n")[0]  # header carries no dates
     manifest = json.loads((out / "manifest.json").read_text())
     assert "timestamp" in manifest          # wall-clock data lives here only
+
+
+def read_fields(path):
+    """Data rows of fields.csv as floats, without the header."""
+    with open(path, newline="") as fh:
+        return [[float(v) for v in row] for row in list(csv.reader(fh))[1:]]
+
+
+def test_lw_field_map_bytes_are_pinned(tmp_path, capsys):
+    # criterion 12's config; the digest was taken from the per-event scalar
+    # implementation that the batched map replaced
+    cfg = write(tmp_path, lw_config())
+    assert main(["run", cfg, "--out", str(tmp_path / "o"), "--workers", "1"]) == EXIT_OK
+    capsys.readouterr()
+    data = (tmp_path / "o" / "fields.csv").read_bytes()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == (
+        "30a82442b0dfe0379af7d5006571bb53e2a8876dfc64177ff1ab061e22ffad38", 2966)
+
+
+def test_lw_field_map_event_on_worldline_is_nan_row(tmp_path, capsys):
+    cfg = write(tmp_path, lw_config())      # the grid's centre is the charge
+    assert main(["run", cfg, "--out", str(tmp_path / "o"), "--workers", "1"]) == EXIT_OK
+    capsys.readouterr()
+    rows = read_fields(tmp_path / "o" / "fields.csv")
+    nan_rows = [row for row in rows if any(math.isnan(v) for v in row)]
+    assert [row[:4] for row in nan_rows] == [[0.0, 0.0, 0.0, 0.0]]
+    assert all(math.isnan(v) for v in nan_rows[0][4:])
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["residuals"]["covered_points"] == 26
+
+
+def test_lw_field_map_fd_step_moves_fields_not_potentials(tmp_path, capsys):
+    doc = lw_config()
+    outs = {}
+    for step in (None, 1e-3):
+        if step is not None:
+            doc["parameters"]["fd_step"] = step
+        out = tmp_path / f"h{step}"
+        assert main(["run", write(tmp_path, doc), "--out", str(out),
+                     "--workers", "1"]) == EXIT_OK
+        outs[step] = read_fields(out / "fields.csv")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["tolerances"]["fd_step"] == (step or 1e-4)
+    capsys.readouterr()
+    default, coarse = outs[None], outs[1e-3]
+    covered = [i for i, row in enumerate(default) if not math.isnan(row[4])]
+    assert covered
+    for i in covered:
+        assert default[i][:8] == coarse[i][:8]          # t, x, y, z, A0..A3
+    assert any(default[i][8:] != coarse[i][8:] for i in covered)   # E, B
+
+
+def _finite(lo, hi):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False)
+
+
+@st.composite
+def lw_configs(draw):
+    v = draw(st.lists(_finite(-2, 2), min_size=3, max_size=3))
+    speed = math.sqrt(sum(c * c for c in v))
+    u0 = {"timelike": speed + draw(_finite(0.1, 2)), "null": speed,
+          "spacelike": speed * draw(_finite(0, 0.9)), "zero": 0.0}
+    kind = draw(st.sampled_from(sorted(u0)))
+    u = [0.0] * 4 if kind == "zero" else [draw(st.sampled_from([1, -1])) * u0[kind]] + v
+    params = {
+        "worldline": {"u": u,
+                      "x0": draw(st.lists(_finite(-1, 1), min_size=4, max_size=4)),
+                      "s_span": draw(st.lists(_finite(-3, 3), min_size=2, max_size=2)),
+                      "n": draw(st.integers(2, 40)), "q": draw(_finite(-3, 3))},
+        "grid": {"origin": draw(st.lists(_finite(-2, 2), min_size=4, max_size=4)),
+                 "spacings": draw(st.lists(_finite(0.05, 1), min_size=4, max_size=4)),
+                 "extents": draw(st.lists(st.integers(1, 3), min_size=4, max_size=4))},
+    }
+    if draw(st.booleans()):
+        params["fd_step"] = draw(_finite(1e-6, 0.5))
+    return {"schema_version": "1", "kind": "lw-field-map", "parameters": params}
+
+
+@given(doc=lw_configs())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_lw_field_map_exit_codes_fuzz(doc, capsys):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write(Path(tmp), doc)
+        code = main(["run", cfg, "--out", str(Path(tmp) / "o"), "--workers", "1"])
+    capsys.readouterr()
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERIC, EXIT_ACCURACY)
