@@ -19,15 +19,16 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad, simpson
+from scipy.integrate import IntegrationWarning, quad, simpson
 
 from .minkowski import METRIC, as_four, minkowski_dot
 from .dynamics import Trajectory
-from .ecd_core import EcdPair, EpsilonCalibration
+from .ecd_core import EpsilonCalibration
 from .grids import (CurrentField, DepositKernel, EventGrid, TensorField,
                     boundary_flux3, deposit_line_current, grid_charge,
                     grid_divergence, interior_max)
@@ -37,6 +38,40 @@ _METRIC_DIAG = np.array([1.0, -1.0, -1.0, -1.0])
 
 # ---------------------------------------------------------------------------
 # wave-field evaluators
+
+
+class WaveJet(NamedTuple):
+    """A wave and its first derivatives; grad and ds_grad carry a lower index.
+
+    An array of s-nodes adds a leading s-axis; ds_grad is None at order 1.
+    """
+
+    value: np.ndarray
+    grad: np.ndarray
+    ds: np.ndarray
+    ds_grad: Optional[np.ndarray] = None
+
+
+def _jet_args(x, s, order):
+    """Checked x and s; 1-D s becomes (n, 1, ..., 1) and x gains a leading axis."""
+    if order not in (1, 2):
+        raise ValueError(f"jet order must be 1 or 2, got {order!r}")
+    x = np.asarray(x, dtype=float)
+    s = np.asarray(s, dtype=float)
+    if s.ndim > 1:
+        raise ValueError("s must be a scalar or a 1-D array of s-nodes")
+    if s.ndim:
+        x = x[None]
+    return x, s.reshape(s.shape + (1,) * (x.ndim - 1 - s.ndim))
+
+
+def _first(v, a):
+    """A 4-vector shaped to broadcast along the first axis of a.
+
+    Jets and kernels keep components first in memory, so that numpy's inner
+    loops run over points, not over the four components.
+    """
+    return np.asarray(v).reshape((4,) + (1,) * (a.ndim - 1))
 
 
 class PhiField:
@@ -69,12 +104,37 @@ class PhiField:
         return (self.grad(x, s + self.fd_step) - self.grad(x, s - self.fd_step)) \
             / (2 * self.fd_step)
 
+    def jet(self, x, s, order: int = 1) -> WaveJet:
+        """Value, gradient, d_s and at order 2 d_s grad, one s-node at a time."""
+        _jet_args(x, s, order)
+        if np.ndim(s):
+            parts = zip(*(self.jet(x, sv, order) for sv in s))
+            return WaveJet(*(None if p[0] is None else np.stack(p) for p in parts))
+        return WaveJet(self.value(x, s), self.grad(x, s), self.ds(x, s),
+                       self.ds_grad(x, s) if order == 2 else None)
+
     def abs2(self, x, s):
         v = self.value(x, s)
         return (v * np.conj(v)).real
 
 
-class FreePhi(PhiField):
+class JetPhiField(PhiField):
+    """A wave that computes its jet in one pass; single parts read the jet."""
+
+    def value(self, x, s):
+        return self.jet(x, s).value
+
+    def grad(self, x, s):
+        return self.jet(x, s).grad
+
+    def ds(self, x, s):
+        return self.jet(x, s).ds
+
+    def ds_grad(self, x, s):
+        return self.jet(x, s, 2).ds_grad
+
+
+class FreePhi(JetPhiField):
     """The exact calibrated free wave C e^{i(u.xi + u^2 s/2)} sinc(xi^2 / 2 eps).
 
     All derivatives are analytic, which keeps the current quadratures free of
@@ -88,77 +148,40 @@ class FreePhi(PhiField):
         self.x0 = as_four(x0)
         self.u2 = minkowski_dot(self.u, self.u)
 
-    def _xi(self, x, s):
-        return np.asarray(x, dtype=float) - self.x0 - self.u * s
-
-    @staticmethod
-    def _sinc(a):
-        return np.sinc(a / np.pi)
-
-    @staticmethod
-    def _dsinc(a):
-        a = np.asarray(a, dtype=float)
-        small = np.abs(a) < 1e-6
-        safe = np.where(small, 1.0, a)
-        return np.where(small, -a / 3.0, (safe * np.cos(safe) - np.sin(safe)) / safe ** 2)
-
-    @staticmethod
-    def _d2sinc(a):
-        a = np.asarray(a, dtype=float)
+    def jet(self, x, s, order: int = 1) -> WaveJet:
+        x, s = _jet_args(x, s, order)
+        eps, u2 = self.epsilon, self.u2
+        g = _first(_METRIC_DIAG, x)
+        u = _first(self.u, x)
+        # xi = y - u s with y = x - x0, so u.xi and xi^2 come from per-point
+        # and per-node parts, and so does the phase u.xi + u^2 s/2 = u.y - u^2 s/2
+        y = np.ascontiguousarray(np.moveaxis(x - self.x0, -1, 0))
+        u_dot_y = np.sum(y * u * g, axis=0)
+        a = (np.sum(y * y * g, axis=0) - 2.0 * s * u_dot_y + u2 * s * s) / (2.0 * eps)
+        core = self.C * np.exp(1j * u_dot_y) * np.exp(-0.5j * u2 * s)
+        # sinc(a) = sin a / a and its a-derivatives from one sin and one cos;
+        # below |a| = 1e-4 their Taylor series are exact to rounding
         small = np.abs(a) < 1e-4
         safe = np.where(small, 1.0, a)
-        exact = ((2.0 - safe ** 2) * np.sin(safe) - 2.0 * safe * np.cos(safe)) / safe ** 3
-        return np.where(small, -1.0 / 3.0 + a ** 2 / 10.0, exact)
-
-    def _parts(self, x, s):
-        xi = self._xi(x, s)
-        xi_lower = xi * _METRIC_DIAG
-        xi2 = np.sum(xi * xi_lower, axis=-1)
-        u_dot_xi = np.sum(self.u * xi_lower, axis=-1)
-        a = xi2 / (2.0 * self.epsilon)
-        phase = np.exp(1j * (u_dot_xi + 0.5 * self.u2 * s))
-        return xi_lower, u_dot_xi, a, phase
-
-    def value(self, x, s):
-        _, _, a, phase = self._parts(x, s)
-        return self.C * phase * self._sinc(a)
-
-    def grad(self, x, s):
-        xi_lower, _, a, phase = self._parts(x, s)
-        u_lower = self.u * _METRIC_DIAG
-        S = self._sinc(a)
-        dS = self._dsinc(a)
-        core = self.C * phase
-        return (1j * u_lower * (core * S)[..., None]
-                + (core * dS)[..., None] * xi_lower / self.epsilon)
-
-    def ds(self, x, s):
-        xi_lower, u_dot_xi, a, phase = self._parts(x, s)
-        S = self._sinc(a)
-        dS = self._dsinc(a)
-        core = self.C * phase
-        # d/ds of the phase: -u.u + u^2/2 = -u^2/2; of the argument: -u.xi/eps
-        return core * (-0.5j * self.u2 * S - dS * u_dot_xi / self.epsilon)
-
-    def ds_grad(self, x, s):
-        xi_lower, u_dot_xi, a, phase = self._parts(x, s)
-        u_lower = self.u * _METRIC_DIAG
-        S = self._sinc(a)
-        dS = self._dsinc(a)
-        d2S = self._d2sinc(a)
-        core = self.C * phase
-        ds_core = -0.5j * self.u2 * core
-        ds_a = -u_dot_xi / self.epsilon
-        return (1j * u_lower * (ds_core * S + core * dS * ds_a)[..., None]
-                + ((ds_core * dS + core * d2S * ds_a)[..., None]
-                   * xi_lower / self.epsilon)
-                - (core * dS)[..., None] * u_lower / self.epsilon)
-
-    def conjugated(self) -> "ConjugatedPhi":
-        return ConjugatedPhi(self)
+        sin_a, cos_a = np.sin(safe), np.cos(safe)
+        value = core * np.where(small, 1.0 - a * a / 6.0, sin_a / safe)
+        core_dS = core * np.where(small, a * (a * a / 30.0 - 1.0 / 3.0),
+                                  (safe * cos_a - sin_a) / (safe * safe))
+        # d_mu a = xi_mu / eps, d_s a = -u.xi / eps; the phase adds i u_mu and -i u^2 / 2
+        xi_eps = (y - u * s) * (g / eps)
+        ds_a = (u2 * s - u_dot_y) / eps
+        grad = np.moveaxis(1j * u * g * value + core_dS * xi_eps, 0, -1)
+        ds = -0.5j * u2 * value + core_dS * ds_a
+        if order == 1:
+            return WaveJet(value, grad, ds)
+        d2S = np.where(small, a * a / 10.0 - 1.0 / 3.0,
+                       ((2.0 - safe * safe) * sin_a - 2.0 * safe * cos_a) / safe ** 3)
+        ds_core_dS = -0.5j * u2 * core_dS + core * d2S * ds_a
+        ds_grad = 1j * u * g * ds + ds_core_dS * xi_eps - core_dS * (u * g / eps)
+        return WaveJet(value, grad, ds, np.moveaxis(ds_grad, 0, -1))
 
 
-class GaussianSolutionPhi(PhiField):
+class GaussianSolutionPhi(JetPhiField):
     """Closed-form exact solution of i d_s phi = -(1/2) box phi.
 
     A product of one-dimensional Gaussians, sigma0 = a + i s on the time axis
@@ -174,63 +197,40 @@ class GaussianSolutionPhi(PhiField):
             raise ValueError("width parameter a must be positive")
         self.a = float(a)
 
-    def _parts(self, x, s):
-        x = np.asarray(x, dtype=float)
-        s0 = self.a + 1j * s
-        ss = self.a - 1j * s
-        val = (s0 ** -0.5) * np.exp(-x[..., 0] ** 2 / (2 * s0))
-        for i in (1, 2, 3):
-            val = val * (ss ** -0.5) * np.exp(-x[..., i] ** 2 / (2 * ss))
-        return x, s0, ss, val
-
-    def value(self, x, s):
-        return self._parts(x, s)[3]
-
-    def grad(self, x, s):
-        x, s0, ss, val = self._parts(x, s)
-        g = np.empty(x.shape, dtype=complex)
-        g[..., 0] = -(x[..., 0] / s0) * val
-        for i in (1, 2, 3):
-            g[..., i] = -(x[..., i] / ss) * val
-        return g
-
-    def ds(self, x, s):
-        x, s0, ss, val = self._parts(x, s)
-        dlog = -0.5j / s0 + 0.5j * x[..., 0] ** 2 / s0 ** 2
-        for i in (1, 2, 3):
-            dlog = dlog + 0.5j / ss - 0.5j * x[..., i] ** 2 / ss ** 2
-        return dlog * val
-
-    def ds_grad(self, x, s):
-        x, s0, ss, val = self._parts(x, s)
-        dphi = self.ds(x, s)
-        g = np.empty(x.shape, dtype=complex)
-        g[..., 0] = (1j * x[..., 0] / s0 ** 2) * val - (x[..., 0] / s0) * dphi
-        for i in (1, 2, 3):
-            g[..., i] = (-1j * x[..., i] / ss ** 2) * val - (x[..., i] / ss) * dphi
-        return g
+    def jet(self, x, s, order: int = 1) -> WaveJet:
+        x, s = _jet_args(x, s, order)
+        x = np.ascontiguousarray(np.moveaxis(x, -1, 0))
+        inv0 = 1.0 / (self.a + 1j * s)          # 1 / sigma0
+        invs = 1.0 / (self.a - 1j * s)          # 1 / sigma
+        t2 = x[0] ** 2
+        r2 = x[1] ** 2 + x[2] ** 2 + x[3] ** 2
+        value = np.sqrt(inv0) * invs * np.sqrt(invs) \
+            * np.exp(-0.5 * (t2 * inv0 + r2 * invs))
+        # d_mu log phi = -x_mu inv_mu with 1 / sigma per axis in inv
+        inv = np.stack(np.broadcast_arrays(inv0, invs, invs, invs))
+        x_inv = x * inv
+        grad = np.moveaxis(-x_inv * value, 0, -1)
+        ds = 0.5j * (t2 * inv0 ** 2 - inv0 + 3.0 * invs - r2 * invs ** 2) * value
+        if order == 1:
+            return WaveJet(value, grad, ds)
+        # d_s inv_mu = -i inv_mu^2 on the time axis and +i inv_mu^2 in space
+        ds_grad = x_inv * (1j * _first(_METRIC_DIAG, x) * inv * value - ds)
+        return WaveJet(value, grad, ds, np.moveaxis(ds_grad, 0, -1))
 
 
-class ConjugatedPhi(PhiField):
+class ConjugatedPhi(JetPhiField):
     """Charge conjugation phi(x, s) -> phi*(x, -s)."""
 
     def __init__(self, base: PhiField):
         self.base = base
 
-    def value(self, x, s):
-        return np.conj(self.base.value(x, -s))
-
-    def grad(self, x, s):
-        return np.conj(self.base.grad(x, -s))
-
-    def ds(self, x, s):
-        return -np.conj(self.base.ds(x, -s))
-
-    def ds_grad(self, x, s):
-        return -np.conj(self.base.ds_grad(x, -s))
+    def jet(self, x, s, order: int = 1) -> WaveJet:
+        j = self.base.jet(x, -np.asarray(s, dtype=float), order)
+        return WaveJet(np.conj(j.value), np.conj(j.grad), -np.conj(j.ds),
+                       None if j.ds_grad is None else -np.conj(j.ds_grad))
 
 
-class GaugeShiftedPhi(PhiField):
+class GaugeShiftedPhi(JetPhiField):
     """phi -> phi e^{i q alpha(x)} for a linear alpha(x) = k.x (Minkowski)."""
 
     def __init__(self, base: PhiField, k, q):
@@ -238,43 +238,36 @@ class GaugeShiftedPhi(PhiField):
         self.k = as_four(k)
         self.q = float(q)
 
-    def _factor(self, x):
-        x = np.asarray(x, dtype=float)
-        alpha = np.sum(x * (self.k * _METRIC_DIAG), axis=-1)
-        return np.exp(1j * self.q * alpha)
-
-    def value(self, x, s):
-        return self._factor(x) * self.base.value(x, s)
-
-    def grad(self, x, s):
-        fac = self._factor(x)
+    def jet(self, x, s, order: int = 1) -> WaveJet:
+        j = self.base.jet(x, s, order)
         k_lower = self.k * _METRIC_DIAG
-        return fac[..., None] * (self.base.grad(x, s)
-                                 + 1j * self.q * k_lower * self.base.value(x, s)[..., None])
+        fac = np.exp(1j * self.q * np.einsum("...m,m->...", x, k_lower))
 
-    def ds(self, x, s):
-        return self._factor(x) * self.base.ds(x, s)
+        def shifted(f, df):         # e^{i q k.x} (df + i q k_mu f)
+            return fac[..., None] * (df + 1j * self.q * k_lower * f[..., None])
 
-    def ds_grad(self, x, s):
-        fac = self._factor(x)
-        k_lower = self.k * _METRIC_DIAG
-        return fac[..., None] * (self.base.ds_grad(x, s)
-                                 + 1j * self.q * k_lower * self.base.ds(x, s)[..., None])
+        return WaveJet(fac * j.value, shifted(j.value, j.grad), fac * j.ds,
+                       None if j.ds_grad is None else shifted(j.ds, j.ds_grad))
 
 
 def covariant_derivative(phi: PhiField, x, s, A: Optional[Callable],
                          q: float, hbar: float = 1.0):
     """D^mu phi = hbar d^mu phi - i q A^mu phi (upper index), vectorized."""
-    grad_lower = phi.grad(x, s)
-    d_upper = grad_lower * _METRIC_DIAG
-    out = hbar * d_upper
-    if A is not None and q != 0.0:
-        out = out - 1j * q * np.asarray(A(x), dtype=complex) * phi.value(x, s)[..., None]
-    return out
+    jet = phi.jet(x, s)
+    re, im = _covariant_parts(jet.grad, jet.value, _potential(A, x, q), q, hbar)
+    return np.moveaxis(re + 1j * im, 0, -1)
 
 
 # ---------------------------------------------------------------------------
 # s-quadrature helpers
+
+
+def _composite_gauss(edges, n: int):
+    """Nodes and weights of n-point Gauss-Legendre on each panel between edges."""
+    gx, gw = np.polynomial.legendre.leggauss(n)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * np.diff(edges)
+    return (mid[:, None] + half[:, None] * gx).ravel(), (half[:, None] * gw).ravel()
 
 
 def s_panels(s_range, epsilon: float, nodes_per_panel: int = 8,
@@ -288,32 +281,77 @@ def s_panels(s_range, epsilon: float, nodes_per_panel: int = 8,
     rate = max(abs(lo), abs(hi)) / epsilon + 1.0
     width = max((hi - lo) / max_panels, min(nodes_per_panel / rate, (hi - lo) / 8))
     n_panels = max(8, int(np.ceil((hi - lo) / width)))
-    edges = np.linspace(lo, hi, n_panels + 1)
-    gx, gw = np.polynomial.legendre.leggauss(nodes_per_panel)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    nodes = (mid[:, None] + half[:, None] * gx).ravel()
-    weights = (half[:, None] * gw).ravel()
-    return nodes, weights
+    return _composite_gauss(np.linspace(lo, hi, n_panels + 1), nodes_per_panel)
 
 
 # ---------------------------------------------------------------------------
 # grid currents
+
+# s-nodes per jet evaluation in the grid kernels
+_S_CHUNK = 8
+
+
+def _potential(A: Optional[Callable], x, q: float):
+    """A^mu(x) components first, or None where it drops out of D."""
+    if A is None or q == 0.0:
+        return None
+    return np.moveaxis(np.asarray(A(x), dtype=float), -1, 0)
+
+
+def _covariant_parts(d_lower, f, A_c, q: float, hbar: float):
+    """Re and Im of hbar d^mu f - i q A^mu f, components first.
+
+    d_lower (..., 4) is the gradient of f; A_c is A^mu components first, or None.
+    """
+    d = np.moveaxis(d_lower, -1, 0)
+    hbar_g = hbar * _first(_METRIC_DIAG, d)
+    re, im = d.real * hbar_g, d.imag * hbar_g
+    if A_c is not None:
+        re += q * A_c * f.imag
+        im -= q * A_c * f.real
+    return re, im
+
+
+def _jet_chunks(phi: PhiField, pts, s_nodes, s_weights, A: Optional[Callable],
+                q: float, hbar: float, order: int = 1):
+    """(s, w, jet, D) per chunk of s-nodes on points (P, 4), in node order.
+
+    D is (Re, Im) of D phi at order 1 and of d_s D phi at order 2.  Fixed
+    chunks in a fixed order keep every kernel's sums reproducible.
+    """
+    s_nodes = np.asarray(s_nodes, dtype=float)
+    s_weights = np.asarray(s_weights, dtype=float)
+    A_c = _potential(A, pts[None], q)       # (4, 1, P): against the s-axis
+    for k in range(0, s_nodes.size, _S_CHUNK):
+        s = s_nodes[k:k + _S_CHUNK]
+        jet = phi.jet(pts, s, order)
+        D = (_covariant_parts(jet.grad, jet.value, A_c, q, hbar) if order == 1
+             else _covariant_parts(jet.ds_grad, jet.ds, A_c, q, hbar))
+        yield s, s_weights[k:k + _S_CHUNK], jet, D
+
+
+def _conj_dot(w, f, D, imag: bool):
+    """Re (or Im) of sum_n w_n f_n* D_n^mu for D = (Re, Im); shape (4, P)."""
+    re, im = (D[1], -D[0]) if imag else D       # Im(f* D) = Re(f* (-i D))
+    return np.einsum("n,np,mnp->mp", w, f.real, re) \
+        + np.einsum("n,np,mnp->mp", w, f.imag, im)
+
+
+def _on_grid(grid: EventGrid, values_c):
+    """(4, P) components-first point values as a grid array (..., 4)."""
+    return values_c.T.reshape(grid.extents + (4,))
 
 
 def ecd_electric_current(phi: PhiField, A: Optional[Callable], grid: EventGrid,
                          s_nodes, s_weights, q: float, hbar: float = 1.0,
                          label: str = "ecd-j") -> CurrentField:
     """j^mu(x) = int ds q Im[phi* D^mu phi] sampled on the grid."""
-    pts = grid.points()
-    values = np.zeros(grid.extents + (4,))
-    if q == 0.0:
-        return CurrentField(grid, values, label=label)
-    for s, w in zip(s_nodes, s_weights):
-        v = phi.value(pts, s)
-        D = covariant_derivative(phi, pts, s, A, q, hbar)
-        values += w * q * np.imag(np.conj(v)[..., None] * D)
-    return CurrentField(grid, values, label=label)
+    pts = grid.points().reshape(-1, 4)
+    values = np.zeros((4, pts.shape[0]))
+    if q != 0.0:
+        for _, w, jet, D in _jet_chunks(phi, pts, s_nodes, s_weights, A, q, hbar):
+            values += _conj_dot(q * w, jet.value, D, imag=True)
+    return CurrentField(grid, _on_grid(grid, values), label=label)
 
 
 def mass_current_b(pair_or_phi, A: Optional[Callable], grid: EventGrid,
@@ -325,22 +363,24 @@ def mass_current_b(pair_or_phi, A: Optional[Callable], grid: EventGrid,
     """b = bbar + bbreve: the bulk term Re[d_s phi* D^mu phi] integrated over s,
     plus the worldline-supported (2/N)|phi|^2 gamma_dot deposit."""
     phi = pair_or_phi
-    pts = grid.points()
-    values = np.zeros(grid.extents + (4,))
-    for s, w in zip(s_nodes, s_weights):
-        ds_v = phi.ds(pts, s)
-        D = covariant_derivative(phi, pts, s, A, q, hbar)
-        values += w * np.real(np.conj(ds_v)[..., None] * D)
-    out = CurrentField(grid, values, label=label)
+    pts = grid.points().reshape(-1, 4)
+    values = np.zeros((4, pts.shape[0]))
+    for _, w, jet, D in _jet_chunks(phi, pts, s_nodes, s_weights, A, q, hbar):
+        values += _conj_dot(w, jet.ds, D, imag=False)
+    values = _on_grid(grid, values)
     if trajectory is not None and calibration is not None:
-        kernel = kernel or DepositKernel("trilinear")
+        values = values + deposit_line_current(
+            trajectory, grid, kernel or DepositKernel("trilinear"),
+            lambda s, gamma, gdot: (2.0 / calibration.N) * float(phi.abs2(gamma, s))).values
+    return CurrentField(grid, values, label=label)
 
-        def weight(s, gamma, gdot):
-            return (2.0 / calibration.N) * float(phi.abs2(gamma, s))
 
-        breve = deposit_line_current(trajectory, grid, kernel, weight, label="b-breve")
-        out = CurrentField(grid, out.values + breve.values, label=label)
-    return out
+def _lagrangian(jet: WaveJet, D, hbar: float):
+    """L_m of a jet whose D phi has the components-first parts D = (re, im)."""
+    re, im = D
+    kinetic = 0.5 * np.sum((re * re + im * im) * _first(_METRIC_DIAG, re), axis=0)
+    v, dv = jet.value, jet.ds
+    return -hbar * (v.real * dv.imag - v.imag * dv.real) - kinetic
 
 
 def matter_lagrangian_density(phi: PhiField, x, s, A: Optional[Callable],
@@ -350,40 +390,39 @@ def matter_lagrangian_density(phi: PhiField, x, s, A: Optional[Callable],
     The worldline delta term of the action density is deposited separately
     with the same kernel discipline as the bbreve current.
     """
-    v = phi.value(x, s)
-    ds_v = phi.ds(x, s)
-    D = covariant_derivative(phi, x, s, A, q, hbar)
-    D_lower = D * _METRIC_DIAG
-    kinetic = 0.5 * np.real(np.sum(np.conj(D) * D_lower, axis=-1))
-    return -hbar * np.imag(np.conj(v) * ds_v) - kinetic
+    jet = phi.jet(x, s)
+    return _lagrangian(jet, _covariant_parts(jet.grad, jet.value, _potential(A, x, q), q,
+                                             hbar), hbar)
 
 
 def ecd_energy_momentum(phis: Sequence[PhiField], A: Optional[Callable],
                         grid: EventGrid, s_nodes, s_weights, qs,
                         field_tensor_fn=None, hbar: float = 1.0) -> TensorField:
-    """p^{nu mu} = Theta^{nu mu} + sum_k m_k^{nu mu}, symmetric by construction."""
+    """p^{nu mu} = Theta^{nu mu} + sum_k m_k^{nu mu}, symmetric by construction.
+
+    m^{nu mu} = int ds [g^{nu mu} L_m + Re(D^nu phi (D^mu phi)*)], where the
+    bilinear is a^nu a^mu + b^nu b^mu for D phi = a + i b.
+    """
     from .em_sources import stress_tensor
 
-    pts = grid.points()
-    values = np.zeros(grid.extents + (4, 4))
-    if field_tensor_fn is not None:
-        flat = pts.reshape(-1, 4)
-        theta = np.empty((flat.shape[0], 4, 4))
-        for i, x in enumerate(flat):
-            theta[i] = stress_tensor(field_tensor_fn(x))
-        values += theta.reshape(grid.extents + (4, 4))
+    pts = grid.points().reshape(-1, 4)
+    bilinear = np.zeros((4, 4, pts.shape[0]))
+    lagrangian = np.zeros(pts.shape[0])
     for phi, q in zip(phis, qs):
-        for s, w in zip(s_nodes, s_weights):
-            D = covariant_derivative(phi, pts, s, A, q, hbar)
-            lm = matter_lagrangian_density(phi, pts, s, A, q, hbar)
-            bilinear = 0.5 * np.real(D[..., :, None] * np.conj(D)[..., None, :]
-                                     + np.conj(D)[..., :, None] * D[..., None, :])
-            # the sign of the bilinear relative to g L is fixed by requiring
-            # d_nu m^{nu mu} = 0 for exact solutions (checked against a
-            # closed-form Gaussian solution of the proper-time equation)
-            values += w * (METRIC[None, ...] * lm[..., None, None] + bilinear)
+        for _, w, jet, D in _jet_chunks(phi, pts, s_nodes, s_weights, A, q, hbar):
+            lagrangian += np.einsum("n,np->p", w, _lagrangian(jet, D, hbar))
+            for part in D:
+                bilinear += np.einsum("inp,jnp->ijp", w[:, None] * part, part)
+    # the sign of the bilinear relative to g L is fixed by requiring
+    # d_nu m^{nu mu} = 0 for exact solutions (checked against a closed-form
+    # Gaussian solution of the proper-time equation)
+    values = np.moveaxis(bilinear, -1, 0) + lagrangian[:, None, None] * METRIC
+    if field_tensor_fn is not None:
+        for i, x in enumerate(pts):
+            values[i] += stress_tensor(field_tensor_fn(x))
     values = 0.5 * (values + np.swapaxes(values, -1, -2))
-    return TensorField(grid, values, symmetric=True, label="ecd-p")
+    return TensorField(grid, values.reshape(grid.extents + (4, 4)), symmetric=True,
+                       label="ecd-p")
 
 
 def ecd_dilatation_current(p: TensorField, phis: Sequence[PhiField],
@@ -402,18 +441,13 @@ def ecd_dilatation_current(p: TensorField, phis: Sequence[PhiField],
     """
     from .em_sources import geometric_dilatation_term
 
-    xi = geometric_dilatation_term(p).values.copy()
     grid = p.grid
-    pts = grid.points()
+    pts = grid.points().reshape(-1, 4)
+    bulk = np.zeros((4, pts.shape[0]))
     for phi, q in zip(phis, qs):
-        for s, w in zip(s_nodes, s_weights):
-            v = phi.value(pts, s)
-            ds_D = hbar * phi.ds_grad(pts, s) * _METRIC_DIAG
-            if A is not None and q != 0.0:
-                ds_D = ds_D - 1j * q * np.asarray(A(pts), dtype=complex) \
-                    * phi.ds(pts, s)[..., None]
-            bbar2 = -np.real(np.conj(v)[..., None] * ds_D)
-            xi += 2.0 * w * s * bbar2
+        for s, w, jet, D in _jet_chunks(phi, pts, s_nodes, s_weights, A, q, hbar, 2):
+            bulk -= _conj_dot(2.0 * w * s, jet.value, D, imag=False)
+    xi = geometric_dilatation_term(p).values + _on_grid(grid, bulk)
     kernel = kernel or DepositKernel("trilinear")
     for phi, traj, cal in zip(phis, trajectories, calibrations):
         def weight(s, gamma, gdot, _phi=phi, _cal=cal):
@@ -428,12 +462,7 @@ def ecd_dilatation_current(p: TensorField, phis: Sequence[PhiField],
 # static radial profiles of the free charge
 
 
-_GLX16, _GLW16 = np.polynomial.legendre.leggauss(10)
-_V_EDGES = np.linspace(0.0, np.sqrt(2.0), 6001)
-_V_MID = 0.5 * (_V_EDGES[:-1] + _V_EDGES[1:])
-_V_HALF = 0.5 * np.diff(_V_EDGES)
-_V_NODES = (_V_MID[:, None] + _V_HALF[:, None] * _GLX16).ravel()
-_V_WEIGHTS = (_V_HALF[:, None] * _GLW16).ravel()
+_V_NODES, _V_WEIGHTS = _composite_gauss(np.linspace(0.0, np.sqrt(2.0), 6001), 10)
 _K2 = _V_NODES ** 2
 # Fourier transforms on [0, 2] (zero outside): triangle for sinc^2,
 # pi (k^3 - 6k + 4)/12 for sinc'^2, i pi (k^2 - 2)/4 for the odd a*sinc'^2.
@@ -448,10 +477,19 @@ def _profile_master(xs, cw):
 
     Derivation: insert the Fourier representation, do the Gaussian tau
     integral (Fresnel phase e^{i pi/4} sqrt(2 pi / k)), substitute k = v^2.
+    Re(e^{i alpha} c) = cos(alpha) Re c - sin(alpha) Im c is summed in real
+    arithmetic on one buffer of phases alpha; a zero weight skips its trig.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    ph = np.exp(1j * (np.pi / 4.0 - 0.5 * np.outer(xs ** 2, _K2)))
-    return _PREF * np.real(ph @ (cw * _V_WEIGHTS))
+    alpha = np.multiply.outer(xs ** 2, -0.5 * _K2)
+    alpha += np.pi / 4.0
+    cw = cw * _V_WEIGHTS
+    out = np.zeros(xs.shape)
+    if np.any(cw.imag):
+        out -= np.sin(alpha, out=None if np.any(cw.real) else alpha) @ cw.imag
+    if np.any(cw.real):
+        out += np.cos(alpha, out=alpha) @ cw.real
+    return _PREF * out
 
 
 def charge_profile_shape(xs):
@@ -494,8 +532,6 @@ def free_charge_j0(r, u, C, cal: EpsilonCalibration, q: float = 1.0,
             def f(tau):
                 return np.sinc((tau ** 2 - rv ** 2) / (2 * eps) / np.pi) ** 2
             T = max(60.0 * rv, 60.0 * np.sqrt(eps))
-            import warnings
-            from scipy.integrate import IntegrationWarning
             with warnings.catch_warnings():
                 # the subdivision cap only limits the last digit here; the
                 # cross-check against the Fourier evaluator bounds the error
@@ -612,39 +648,24 @@ class RegularizedCurrent:
     epsilon: float
 
 
-def _lightcone_roots_uniform(x, u, x0):
-    """Both roots of (x - x0 - u s)^2 = 0 for a uniform worldline."""
-    d = as_four(x) - as_four(x0)
-    u = as_four(u)
-    a = minkowski_dot(u, u)
-    b = -2.0 * minkowski_dot(u, d)
-    c = minkowski_dot(d, d)
-    disc = b * b - 4 * a * c
-    if disc <= 0:
-        return []
-    sq = math.sqrt(disc)
-    return [(-b - sq) / (2 * a), (-b + sq) / (2 * a)]
-
-
 def lightcone_deposit_uniform(grid: EventGrid, u, x0, coefficient: float,
                               label: str = "lightcone") -> CurrentField:
     """coefficient * int ds delta[(x - gamma_s)^2] gamma_dot on the grid.
 
     Uses both roots of the light-cone condition (no retarded theta: the
     divergent piece carries the full delta) with the standard composition
-    weight 1 / (2 |gamma_dot . (x - gamma)|).
+    weight 1 / (2 |gamma_dot . (x - gamma)|).  For gamma_s = x0 + u s every
+    root of (x - x0 - u s)^2 = 0 has |u . (x - gamma)| = sqrt((u.d)^2 - u^2 d^2)
+    with d = x - x0; a null u leaves one root of the then linear condition.
     """
-    pts = grid.points().reshape(-1, 4)
     u = as_four(u)
-    vals = np.zeros((pts.shape[0], 4))
-    for i, x in enumerate(pts):
-        for s_root in _lightcone_roots_uniform(x, u, x0):
-            gamma = as_four(x0) + u * s_root
-            denom = abs(minkowski_dot(u, x - gamma))
-            if denom < 1e-12:
-                continue
-            vals[i] += coefficient * u / (2.0 * denom)
-    return CurrentField(grid, vals.reshape(grid.extents + (4,)), label=label)
+    d = grid.points() - as_four(x0)
+    u2 = minkowski_dot(u, u)
+    u_dot_d = np.sum(d * (u * _METRIC_DIAG), axis=-1)
+    half = np.sqrt(np.maximum(u_dot_d ** 2 - u2 * np.sum(d * d * _METRIC_DIAG, axis=-1), 0.0))
+    amp = coefficient * (1.0 if u2 != 0.0 else 0.5)
+    weight = np.where(half >= 1e-12, amp / np.maximum(half, 1e-12), 0.0)
+    return CurrentField(grid, weight[..., None] * u, label=label)
 
 
 def subtract_divergent(j: CurrentField, traj: Trajectory, coefficient: float,
@@ -721,6 +742,11 @@ def continuity_residual(j: CurrentField, metadata: Optional[dict] = None) -> Aud
 # pointwise continuity lemmas
 
 
+def _central(fun, x, h: float):
+    """(fun(x + h e_mu) - fun(x - h e_mu)) / 2h for mu = 0..3, stacked first."""
+    return np.array([(fun(x + e) - fun(x - e)) / (2 * h) for e in h * np.eye(4)])
+
+
 def unitarity_lemma_residual(f: Callable, g: Callable, A: Optional[Callable],
                              x, s: float, h: float, q: float = 0.0,
                              hbar: float = 1.0) -> float:
@@ -731,31 +757,18 @@ def unitarity_lemma_residual(f: Callable, g: Callable, A: Optional[Callable],
     """
     x = as_four(x)
 
-    def A_up(y):
-        if A is None:
-            return np.zeros(4, dtype=complex)
-        return np.asarray(A(y), dtype=complex)
-
     def D_up(fun, y, sv):
-        out = np.empty(4, dtype=complex)
-        for mu in range(4):
-            e = np.zeros(4)
-            e[mu] = h
-            out[mu] = _METRIC_DIAG[mu] * (fun(y + e, sv) - fun(y - e, sv)) / (2 * h)
-        return hbar * out - 1j * q * A_up(y) * fun(y, sv)
+        A_up = np.zeros(4) if A is None else np.asarray(A(y), dtype=complex)
+        return (hbar * _METRIC_DIAG * _central(lambda z: fun(z, sv), y, h)
+                - 1j * q * A_up * fun(y, sv))
 
-    def current(y, sv):
-        return 0.5j * (D_up(f, y, sv) * np.conj(g(y, sv))
-                       - np.conj(D_up(g, y, sv)) * f(y, sv))
+    def current(y):
+        return 0.5j * (D_up(f, y, s) * np.conj(g(y, s))
+                       - np.conj(D_up(g, y, s)) * f(y, s))
 
     lhs = (f(x, s + h) * np.conj(g(x, s + h))
            - f(x, s - h) * np.conj(g(x, s - h))) / (2 * h)
-    rhs = 0.0 + 0j
-    for mu in range(4):
-        e = np.zeros(4)
-        e[mu] = h
-        rhs += (current(x + e, s)[mu] - current(x - e, s)[mu]) / (2 * h)
-    return float(abs(lhs - rhs))
+    return float(abs(lhs - np.trace(_central(current, x, h))))
 
 
 def s_continuity_residual(phi: Callable, A: Optional[Callable], x, s: float,
@@ -763,30 +776,16 @@ def s_continuity_residual(phi: Callable, A: Optional[Callable], x, s: float,
     """|d_s rho + d_mu J^mu| with rho = q phi phi*, J = q Im phi* D phi."""
     x = as_four(x)
 
-    def A_up(y):
-        if A is None:
-            return np.zeros(4)
-        return np.asarray(A(y), dtype=float)
+    def J(y):
+        center = phi(y, s)
+        A_up = np.zeros(4) if A is None else np.asarray(A(y), dtype=float)
+        D = (hbar * _METRIC_DIAG * _central(lambda z: phi(z, s), y, h)
+             - 1j * q * A_up * center)
+        return q * np.imag(np.conj(center) * D)
 
-    def J(y, sv):
-        center = phi(y, sv)
-        out = np.empty(4)
-        for mu in range(4):
-            e = np.zeros(4)
-            e[mu] = h
-            d_up = _METRIC_DIAG[mu] * (phi(y + e, sv) - phi(y - e, sv)) / (2 * h)
-            Dmu = hbar * d_up - 1j * q * A_up(y)[mu] * center
-            out[mu] = q * np.imag(np.conj(center) * Dmu)
-        return out
-
-    def rho(y, sv):
-        v = phi(y, sv)
+    def rho(sv):
+        v = phi(x, sv)
         return q * (v * np.conj(v)).real
 
-    lhs = (rho(x, s + h) - rho(x, s - h)) / (2 * h)
-    rhs = 0.0
-    for mu in range(4):
-        e = np.zeros(4)
-        e[mu] = h
-        rhs += (J(x + e, s)[mu] - J(x - e, s)[mu]) / (2 * h)
-    return float(abs(lhs + rhs))
+    lhs = (rho(s + h) - rho(s - h)) / (2 * h)
+    return float(abs(lhs + np.trace(_central(J, x, h))))

@@ -267,8 +267,3 @@ def deposit_line_current(traj, grid: EventGrid, kernel: DepositKernel,
 def sample_current(grid: EventGrid, fn, label: str = "") -> CurrentField:
     """Evaluate a vectorized callable points -> (..., 4) on the whole lattice."""
     return CurrentField(grid, np.asarray(fn(grid.points()), dtype=float), label=label)
-
-
-def sample_tensor(grid: EventGrid, fn, symmetric: bool = False, label: str = "") -> TensorField:
-    return TensorField(grid, np.asarray(fn(grid.points()), dtype=float),
-                       symmetric=symmetric, label=label)

@@ -38,6 +38,8 @@ _FREE_ECD_S_MAX = 50.0          # default s'-window of free-ecd
 _LW_FD_STEP = 1e-4              # default finite-difference step of lw-field-map
 _SWEEP_S_MAX = 10.0             # s'-window of classical-limit-sweep
 _SWEEP_EPSILON = 1e-2           # default epsilon of classical-limit-sweep
+_TAIL_WINDOW_X = (5.0, 60.0)    # default fit window of current-regularization, r / sqrt(eps)
+_SMEAR_WIDTH_X = 2.0            # default radial smear width of current-regularization
 
 SCENARIO_KINDS = (
     "classical-orbit",
@@ -285,6 +287,15 @@ def _semantic_diagnostics(kind, p) -> list:
         if eps >= _SWEEP_S_MAX:
             return [f"parameters.epsilon: {eps:g} must be below the sweep's "
                     f"s'-window {_SWEEP_S_MAX:g}"]
+    if kind == "current-regularization":
+        diags = [f"parameters.{name}: must be nonzero, or the profile vanishes "
+                 f"and has no power law" for name in ("c0", "charge") if p[name] == 0]
+        low = min(p.get("tail_window_x", _TAIL_WINDOW_X))
+        width = p.get("smear_width_x", _SMEAR_WIDTH_X)
+        if low <= width / 2:
+            diags.append(f"parameters.tail_window_x: {low:g} must exceed half the "
+                         f"smear width {width / 2:g}, so that every smeared radius is positive")
+        return diags
     if kind == "lw-field-map":
         worldlines = {"worldline": p["worldline"]}
     elif kind == "conservation-audit":
@@ -549,8 +560,8 @@ def _run_current_regularization(p, out: Path, workers):
     q = p["charge"]
     cal = calibrate(eps)
     C = c0 / eps
-    xw = tuple(p.get("tail_window_x", (5.0, 60.0)))
-    smear_x = p.get("smear_width_x", 2.0)
+    xw = tuple(p.get("tail_window_x", _TAIL_WINDOW_X))
+    smear_x = p.get("smear_width_x", _SMEAR_WIDTH_X)
     sq = np.sqrt(eps)
     xs = np.geomspace(xw[0], xw[1], 14)
     rs = xs * sq

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,19 +9,20 @@ from hypothesis import strategies as st
 from ecdlab.dynamics import Trajectory
 from ecdlab.ecd_core import calibrate
 from ecdlab.ecd_currents import (ConjugatedPhi, FreePhi, GaugeShiftedPhi,
-                                 GaussianSolutionPhi, charge_profile_shape,
+                                 GaussianSolutionPhi, PhiField,
+                                 charge_profile_shape,
                                  charge_tail, continuity_residual,
                                  covariant_derivative, divergent_coefficient,
                                  ecd_dilatation_current, ecd_electric_current,
                                  ecd_energy_momentum, fit_loglog_slope,
                                  free_charge_j0, free_mass_b0,
-                                 lightcone_deposit_uniform, mass_profile_shape,
-                                 mass_truncation_tail, s_continuity_residual,
-                                 s_panels, subtract_divergent,
-                                 unitarity_lemma_residual)
+                                 lightcone_deposit_uniform, mass_current_b,
+                                 mass_profile_shape, mass_truncation_tail,
+                                 s_continuity_residual, s_panels,
+                                 subtract_divergent, unitarity_lemma_residual)
 from ecdlab.em_sources import deposit_electric_current
 from ecdlab.grids import (CurrentField, DepositKernel, EventGrid,
-                          grid_divergence, interior_max)
+                          deposit_line_current, grid_divergence, interior_max)
 
 EPS = 0.05
 MD = np.array([1.0, -1.0, -1.0, -1.0])
@@ -36,6 +38,18 @@ def test_profile_shape_oracles():
     assert charge_profile_shape(3.0)[0] == pytest.approx(2.1052541669, abs=1e-8)
     assert charge_profile_shape(5.454)[0] == pytest.approx(1.1552084548, abs=1e-8)
     assert mass_profile_shape(3.0)[0] == pytest.approx(6.3034371203, abs=1e-8)
+
+
+def test_profile_shapes_pinned():
+    """Values of the complex-arithmetic Fourier kernel, frozen before it moved
+    to real arithmetic."""
+    xs = np.array([5.0, 30.0, 61.0])
+    np.testing.assert_allclose(
+        charge_profile_shape(xs),
+        [1.2533828330207721, 0.20943621423334152, 0.10300282208444717], rtol=1e-12)
+    np.testing.assert_allclose(
+        mass_profile_shape(xs),
+        [10.469780445801684, 62.83185451502887, 127.75810131496274], rtol=1e-12)
 
 
 def test_charge_profile_fourier_vs_quad():
@@ -92,6 +106,104 @@ def test_mass_profile_truncation_tail():
     corrected_err = abs(b0 + mass_truncation_tail(1.0, (-S, S)) - ana)
     assert raw_err > 0.1                       # the 1/s^2 tail is not negligible
     assert corrected_err < 1e-4 * abs(ana)     # and the correction removes it
+
+
+def test_mass_current_b_matches_static_profile():
+    cal = calibrate(EPS)
+    phi = FreePhi((1, 0, 0, 0), 1.0, EPS)
+    grid = EventGrid(origin=(0.0, 0.25, 0.0, 0.0), spacings=(1.0, 0.1, 1.0, 1.0),
+                     extents=(1, 3, 1, 1))
+    S = 20.0
+    sn, w = s_panels((-S, S), EPS)
+    b = mass_current_b(phi, None, grid, sn, w, q=1.0)
+    ana = free_mass_b0(grid.axis(1), 1.0, cal)
+    b0 = b.values[0, :, 0, 0, 0] + mass_truncation_tail(1.0, (-S, S))
+    assert np.abs(b0 / ana - 1.0).max() < 1e-4
+    assert np.abs(b.values[0, :, 0, 0, 1:]).max() < 1e-12 * np.abs(ana).max()
+
+
+def test_mass_current_b_worldline_deposit():
+    """The bbreve term is the (2/N)|phi|^2 deposit along the worldline."""
+    cal = calibrate(EPS)
+    phi = GaussianSolutionPhi(1.0)
+    grid = EventGrid(origin=(-0.4, -1.0, -1.0, -1.0),
+                     spacings=(0.2, 0.25, 0.25, 0.25), extents=(5, 9, 9, 9))
+    traj = Trajectory.uniform((1.0, 0.2, 0.1, 0.0), s_span=(-4, 4), n=401, q=1.0)
+    sn = np.linspace(-3.0, 3.0, 13)
+    w = np.full(sn.size, 0.5)
+    bulk = mass_current_b(phi, None, grid, sn, w, q=1.0)
+    full = mass_current_b(phi, None, grid, sn, w, q=1.0, trajectory=traj,
+                          calibration=cal)
+    direct = deposit_line_current(
+        traj, grid, DepositKernel("trilinear"),
+        lambda s, gamma, gdot: (2.0 / cal.N) * abs(complex(phi.value(gamma, s))) ** 2)
+    scale = np.abs(direct.values).max()
+    assert scale > 0.0
+    assert np.abs(full.values - bulk.values - direct.values).max() < 1e-12 * scale
+
+
+# ---------------------------------------------------------------------------
+# wave jets
+
+
+def jet_reference_waves():
+    def free():
+        return FreePhi((1.1, 0.3, -0.2, 0.1), 0.8 + 0.3j, EPS, x0=(0.1, 0.0, -0.05, 0.02))
+
+    return {"free": free(), "gaussian": GaussianSolutionPhi(0.8),
+            "conjugated": ConjugatedPhi(free()),
+            "gauge_shifted": GaugeShiftedPhi(GaussianSolutionPhi(1.2),
+                                             (0.3, -0.5, 0.2, 0.7), 1.3)}
+
+
+@pytest.mark.parametrize("name", ["free", "gaussian", "conjugated", "gauge_shifted"])
+def test_jet_matches_frozen_per_method_values(name):
+    """jet over an array of s-nodes against value/grad/ds/ds_grad as computed,
+    one method and one s at a time, by the per-method closed forms that the
+    jet replaced (frozen in tests/data at random events)."""
+    ref = json.loads((Path(__file__).parent / "data" / "wave_jet_reference.json").read_text())
+    x, s = np.array(ref["x"]), np.array(ref["s"])
+    wave = jet_reference_waves()[name]
+    jet = wave.jet(x, s, order=2)
+    first = wave.jet(x, s)
+    assert first.ds_grad is None
+    for part in ("value", "grad", "ds", "ds_grad"):
+        frozen = ref["waves"][name][part]
+        want = np.array(frozen["re"]) + 1j * np.array(frozen["im"])
+        got = getattr(jet, part)
+        scale = np.abs(want).max()
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * scale, part
+        for k, sv in enumerate(s):      # the single-part methods read the same jet
+            assert np.abs(getattr(wave, part)(x, sv) - got[k]).max() <= 1e-15 * scale
+        if part != "ds_grad":
+            assert np.array_equal(getattr(first, part), got)
+
+
+def test_finite_difference_jet_matches_closed_form():
+    """A wave that defines only its value gets its jet from the base class's
+    central differences, stacked over the s-nodes."""
+    exact = GaussianSolutionPhi(0.8)
+
+    class ValueOnly(PhiField):
+        def value(self, x, s):
+            return exact.value(x, s)
+
+    x = np.array([[0.3, 0.25, -0.1, 0.2], [-0.2, 0.1, 0.4, -0.3]])
+    s = np.array([-0.6, 0.4])
+    fd, want = ValueOnly().jet(x, s, order=2), exact.jet(x, s, order=2)
+    for part, tol in (("value", 0.0), ("grad", 1e-7), ("ds", 1e-7), ("ds_grad", 1e-6)):
+        assert getattr(fd, part).shape == getattr(want, part).shape
+        assert np.abs(getattr(fd, part) - getattr(want, part)).max() <= tol, part
+
+
+def test_jet_rejects_bad_order_and_s_shape():
+    phi = FreePhi((1, 0, 0, 0), 1.0, EPS)
+    x = np.zeros(4)
+    with pytest.raises(ValueError):
+        phi.jet(x, 0.1, order=3)
+    with pytest.raises(ValueError):
+        phi.jet(x, np.zeros((2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +363,18 @@ def test_lightcone_deposit_matches_static_tail():
     rs = grid.axis(1)
     assert np.allclose(dep.values[0, :, 0, 0, 0], coeff / rs, atol=1e-14)
     assert np.allclose(dep.values[0, :, 0, 0, 1:], 0.0)
+
+
+def test_lightcone_deposit_null_worldline_has_one_root():
+    """For a null u the light-cone condition is linear in s: a single root."""
+    grid = EventGrid(origin=(1.0, -0.5, 0.0, 0.0), spacings=(1.0, 0.5, 1.0, 1.0),
+                     extents=(1, 3, 1, 1))
+    u = np.array([1.0, 1.0, 0.0, 0.0])
+    dep = lightcone_deposit_uniform(grid, u, (0, 0, 0, 0), 0.37)
+    for x, val in zip(grid.points().reshape(-1, 4), dep.values.reshape(-1, 4)):
+        s_root = (x @ (MD * x)) / (2.0 * (u @ (MD * x)))     # (x - u s)^2 = 0
+        denom = abs(u @ (MD * (x - u * s_root)))
+        np.testing.assert_allclose(val, 0.37 * u / (2.0 * denom), rtol=1e-14)
 
 
 def test_subtract_divergent_removes_tail():

@@ -205,6 +205,23 @@ def test_classical_limit_sweep_epsilon_must_fit_window(tmp_path, capsys):
     assert validate_config(doc) == []
 
 
+@pytest.mark.parametrize("name, value", [("tail_window_x", [0.5, 60.0]),
+                                         ("c0", 0.0), ("charge", 0.0)])
+def test_current_regularization_semantic_checks(name, value, tmp_path, capsys):
+    """A smear window reaching r <= 0, or a vanishing profile, exits 2."""
+    doc = {"schema_version": "1", "kind": "current-regularization",
+           "parameters": {"epsilon": 1e-3, "c0": 1e-3, "charge": 1.0}}
+    assert validate_config(doc) == []
+    doc["parameters"][name] = value
+    assert [d.split(":")[0] for d in validate_config(doc)] == [f"parameters.{name}"]
+    cfg = write(tmp_path, doc)
+    assert main(["validate", cfg]) == EXIT_VALIDATION
+    assert f"parameters.{name}" in capsys.readouterr().err
+    assert main(["run", cfg, "--out", str(tmp_path / "o"),
+                 "--workers", "1"]) == EXIT_VALIDATION
+    assert f"parameters.{name}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind", ["lw-field-map", "conservation-audit"])
 def test_worldline_s_span_must_give_increasing_samples(kind, tmp_path, capsys):
     doc = lw_config() if kind == "lw-field-map" else audit_config()
