@@ -30,10 +30,9 @@ class IntegrationBlowup(ArithmeticError):
 
 @dataclass(frozen=True)
 class FieldProvider:
-    """External field F(x) plus its characteristic variation scale lambda_F."""
+    """External field F(x)."""
 
     tensor_at: Callable[[np.ndarray], np.ndarray]
-    lambda_F: float = np.inf
 
     def __call__(self, x) -> np.ndarray:
         F = np.asarray(self.tensor_at(np.asarray(x, dtype=float)), dtype=float)
@@ -42,12 +41,12 @@ class FieldProvider:
     @staticmethod
     def constant(F) -> "FieldProvider":
         Fc = np.asarray(AntisymTensor(np.asarray(F, dtype=float)))
-        return FieldProvider(lambda x: Fc, lambda_F=np.inf)
+        return FieldProvider(lambda x: Fc)
 
     @staticmethod
     def zero() -> "FieldProvider":
         Z = np.zeros((4, 4))
-        return FieldProvider(lambda x: Z, lambda_F=np.inf)
+        return FieldProvider(lambda x: Z)
 
 
 @dataclass(frozen=True)

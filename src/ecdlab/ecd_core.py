@@ -19,7 +19,7 @@ outcome ("violent event") and is reported as data, never raised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import warnings
@@ -29,6 +29,7 @@ from scipy.integrate import IntegrationWarning, quad
 
 from .minkowski import METRIC, as_four, minkowski_dot
 from .dynamics import Trajectory
+from .grids import fd_grad, fd_hessian
 from .propagators import (constant_field_action_provider, constant_field_van_vleck,
                           free_propagator, _pref)
 
@@ -210,14 +211,10 @@ def consistency_residual(pair: EcdPair, s_samples, tol: float = 1e-9) -> float:
 def surfing_residual(phi: Callable, gamma, s: float, h: float = 1e-3) -> np.ndarray:
     """Re[d_mu phi phi*] at (gamma, s) with central-difference gradients."""
     gamma = as_four(gamma)
-    center = phi(gamma, s)
-    out = np.empty(4)
-    for mu in range(4):
-        e = np.zeros(4)
-        e[mu] = h
-        grad = (phi(gamma + e, s) - phi(gamma - e, s)) / (2 * h)
-        out[mu] = (grad * np.conj(center)).real
-    return out
+    c = phi(gamma, s)
+    g = fd_grad(lambda y: phi(y, s), gamma, h)
+    # Re(g c*) in real arithmetic, as the scalar complex product rounds it
+    return g.real * c.real + g.imag * c.imag
 
 
 # ---------------------------------------------------------------------------
@@ -248,24 +245,9 @@ def _abs2(phi, x, s):
 
 def guiding_hessian(phi, gamma, s, h):
     """H_mn = d_m d_n |phi|^2 and f_m = d_s d_m |phi|^2 at (gamma, s)."""
-    gamma = as_four(gamma)
-    H = np.empty((4, 4))
-    f = np.empty(4)
-    c0 = _abs2(phi, gamma, s)
-    for mu in range(4):
-        emu = np.zeros(4)
-        emu[mu] = h
-        H[mu, mu] = (_abs2(phi, gamma + emu, s) - 2 * c0 + _abs2(phi, gamma - emu, s)) / h ** 2
-        f[mu] = (_abs2(phi, gamma + emu, s + h) - _abs2(phi, gamma + emu, s - h)
-                 - _abs2(phi, gamma - emu, s + h) + _abs2(phi, gamma - emu, s - h)) / (4 * h ** 2)
-        for nu in range(mu + 1, 4):
-            env = np.zeros(4)
-            env[nu] = h
-            H[mu, nu] = H[nu, mu] = (
-                _abs2(phi, gamma + emu + env, s) - _abs2(phi, gamma + emu - env, s)
-                - _abs2(phi, gamma - emu + env, s) + _abs2(phi, gamma - emu - env, s)
-            ) / (4 * h ** 2)
-    return H, f
+    z = np.append(as_four(gamma), s)
+    hess = fd_hessian(lambda w: _abs2(phi, w[:4], float(w[4])), z, h)
+    return hess[:4, :4], hess[:4, 4]
 
 
 def guiding_velocity(phi, gamma, s, h, kappa_max=1e8):
@@ -281,20 +263,17 @@ def guiding_step(phi, state: GuidingState, h: float, ds: float,
     """One RK4 step of gamma_dot = -H^{-1} f; flags instead of raising on singular H."""
     if state.violent:
         return state
-
-    def vel(s, gamma):
-        v, kappa = guiding_velocity(phi, gamma, s, h, kappa_max)
-        return v, kappa
-
     s, gamma = state.s, state.gamma
-    k1, kap = vel(s, gamma)
-    if k1 is None:
-        return GuidingState(s, gamma, kap, violent=True)
-    k2, _ = vel(s + ds / 2, gamma + ds / 2 * k1)
-    k3, _ = vel(s + ds / 2, gamma + ds / 2 * k2)
-    k4, _ = vel(s + ds, gamma + ds * k3)
-    if k2 is None or k3 is None or k4 is None:
-        return GuidingState(s, gamma, np.inf, violent=True)
+    k1, kap = guiding_velocity(phi, gamma, s, h, kappa_max)
+    ks, kappa = [k1], kap
+    for step in (ds / 2, ds / 2, ds):       # the k2, k3 and k4 probes
+        if ks[-1] is None:
+            break
+        k, kappa = guiding_velocity(phi, gamma + step * ks[-1], s + step, h, kappa_max)
+        ks.append(k)
+    if ks[-1] is None:                      # report the failing stage's kappa
+        return GuidingState(s, gamma, kappa, violent=True)
+    k1, k2, k3, k4 = ks
     new_gamma = gamma + ds / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
     return GuidingState(s + ds, new_gamma, kap, violent=False)
 
@@ -379,12 +358,7 @@ def classical_phase_gradient_check(pair: EcdPair, F, q: float,
         A_low = -0.5 * F_lower @ gamma
         p = METRIC @ gdot + q * A_low
         center = phi_eval(pair, gamma, float(s), tol=tol)
-        grad = np.empty(4, dtype=complex)
-        for mu in range(4):
-            e = np.zeros(4)
-            e[mu] = h
-            grad[mu] = (phi_eval(pair, gamma + e, float(s), tol=tol)
-                        - phi_eval(pair, gamma - e, float(s), tol=tol)) / (2 * h)
+        grad = fd_grad(lambda y: phi_eval(pair, y, float(s), tol=tol), gamma, h)
         err = np.abs(grad - 1j * p * center / pair.hbar).max()
         worst = max(worst, err / abs(center))
         p_measured = pair.hbar * np.imag(grad / center)

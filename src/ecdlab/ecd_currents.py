@@ -30,7 +30,7 @@ from .minkowski import METRIC, as_four, minkowski_dot
 from .dynamics import Trajectory
 from .ecd_core import EpsilonCalibration
 from .grids import (CurrentField, DepositKernel, EventGrid, TensorField,
-                    boundary_flux3, deposit_line_current, grid_charge,
+                    boundary_flux3, deposit_line_current, fd_grad, grid_charge,
                     grid_divergence, interior_max)
 
 _METRIC_DIAG = np.array([1.0, -1.0, -1.0, -1.0])
@@ -87,13 +87,7 @@ class PhiField:
         raise NotImplementedError
 
     def grad(self, x, s):
-        x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape, dtype=complex)
-        for mu in range(4):
-            e = np.zeros(4)
-            e[mu] = self.fd_step
-            out[..., mu] = (self.value(x + e, s) - self.value(x - e, s)) / (2 * self.fd_step)
-        return out
+        return np.moveaxis(fd_grad(lambda y: self.value(y, s), x, self.fd_step), 0, -1)
 
     def ds(self, x, s):
         return (self.value(x, s + self.fd_step) - self.value(x, s - self.fd_step)) \
@@ -381,18 +375,6 @@ def _lagrangian(jet: WaveJet, D, hbar: float):
     kinetic = 0.5 * np.sum((re * re + im * im) * _first(_METRIC_DIAG, re), axis=0)
     v, dv = jet.value, jet.ds
     return -hbar * (v.real * dv.imag - v.imag * dv.real) - kinetic
-
-
-def matter_lagrangian_density(phi: PhiField, x, s, A: Optional[Callable],
-                              q: float, hbar: float = 1.0):
-    """L_m = -hbar Im(phi* d_s phi) - 1/2 (D phi)* . D phi  (delta term excluded).
-
-    The worldline delta term of the action density is deposited separately
-    with the same kernel discipline as the bbreve current.
-    """
-    jet = phi.jet(x, s)
-    return _lagrangian(jet, _covariant_parts(jet.grad, jet.value, _potential(A, x, q), q,
-                                             hbar), hbar)
 
 
 def ecd_energy_momentum(phis: Sequence[PhiField], A: Optional[Callable],
@@ -742,11 +724,6 @@ def continuity_residual(j: CurrentField, metadata: Optional[dict] = None) -> Aud
 # pointwise continuity lemmas
 
 
-def _central(fun, x, h: float):
-    """(fun(x + h e_mu) - fun(x - h e_mu)) / 2h for mu = 0..3, stacked first."""
-    return np.array([(fun(x + e) - fun(x - e)) / (2 * h) for e in h * np.eye(4)])
-
-
 def unitarity_lemma_residual(f: Callable, g: Callable, A: Optional[Callable],
                              x, s: float, h: float, q: float = 0.0,
                              hbar: float = 1.0) -> float:
@@ -759,7 +736,7 @@ def unitarity_lemma_residual(f: Callable, g: Callable, A: Optional[Callable],
 
     def D_up(fun, y, sv):
         A_up = np.zeros(4) if A is None else np.asarray(A(y), dtype=complex)
-        return (hbar * _METRIC_DIAG * _central(lambda z: fun(z, sv), y, h)
+        return (hbar * _METRIC_DIAG * fd_grad(lambda z: fun(z, sv), y, h)
                 - 1j * q * A_up * fun(y, sv))
 
     def current(y):
@@ -768,7 +745,7 @@ def unitarity_lemma_residual(f: Callable, g: Callable, A: Optional[Callable],
 
     lhs = (f(x, s + h) * np.conj(g(x, s + h))
            - f(x, s - h) * np.conj(g(x, s - h))) / (2 * h)
-    return float(abs(lhs - np.trace(_central(current, x, h))))
+    return float(abs(lhs - np.trace(fd_grad(current, x, h))))
 
 
 def s_continuity_residual(phi: Callable, A: Optional[Callable], x, s: float,
@@ -779,7 +756,7 @@ def s_continuity_residual(phi: Callable, A: Optional[Callable], x, s: float,
     def J(y):
         center = phi(y, s)
         A_up = np.zeros(4) if A is None else np.asarray(A(y), dtype=float)
-        D = (hbar * _METRIC_DIAG * _central(lambda z: phi(z, s), y, h)
+        D = (hbar * _METRIC_DIAG * fd_grad(lambda z: phi(z, s), y, h)
              - 1j * q * A_up * center)
         return q * np.imag(np.conj(center) * D)
 
@@ -788,4 +765,4 @@ def s_continuity_residual(phi: Callable, A: Optional[Callable], x, s: float,
         return q * (v * np.conj(v)).real
 
     lhs = (rho(s + h) - rho(s - h)) / (2 * h)
-    return float(abs(lhs + np.trace(_central(J, x, h))))
+    return float(abs(lhs + np.trace(fd_grad(J, x, h))))

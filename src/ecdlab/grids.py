@@ -6,13 +6,15 @@ their values in C-order arrays whose leading four axes are the grid axes.
 
 Derivatives are always second-order central differences and integrals are
 midpoint (Riemann) sums with a fixed summation order, so that every residual
-reported by the package is reproducible bit-for-bit.
+reported by the package is reproducible bit-for-bit.  The same stencils act
+on callables: fd_grad and fd_hessian difference a function of an event (or of
+any point whose coordinates sit on the last axis) along each unit vector.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -113,10 +115,6 @@ class TensorField:
                 raise ValueError(f"tensor flagged symmetric but max asymmetry {asym:g}")
         object.__setattr__(self, "values", v)
 
-    def row_current(self, nu: int, label: str = "") -> CurrentField:
-        """Extract T^{nu mu} as a current in mu (fixed first index)."""
-        return CurrentField(self.grid, self.values[..., nu, :], label=label or f"{self.label}[{nu}]")
-
 
 def _central_diff(values: np.ndarray, axis: int, step: float) -> np.ndarray:
     """Second-order central difference along a grid axis; NaN on the boundary."""
@@ -129,6 +127,31 @@ def _central_diff(values: np.ndarray, axis: int, step: float) -> np.ndarray:
     sl_mid[axis] = slice(1, -1)
     out[tuple(sl_mid)] = (values[tuple(sl_hi)] - values[tuple(sl_lo)]) / (2.0 * step)
     return out
+
+
+def fd_grad(fun: Callable, x, h: float) -> np.ndarray:
+    """(fun(x + h e_i) - fun(x - h e_i)) / 2h over the last axis of x, stacked first."""
+    x = np.asarray(x, dtype=float)
+    return np.array([(fun(x + e) - fun(x - e)) / (2 * h) for e in h * np.eye(x.shape[-1])])
+
+
+def fd_hessian(fun: Callable, z, h: float) -> np.ndarray:
+    """Symmetric Hessian of a scalar fun at the point z by central differences.
+
+    The diagonal is the 3-point (f(z + h e_i) - 2 f(z) + f(z - h e_i)) / h^2;
+    each pair i < j takes the 4-point (f(++) - f(+-) - f(-+) + f(--)) / 4h^2.
+    """
+    z = np.asarray(z, dtype=float)
+    steps = h * np.eye(z.size)
+    f0 = fun(z)
+    H = np.empty((z.size, z.size))
+    for i, ei in enumerate(steps):
+        H[i, i] = (fun(z + ei) - 2 * f0 + fun(z - ei)) / h ** 2
+        for j in range(i + 1, z.size):
+            ej = steps[j]
+            H[i, j] = H[j, i] = (fun(z + ei + ej) - fun(z + ei - ej)
+                                 - fun(z - ei + ej) + fun(z - ei - ej)) / (4 * h ** 2)
+    return H
 
 
 def grid_divergence(j: CurrentField) -> np.ndarray:

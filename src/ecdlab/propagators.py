@@ -22,6 +22,7 @@ from scipy.linalg import expm
 
 from .minkowski import METRIC, as_four, minkowski_dot
 from .dynamics import FieldProvider
+from .grids import fd_grad, fd_hessian
 
 
 class NoPathError(RuntimeError):
@@ -86,34 +87,16 @@ class ActionProvider:
     def gradient(self, x, xp, s, h=1e-5) -> np.ndarray:
         if self.grad_x is not None:
             return np.asarray(self.grad_x(x, xp, s), dtype=float)
-        x = as_four(x)
-        g = np.empty(4)
-        for mu in range(4):
-            e = np.zeros(4)
-            e[mu] = h
-            g[mu] = (self.action(x + e, xp, s) - self.action(x - e, xp, s)) / (2 * h)
-        return g
+        return fd_grad(lambda y: self.action(y, xp, s), as_four(x), h)
 
     def hessian_x_xp(self, x, xp, s, h=1e-3) -> np.ndarray:
         """Mixed second derivative d^2 I / dx^mu dx'^nu (both indices down)."""
         if self.mixed_hessian is not None:
             return np.asarray(self.mixed_hessian(x, xp, s), dtype=float)
-        x = as_four(x)
-        xp = as_four(xp)
+        z = np.concatenate([as_four(x), as_four(xp)])
 
         def mixed(step):
-            H = np.empty((4, 4))
-            for mu in range(4):
-                emu = np.zeros(4)
-                emu[mu] = step
-                for nu in range(4):
-                    env = np.zeros(4)
-                    env[nu] = step
-                    H[mu, nu] = (self.action(x + emu, xp + env, s)
-                                 - self.action(x + emu, xp - env, s)
-                                 - self.action(x - emu, xp + env, s)
-                                 + self.action(x - emu, xp - env, s)) / (4 * step ** 2)
-            return H
+            return fd_hessian(lambda w: self.action(w[:4], w[4:], s), z, step)[:4, 4:]
 
         coarse, fine = mixed(h), mixed(h / 2)
         return (4.0 * fine - coarse) / 3.0     # Richardson: kills the O(h^2) term

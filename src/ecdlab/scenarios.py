@@ -378,7 +378,7 @@ def _traj_from(wl) -> Trajectory:
 # per-kind runners
 
 
-def _run_classical_orbit(p, out: Path, workers):
+def _run_classical_orbit(p, out: Path):
     """trajectory.csv columns: s, gamma0..3, gamma_dot0..3, norm2_drift."""
     from .minkowski import AntisymTensor
 
@@ -399,7 +399,7 @@ def _run_classical_orbit(p, out: Path, workers):
     return residuals, {"tolerance": p["tolerance"]}, ["trajectory.csv"]
 
 
-def _run_lw_field_map(p, out: Path, workers):
+def _run_lw_field_map(p, out: Path):
     """fields.csv columns: t,x,y,z, A0..3, E1..3, B1..3 (NaN where uncovered)."""
     traj = _traj_from(p["worldline"])
     grid = _grid_from(p["grid"])
@@ -428,7 +428,7 @@ def _run_lw_field_map(p, out: Path, workers):
     return residuals, {"fd_step": h}, ["fields.csv"]
 
 
-def _run_conservation_audit(p, out: Path, workers):
+def _run_conservation_audit(p, out: Path):
     """charges.csv columns: slice_index, t, then one charge column per worldline."""
     grid = _grid_from(p["grid"])
     kernel = DepositKernel(p.get("kernel", "trilinear"))
@@ -448,7 +448,7 @@ def _run_conservation_audit(p, out: Path, workers):
     return residuals, {"tolerance": p["tolerance"]}, ["charges.csv"]
 
 
-def _run_free_ecd(p, out: Path, workers):
+def _run_free_ecd(p, out: Path):
     """consistency.csv columns: epsilon, N, residual, tail_bound."""
     u = tuple(p.get("u", (1.0, 0.0, 0.0, 0.0)))
     c0 = p.get("c0", 1.0)
@@ -475,7 +475,7 @@ def _run_free_ecd(p, out: Path, workers):
         ["consistency.csv"]
 
 
-def _run_guiding_run(p, out: Path, workers):
+def _run_guiding_run(p, out: Path):
     """guiding.csv columns: s, gamma0..3, center0..3, deviation."""
     pk = p["packet"]
     M = np.diag(pk["M_diag"])
@@ -514,7 +514,7 @@ def _run_guiding_run(p, out: Path, workers):
     return residuals, {"tolerance": p["tolerance"], "fd_step": fd}, ["guiding.csv"]
 
 
-def _run_classical_limit_sweep(p, out: Path, workers):
+def _run_classical_limit_sweep(p, out: Path):
     """sweep.csv columns: factor, phase_gradient_residual."""
     from .minkowski import AntisymTensor
 
@@ -553,7 +553,7 @@ def _run_classical_limit_sweep(p, out: Path, workers):
     return residuals, {"ratio_bound": bound, "epsilon": eps}, ["sweep.csv"]
 
 
-def _run_current_regularization(p, out: Path, workers):
+def _run_current_regularization(p, out: Path):
     """profile.csv columns: r, j0, tail, remainder, smeared_remainder."""
     eps = p["epsilon"]
     c0 = p["c0"]
@@ -614,12 +614,12 @@ _RUNNERS = {
 
 
 def run_scenario(scenario: Scenario, out_dir, workers: Optional[int] = None) -> RunManifest:
+    """Run one scenario into out_dir; workers is accepted and ignored (no pools)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
     try:
-        residuals, tolerances, outputs = _RUNNERS[scenario.kind](
-            scenario.parameters, out, workers)
+        residuals, tolerances, outputs = _RUNNERS[scenario.kind](scenario.parameters, out)
     except (IntegrationBlowup, DepositError, CoverageError, NoPathError,
             QuadratureBudgetError, FloatingPointError, OverflowError,
             ZeroDivisionError, np.linalg.LinAlgError) as exc:

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from ecdlab.dynamics import Trajectory
 from ecdlab.grids import (CurrentField, DepositError, DepositKernel, EventGrid,
-                          boundary_flux3, deposit_line_current, grid_charge,
-                          grid_divergence, interior_max, sample_current,
-                          slice_integral)
+                          boundary_flux3, deposit_line_current, fd_grad,
+                          fd_hessian, grid_charge, grid_divergence, interior_max,
+                          sample_current, slice_integral)
 
 
 def small_grid():
@@ -134,3 +134,50 @@ def test_boundary_flux_sign_for_outward_flow():
     vals[..., 1] = pts[..., 1]   # j_x = x: outward on both x faces
     flux = boundary_flux3(CurrentField(g, vals), 0)
     assert flux > 0
+
+
+# ---------------------------------------------------------------------------
+# central-difference stencils on callables
+
+
+def _cubic(x):
+    """x0^3 + 2 x1^2 x2 - x0 x1 x3 + x3^3 / 2, vectorized over leading axes."""
+    x0, x1, x2, x3 = np.moveaxis(x, -1, 0)
+    return x0 ** 3 + 2 * x1 ** 2 * x2 - x0 * x1 * x3 + 0.5 * x3 ** 3
+
+
+def test_fd_grad_of_a_cubic_carries_its_third_derivative():
+    """For a cubic the central difference is exact up to h^2 f_iii / 6."""
+    h = 1e-2
+    x = np.array([[0.3, -0.7, 1.1, 0.4], [-1.2, 0.5, 0.2, -0.9]])
+    x0, x1, x2, x3 = x.T
+    exact = np.array([3 * x0 ** 2 - x1 * x3, 4 * x1 * x2 - x0 * x3,
+                      2 * x1 ** 2, -x0 * x1 + 1.5 * x3 ** 2])
+    third = np.array([6.0, 0.0, 0.0, 3.0])[:, None]
+    got = fd_grad(_cubic, x, h)
+    assert got.shape == (4, 2)                 # stacked first over the last axis
+    assert np.abs(got - (exact + h ** 2 / 6 * third)).max() < 1e-12
+
+
+def test_fd_hessian_of_a_cubic_is_exact():
+    """The 3-point diagonal and 4-point off-diagonal have no error on cubics."""
+    x0, x1, x2, x3 = z = np.array([0.3, -0.7, 1.1, 0.4])
+    exact = np.array([[6 * x0, -x3, 0.0, -x1],
+                      [-x3, 4 * x2, 4 * x1, -x0],
+                      [0.0, 4 * x1, 0.0, 0.0],
+                      [-x1, -x0, 0.0, 3 * x3]])
+    H = fd_hessian(_cubic, z, 1e-2)
+    assert np.array_equal(H, H.T)
+    assert np.abs(H - exact).max() < 1e-9
+
+
+def test_fd_stencils_on_a_quadratic_form():
+    """f = z.A z / 2 + b.z in five variables: gradient A z + b, Hessian A."""
+    rng = np.random.default_rng(7)
+    A = rng.normal(size=(5, 5))
+    A = A + A.T
+    b = rng.normal(size=5)
+    z = rng.normal(size=5)
+    f = lambda w: 0.5 * w @ A @ w + b @ w
+    assert np.abs(fd_grad(f, z, 1e-3) - (A @ z + b)).max() < 1e-9
+    assert np.abs(fd_hessian(f, z, 1e-2) - A).max() < 1e-9

@@ -164,7 +164,7 @@ def test_cli_run_numeric_failure(tmp_path, capsys):
                                  OverflowError("cosh overflow")],
                          ids=lambda e: type(e).__name__)
 def test_cli_run_numeric_exceptions_exit_3(tmp_path, capsys, monkeypatch, exc):
-    def runner(p, out, workers):
+    def runner(p, out):
         raise exc
 
     monkeypatch.setitem(scenarios._RUNNERS, "guiding-run", runner)
@@ -314,6 +314,35 @@ def test_lw_field_map_bytes_are_pinned(tmp_path, capsys):
         "30a82442b0dfe0379af7d5006571bb53e2a8876dfc64177ff1ab061e22ffad38", 2966)
 
 
+def test_guiding_run_bytes_are_pinned(tmp_path, capsys):
+    """guiding.csv of the float-valued default packet, taken before the guiding
+    Hessian moved onto the shared finite-difference stencil."""
+    doc = guiding_config()
+    doc["parameters"]["packet"] = {"M_diag": [1.0, 1.0, 1.0, 1.0],
+                                   "x0": [0.0, 0.0, 0.0, 0.0], "u": [1.0, 0.2, 0.0, 0.0]}
+    cfg = write(tmp_path, doc)
+    assert main(["run", cfg, "--out", str(tmp_path / "o"), "--workers", "1"]) == EXIT_OK
+    capsys.readouterr()
+    data = (tmp_path / "o" / "guiding.csv").read_bytes()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == (
+        "bc91a20b6c02c0a401b66ec45ec8983bbd696acc05c92c6e82a0ede115582854", 1259)
+
+
+def test_guiding_run_singular_later_stage_is_a_violent_event(tmp_path, capsys):
+    """A packet whose Hessian turns singular at an inner RK4 stage ends the
+    run with a violent event, not a traceback."""
+    doc = {"schema_version": "1", "kind": "guiding-run", "parameters": {
+        "packet": {"M_diag": [2, 800, 800, 800], "x0": [0, 0, 0, 0],
+                   "u": [0, 1.5, 2, -1.4]},
+        "s_span": [0, 3], "steps": 6, "fd_step": 0.4, "tolerance": 3}}
+    cfg = write(tmp_path, doc)
+    code = main(["run", cfg, "--out", str(tmp_path / "o"), "--workers", "1"])
+    capsys.readouterr()
+    assert code in (EXIT_OK, EXIT_ACCURACY)
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["residuals"]["violent_event"] is not None
+
+
 def test_lw_field_map_event_on_worldline_is_nan_row(tmp_path, capsys):
     cfg = write(tmp_path, lw_config())      # the grid's centre is the charge
     assert main(["run", cfg, "--out", str(tmp_path / "o"), "--workers", "1"]) == EXIT_OK
@@ -377,6 +406,37 @@ def lw_configs(draw):
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_lw_field_map_exit_codes_fuzz(doc, capsys):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write(Path(tmp), doc)
+        code = main(["run", cfg, "--out", str(Path(tmp) / "o"), "--workers", "1"])
+    capsys.readouterr()
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERIC, EXIT_ACCURACY)
+
+
+@st.composite
+def guiding_configs(draw):
+    def vec(lo, hi):
+        return draw(st.lists(_finite(lo, hi), min_size=4, max_size=4))
+
+    packet = {"M_diag": draw(st.lists(_finite(1e-3, 1e3).filter(lambda m: m > 0),
+                                      min_size=4, max_size=4)),
+              "x0": vec(-5, 5), "u": vec(-3, 3)}
+    if draw(st.booleans()):
+        packet["wobble_amp"] = vec(-1, 1)
+        packet["wobble_freq"] = draw(_finite(-5, 5))
+    params = {"packet": packet,
+              "s_span": draw(st.lists(_finite(-3, 3), min_size=2, max_size=2)),
+              "steps": draw(st.integers(2, 8)),
+              "tolerance": draw(_finite(1e-6, 10).filter(lambda t: t > 0))}
+    if draw(st.booleans()):
+        params["fd_step"] = draw(_finite(1e-4, 0.5))
+    return {"schema_version": "1", "kind": "guiding-run", "parameters": params}
+
+
+@given(doc=guiding_configs())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_guiding_run_exit_codes_fuzz(doc, capsys):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = write(Path(tmp), doc)
         code = main(["run", cfg, "--out", str(Path(tmp) / "o"), "--workers", "1"])
