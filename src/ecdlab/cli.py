@@ -8,13 +8,12 @@ tolerance declared in the scenario).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from .scenarios import (OUT_DIR_ENV, AccuracyFailure, NumericFailure,
                         ScenarioValidationError, load_scenario, run_scenario,
-                        validate_file)
+                        strict_json, validate_file)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -78,8 +77,8 @@ def main(argv=None) -> int:
     except AccuracyFailure as exc:
         print(f"accuracy failure: {exc}", file=sys.stderr)
         return EXIT_ACCURACY
-    print(json.dumps({"kind": manifest.kind, "outputs": manifest.outputs,
-                      "residuals": manifest.residuals}, indent=2, sort_keys=True))
+    print(strict_json({"kind": manifest.kind, "outputs": manifest.outputs,
+                       "residuals": manifest.residuals}, indent=2, sort_keys=True))
     return EXIT_OK
 
 

@@ -51,15 +51,12 @@ class FieldProvider:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    method: str = "rk4"
     step: float = 1e-3
     tolerance: float = 1e-8
 
     def __post_init__(self):
         if self.step <= 0:
             raise ValueError("step must be positive")
-        if self.method not in ("rk4",):
-            raise ValueError(f"unknown integration method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -126,14 +123,27 @@ def lorentz_rhs(gamma, gamma_dot, fieldp: FieldProvider, q: float) -> np.ndarray
     return q * (F @ (METRIC @ as_four(gamma_dot)))
 
 
+def step_count(s_span, step: float) -> int:
+    """Number of steps of size step from s_span[0] to s_span[1].
+
+    Raises ValueError unless that is a positive whole number (to a relative
+    1e-9), so that the last sample lands on s_span[1].
+    """
+    s0, s1 = float(s_span[0]), float(s_span[1])
+    ratio = (s1 - s0) / step
+    n_steps = int(round(ratio)) if np.isfinite(ratio) else 0
+    if n_steps < 1 or abs(s0 + n_steps * step - s1) > 1e-9 * max(1.0, abs(s1)):
+        raise ValueError(f"step {step:g} must divide the s-span [{s0:g}, {s1:g}] "
+                         f"into a positive whole number of steps")
+    return n_steps
+
+
 def integrate_worldline(initial, fieldp: FieldProvider, q: float, s_span,
                         cfg: IntegratorConfig) -> Trajectory:
     """Fixed-step RK4 integration of the Lorentz-force worldline equation."""
     gamma0, gamma_dot0 = (as_four(initial[0]), as_four(initial[1]))
     s0, s1 = float(s_span[0]), float(s_span[1])
-    n_steps = int(round((s1 - s0) / cfg.step))
-    if n_steps < 1 or abs(s0 + n_steps * cfg.step - s1) > 1e-9 * max(1.0, abs(s1)):
-        raise ValueError("step must divide the s-span")
+    n_steps = step_count(s_span, cfg.step)
 
     def rhs(y):
         return np.concatenate([y[4:], lorentz_rhs(y[:4], y[4:], fieldp, q)])

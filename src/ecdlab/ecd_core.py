@@ -20,7 +20,7 @@ outcome ("violent event") and is reported as data, never raised.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import warnings
 
@@ -73,32 +73,23 @@ def calibrate(epsilon: float, s_max: float = 50.0) -> EpsilonCalibration:
 class BoundaryAnsatz:
     """phi restricted to the worldline: s -> phi(gamma_s, s).
 
-    kind 'plane-phase' is C e^{i u^2 s / 2} (the free ansatz); 'action-phase'
-    is C e^{i I(s) / hbar} with I the classical action accumulated along the
-    trajectory; 'tabulated' wraps an arbitrary callable.
+    plane_phase is C e^{i u^2 s / 2} (the free ansatz); action_phase is
+    C e^{i I(s) / hbar} with I the classical action accumulated along the
+    trajectory.
     """
 
     value: Callable[[float], complex]
-    kind: str = "tabulated"
-    C: complex = 1.0 + 0j
-    u: Optional[np.ndarray] = None
 
     @staticmethod
     def plane_phase(u, C=1.0 + 0j) -> "BoundaryAnsatz":
         u = as_four(u)
         u2 = minkowski_dot(u, u)
-        return BoundaryAnsatz(lambda s: C * np.exp(0.5j * u2 * s),
-                              kind="plane-phase", C=complex(C), u=u)
+        return BoundaryAnsatz(lambda s: C * np.exp(0.5j * u2 * s))
 
     @staticmethod
     def action_phase(action_along: Callable[[float], float], C=1.0 + 0j,
                      hbar: float = 1.0) -> "BoundaryAnsatz":
-        return BoundaryAnsatz(lambda s: C * np.exp(1j * action_along(s) / hbar),
-                              kind="action-phase", C=complex(C))
-
-    def scaled(self, c: complex) -> "BoundaryAnsatz":
-        return BoundaryAnsatz(lambda s: c * self.value(s), kind=self.kind,
-                              C=c * self.C, u=self.u)
+        return BoundaryAnsatz(lambda s: C * np.exp(1j * action_along(s) / hbar))
 
 
 @dataclass(frozen=True)
@@ -379,10 +370,7 @@ def scale_transform_pair(pair: EcdPair, lam: float) -> EcdPair:
 
     traj = apply_scaling(pair.trajectory, lam)
     old_ansatz = pair.ansatz
-    new_ansatz = BoundaryAnsatz(
-        lambda s: lam ** -2 * old_ansatz.value(s / lam ** 2),
-        kind=old_ansatz.kind, C=lam ** -2 * old_ansatz.C,
-        u=None if old_ansatz.u is None else old_ansatz.u / lam)
+    new_ansatz = BoundaryAnsatz(lambda s: lam ** -2 * old_ansatz.value(s / lam ** 2))
     cal = EpsilonCalibration(lam ** 2 * pair.calibration.epsilon,
                              lam ** 2 * pair.calibration.s_max)
     old_G = pair.propagator

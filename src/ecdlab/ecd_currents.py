@@ -379,14 +379,12 @@ def _lagrangian(jet: WaveJet, D, hbar: float):
 
 def ecd_energy_momentum(phis: Sequence[PhiField], A: Optional[Callable],
                         grid: EventGrid, s_nodes, s_weights, qs,
-                        field_tensor_fn=None, hbar: float = 1.0) -> TensorField:
-    """p^{nu mu} = Theta^{nu mu} + sum_k m_k^{nu mu}, symmetric by construction.
+                        hbar: float = 1.0) -> TensorField:
+    """p^{nu mu} = sum_k m_k^{nu mu}, the waves' part (no field stress Theta), symmetric.
 
     m^{nu mu} = int ds [g^{nu mu} L_m + Re(D^nu phi (D^mu phi)*)], where the
     bilinear is a^nu a^mu + b^nu b^mu for D phi = a + i b.
     """
-    from .em_sources import stress_tensor
-
     pts = grid.points().reshape(-1, 4)
     bilinear = np.zeros((4, 4, pts.shape[0]))
     lagrangian = np.zeros(pts.shape[0])
@@ -399,9 +397,6 @@ def ecd_energy_momentum(phis: Sequence[PhiField], A: Optional[Callable],
     # d_nu m^{nu mu} = 0 for exact solutions (checked against a closed-form
     # Gaussian solution of the proper-time equation)
     values = np.moveaxis(bilinear, -1, 0) + lagrangian[:, None, None] * METRIC
-    if field_tensor_fn is not None:
-        for i, x in enumerate(pts):
-            values[i] += stress_tensor(field_tensor_fn(x))
     values = 0.5 * (values + np.swapaxes(values, -1, -2))
     return TensorField(grid, values.reshape(grid.extents + (4, 4)), symmetric=True,
                        label="ecd-p")

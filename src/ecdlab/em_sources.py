@@ -142,17 +142,6 @@ def _raise_uncovered(bracketed, regular):
             raise WorldlineSingularity("evaluation point on the worldline light-cone vertex")
 
 
-def lw_potentials(X, traj: Trajectory):
-    """Retarded potentials A^mu at a stack of events X (m, 4).
-
-    Returns (A (m, 4), covered (m,)): covered is False, and the row of A NaN,
-    where the samples do not bracket the retarded root or the event lies on
-    the worldline.
-    """
-    A, bracketed, regular = _potentials(X, traj)
-    return A, bracketed & regular
-
-
 def lw_potential(x, traj: Trajectory) -> np.ndarray:
     """Retarded potential A^mu(x) of the charge q carried by the trajectory."""
     A, bracketed, regular = _potentials(as_four(x)[None], traj)
@@ -204,29 +193,11 @@ def stress_tensor(F) -> np.ndarray:
     return 0.25 * METRIC * F2 + F @ METRIC @ F
 
 
-def stress_tensor_field(grid: EventGrid, field_fn) -> TensorField:
-    """Sample Theta over a grid from a callable x -> F^{mu nu}."""
-    pts = grid.points()
-    flat = pts.reshape(-1, 4)
-    vals = np.empty((flat.shape[0], 4, 4))
-    for i, x in enumerate(flat):
-        vals[i] = stress_tensor(field_fn(x))
-    vals = vals.reshape(grid.extents + (4, 4))
-    vals = 0.5 * (vals + np.swapaxes(vals, -1, -2))
-    return TensorField(grid, vals, symmetric=True, label="Theta")
-
-
 def deposit_electric_current(traj: Trajectory, grid: EventGrid,
                              kernel: DepositKernel) -> CurrentField:
     """q int ds delta^4(x - gamma_s) gamma_dot_s; slice charge q exactly."""
     return deposit_line_current(traj, grid, kernel, lambda s, g, gd: traj.q,
                                 label="electric")
-
-
-def mechanical_momentum(traj: Trajectory, x0_time: float) -> np.ndarray:
-    """gamma_dot(s*) sign(gamma_dot^0) where the worldline crosses x^0 = x0_time."""
-    _, _, gdot = _crossing_state(traj, x0_time)
-    return gdot * np.sign(gdot[0])
 
 
 def geometric_dilatation_term(p: TensorField) -> CurrentField:

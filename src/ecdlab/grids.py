@@ -59,10 +59,6 @@ class EventGrid:
         """Spatial cell volume d^3x."""
         return float(np.prod(self.spacings[1:]))
 
-    @property
-    def cell_volume4(self) -> float:
-        return float(np.prod(self.spacings))
-
 
 @dataclass(frozen=True)
 class CurrentField:
@@ -79,21 +75,6 @@ class CurrentField:
         if not np.all(np.isfinite(v)):
             raise ValueError("current field contains non-finite entries")
         object.__setattr__(self, "values", v)
-
-    def __add__(self, other: "CurrentField") -> "CurrentField":
-        if other.grid is not self.grid and other.grid != self.grid:
-            raise ValueError("fields live on different grids")
-        return CurrentField(self.grid, self.values + other.values,
-                            label=f"{self.label}+{other.label}")
-
-    def __sub__(self, other: "CurrentField") -> "CurrentField":
-        if other.grid is not self.grid and other.grid != self.grid:
-            raise ValueError("fields live on different grids")
-        return CurrentField(self.grid, self.values - other.values,
-                            label=f"{self.label}-{other.label}")
-
-    def scaled(self, c: float) -> "CurrentField":
-        return CurrentField(self.grid, c * self.values, label=self.label)
 
 
 @dataclass(frozen=True)
@@ -285,8 +266,3 @@ def deposit_line_current(traj, grid: EventGrid, kernel: DepositKernel,
         for idx, w in kernel.spread(grid, gamma[1:]):
             values[(k,) + idx] += (amp * w / vol) * gamma_dot
     return CurrentField(grid, values, label=label)
-
-
-def sample_current(grid: EventGrid, fn, label: str = "") -> CurrentField:
-    """Evaluate a vectorized callable points -> (..., 4) on the whole lattice."""
-    return CurrentField(grid, np.asarray(fn(grid.points()), dtype=float), label=label)

@@ -9,7 +9,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,48 +32,6 @@ def minkowski_dot(u, v) -> float:
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     return float(u[0] * v[0] - u[1] * v[1] - u[2] * v[2] - u[3] * v[3])
-
-
-def minkowski_norm2(u) -> float:
-    """u.u -- positive for timelike, negative for spacelike vectors."""
-    return minkowski_dot(u, u)
-
-
-@dataclass(frozen=True)
-class FourVector:
-    """A point or vector in Minkowski space; thin wrapper over a (4,) array."""
-
-    components: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", as_four(self.components))
-        self.components.setflags(write=False)
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.components, dtype=dtype)
-
-    def __getitem__(self, i):
-        return self.components[i]
-
-    def dot(self, other) -> float:
-        return minkowski_dot(self.components, np.asarray(other))
-
-    def norm2(self) -> float:
-        return self.dot(self)
-
-    def __add__(self, other):
-        return FourVector(self.components + np.asarray(other, dtype=float))
-
-    def __sub__(self, other):
-        return FourVector(self.components - np.asarray(other, dtype=float))
-
-    def __mul__(self, scalar: float):
-        return FourVector(self.components * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FourVector(-self.components)
 
 
 @dataclass(frozen=True)
@@ -173,11 +131,6 @@ class ScaleMap:
     def __call__(self, x):
         """Map an event: x -> lambda * x (the active transformation of points)."""
         return np.asarray(x, dtype=float) * self.lam
-
-    def compose(self, other: "ScaleMap") -> "ScaleMap":
-        if self.dimension != other.dimension:
-            raise ValueError("can only compose maps acting on the same field dimension")
-        return ScaleMap(self.lam * other.lam, self.dimension)
 
 
 def scale_field(f, mapping: ScaleMap):

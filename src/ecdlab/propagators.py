@@ -1,4 +1,4 @@
-"""Proper-time propagators: free, short-s, semiclassical, constant-field, bounce.
+"""Proper-time propagators: free, semiclassical, constant-field, bounce.
 
 The propagators solve the proper-time Schrodinger equation
 
@@ -42,18 +42,6 @@ def free_propagator(x, xp, s: float, hbar: float = 1.0) -> complex:
     return _pref(s, hbar) * np.exp(1j * phase) / s ** 2
 
 
-def short_s_propagator(x, xp, s: float, A: Callable, q: float = 1.0,
-                       hbar: float = 1.0) -> complex:
-    """Short-s form: the free phase plus the leading gauge coupling qA(x).(x-x')."""
-    if s == 0:
-        raise ZeroDivisionError("short-s propagator is singular at s = 0")
-    x = as_four(x)
-    xp = as_four(xp)
-    d = x - xp
-    phase = (minkowski_dot(d, d) / (2.0 * s) + q * minkowski_dot(A(x), d)) / hbar
-    return _pref(s, hbar) * np.exp(1j * phase) / s ** 2
-
-
 def gauge_transform_propagator(G: complex, alpha: Callable, x, xp,
                                q: float = 1.0) -> complex:
     """G -> G exp(i q [alpha(x) - alpha(x')]); modulus preserved exactly."""
@@ -66,7 +54,6 @@ class ClassicalPath:
 
     action: float
     van_vleck: float
-    samples: np.ndarray = None       # optional (n, 4) path points
     initial_velocity: np.ndarray = None
     final_velocity: np.ndarray = None
 
@@ -296,7 +283,7 @@ def classical_path_bvp(fieldp: FieldProvider, xp, x, s: float, q: float,
         lag[i] = 0.5 * minkowski_dot(xdot, xdot) + q * minkowski_dot(A_of(traj.gammas[i]), xdot)
     from scipy.integrate import simpson
     I = float(simpson(lag, x=taus))
-    return ClassicalPath(action=I, van_vleck=np.nan, samples=traj.gammas.copy(),
+    return ClassicalPath(action=I, van_vleck=np.nan,
                          initial_velocity=traj.gamma_dots[0].copy(),
                          final_velocity=traj.gamma_dots[-1].copy())
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +22,7 @@ import jsonschema
 from . import __version__
 from .minkowski import as_four
 from .dynamics import (FieldProvider, IntegratorConfig, IntegrationBlowup,
-                       Trajectory, integrate_worldline)
+                       Trajectory, integrate_worldline, step_count)
 from .grids import DepositError, DepositKernel, EventGrid, grid_charge
 from .em_sources import CoverageError, deposit_electric_current, lw_fields
 from .ecd_core import (EcdPair, QuadratureBudgetError, calibrate,
@@ -37,7 +38,9 @@ OUT_DIR_ENV = "ECDLAB_OUT_DIR"
 _FREE_ECD_S_MAX = 50.0          # default s'-window of free-ecd
 _LW_FD_STEP = 1e-4              # default finite-difference step of lw-field-map
 _SWEEP_S_MAX = 10.0             # s'-window of classical-limit-sweep
+_SWEEP_SPAN = 2 * _SWEEP_S_MAX + 5  # worldline half-span of classical-limit-sweep, from s = 0
 _SWEEP_EPSILON = 1e-2           # default epsilon of classical-limit-sweep
+_SWEEP_STEP = 1e-2              # default RK4 step of classical-limit-sweep
 _TAIL_WINDOW_X = (5.0, 60.0)    # default fit window of current-regularization, r / sqrt(eps)
 _SMEAR_WIDTH_X = 2.0            # default radial smear width of current-regularization
 
@@ -249,7 +252,34 @@ class RunManifest:
     schema_version: str = SCHEMA_VERSION
 
     def to_json(self) -> str:
-        return json.dumps(self.__dict__, indent=2, sort_keys=True)
+        return strict_json(self.__dict__, indent=2, sort_keys=True)
+
+
+def _finite_only(obj):
+    """(obj with each non-finite float set to None, its "inf"/"-inf"/"nan" tags).
+
+    A dict gains a sibling "<key>_nonfinite" for each entry that has tags; a
+    list's tags are a list, None for each entry that needs none.
+    """
+    if isinstance(obj, dict):
+        out = {}
+        for key, value in obj.items():
+            out[key], tag = _finite_only(value)
+            if tag is not None:
+                out[f"{key}_nonfinite"] = tag
+        return out, None
+    if isinstance(obj, (list, tuple)):
+        pairs = [_finite_only(v) for v in obj]
+        tags = [t for _, t in pairs]
+        return [v for v, _ in pairs], None if all(t is None for t in tags) else tags
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None, "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
+    return obj, None
+
+
+def strict_json(obj, **kwargs) -> str:
+    """json.dumps without NaN or Infinity tokens: see _finite_only."""
+    return json.dumps(_finite_only(obj)[0], allow_nan=False, **kwargs)
 
 
 def validate_config(doc) -> list:
@@ -277,6 +307,12 @@ def validate_config(doc) -> list:
 
 def _semantic_diagnostics(kind, p) -> list:
     """Constraints between schema-valid values that the schema cannot state."""
+    if kind in ("classical-orbit", "classical-limit-sweep"):
+        span = p["s_span"] if kind == "classical-orbit" else (0.0, _SWEEP_SPAN)
+        try:
+            step_count(span, p.get("step", _SWEEP_STEP))
+        except ValueError as exc:
+            return [f"parameters.step: {exc}"]
     if kind == "free-ecd":
         s_max, eps = p.get("s_max", _FREE_ECD_S_MAX), max(p["epsilons"])
         if s_max <= eps:
@@ -522,7 +558,7 @@ def _run_classical_limit_sweep(p, out: Path):
     q = p.get("charge", 1.0)
     u0 = as_four(p.get("u0", (1.0, 0.0, 0.0, 0.0)))
     s_span = tuple(p.get("s_span", (-1.0, 1.0)))
-    step = p.get("step", 1e-2)
+    step = p.get("step", _SWEEP_STEP)
     eps = p.get("epsilon", _SWEEP_EPSILON)
     s_max = _SWEEP_S_MAX
     cal = calibrate(eps, s_max=s_max)
@@ -533,7 +569,7 @@ def _run_classical_limit_sweep(p, out: Path):
     for fac in p["factors"]:
         F = fac * F_base
         pair = constant_field_pair(F, u0, cal, q=q, step=step,
-                                   s_span=(-2 * s_max - 5, 2 * s_max + 5))
+                                   s_span=(-_SWEEP_SPAN, _SWEEP_SPAN))
         resid, rec = classical_phase_gradient_check(pair, F, q, s_samples,
                                                     with_recovery=True)
         rows.append([fac, resid, rec])

@@ -8,9 +8,7 @@ from ecdlab.em_sources import (CoverageError, WorldlineSingularity,
                                classical_dilatation_charge,
                                deposit_electric_current, dilatation_current,
                                dilatation_shift_check, geometric_dilatation_term,
-                               lw_field, lw_fields, lw_potential, lw_potentials,
-                               mechanical_momentum, stress_tensor,
-                               stress_tensor_field)
+                               lw_field, lw_fields, lw_potential, stress_tensor)
 from ecdlab.grids import DepositKernel, EventGrid, grid_charge
 from ecdlab.minkowski import METRIC, AntisymTensor, lorentz_boost_matrix
 
@@ -54,7 +52,8 @@ def test_batched_coverage_matches_one_event_calls():
     short = Trajectory.uniform((1.0, 0.2, 0.0, 0.0), s_span=(-1.0, 1.0), n=21, q=1.0)
     rng = np.random.default_rng(3)
     X = np.column_stack([rng.uniform(-2, 3, 300), rng.uniform(-2, 2, (300, 3))])
-    A, covered = lw_potentials(X, short)
+    A = lw_fields(X, short)[0]
+    covered = ~np.isnan(A).any(axis=1)
     assert 0 < covered.sum() < len(X)
     for x, a, ok in zip(X, A, covered):
         if ok:
@@ -81,8 +80,8 @@ def test_worldline_singularity_is_uncovered():
     x = np.array([1.0, 1.0, 0.0, 0.0])
     with pytest.raises(WorldlineSingularity):
         lw_potential(x, still)
-    A, covered = lw_potentials(np.array([x, [1.0, 0.5, 0.0, 0.0]]), still)
-    assert not covered.any() and np.all(np.isnan(A))
+    A = lw_fields(np.array([x, [1.0, 0.5, 0.0, 0.0]]), still)[0]
+    assert np.all(np.isnan(A))
 
 
 def test_uniform_motion_field_is_boosted_coulomb():
@@ -144,15 +143,6 @@ def test_stress_tensor_energy_density():
     assert T[0, 0] == pytest.approx(0.5 * (1.0 + 4.0))
 
 
-def test_stress_tensor_field_grid():
-    grid = EventGrid(origin=(0, -0.5, -0.5, -0.5),
-                     spacings=(0.5, 0.5, 0.5, 0.5), extents=(1, 3, 3, 3))
-    F = np.asarray(AntisymTensor.from_fields((0.3, 0.0, 0.0)))
-    field = stress_tensor_field(grid, lambda x: F)
-    assert field.symmetric
-    assert np.allclose(field.values[..., 0, 0], 0.5 * 0.09)
-
-
 def test_deposited_charge_and_momentum():
     grid = EventGrid(origin=(-0.4, -1.0, -1.0, -1.0),
                      spacings=(0.2, 0.25, 0.25, 0.25), extents=(5, 9, 9, 9))
@@ -160,8 +150,6 @@ def test_deposited_charge_and_momentum():
     j = deposit_electric_current(traj, grid, DepositKernel("trilinear"))
     for k in range(5):
         assert grid_charge(j, k) == pytest.approx(-1.5, abs=1e-12)
-    p = mechanical_momentum(traj, 0.1)
-    assert np.allclose(p, [1.0, 0.3, 0.0, 0.0])
 
 
 def test_classical_dilatation_charge_conserved_for_free_particles():

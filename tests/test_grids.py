@@ -7,7 +7,7 @@ from ecdlab.dynamics import Trajectory
 from ecdlab.grids import (CurrentField, DepositError, DepositKernel, EventGrid,
                           boundary_flux3, deposit_line_current, fd_grad,
                           fd_hessian, grid_charge, grid_divergence, interior_max,
-                          sample_current, slice_integral)
+                          slice_integral)
 
 
 def small_grid():
@@ -19,7 +19,6 @@ def test_grid_axes_and_volumes():
     g = small_grid()
     assert np.allclose(g.axis(0), [-0.5, -0.25, 0.0, 0.25, 0.5])
     assert g.cell_volume3 == pytest.approx(0.25 ** 3)
-    assert g.cell_volume4 == pytest.approx(0.25 ** 4)
     assert g.points().shape == (5, 9, 9, 9, 4)
 
 
@@ -44,7 +43,7 @@ def test_divergence_on_linear_current():
         out[..., 3] = -3.0 * pts[..., 3]
         return out
 
-    j = sample_current(g, fn)
+    j = CurrentField(g, fn(g.points()))
     div = grid_divergence(j)
     interior = div[1:-1, 1:-1, 1:-1, 1:-1]
     assert np.allclose(interior, -1.0, atol=1e-12)

@@ -11,7 +11,7 @@ from ecdlab.propagators import (ClassicalPath, NoPathError,
                                 free_action_provider, free_propagator,
                                 gauge_transform_propagator,
                                 hamilton_jacobi_residual, semiclassical_propagator,
-                                short_s_propagator, van_vleck)
+                                van_vleck)
 
 coords = st.floats(min_value=-2.0, max_value=2.0)
 events = st.tuples(coords, coords, coords, coords).map(np.array)
@@ -53,14 +53,6 @@ def test_gauge_transform_preserves_modulus():
     alpha = lambda y: 0.7 * y[1] - 0.2 * y[0]
     G2 = gauge_transform_propagator(G, alpha, x, xp, q=1.3)
     assert abs(G2) == pytest.approx(abs(G), rel=1e-15)
-
-
-def test_short_s_reduces_to_free_without_potential():
-    x = np.array([0.5, 0.1, 0.0, 0.0])
-    xp = np.zeros(4)
-    A0 = lambda y: np.zeros(4)
-    assert short_s_propagator(x, xp, 0.3, A0) == pytest.approx(
-        free_propagator(x, xp, 0.3), rel=1e-14)
 
 
 def test_constant_field_van_vleck_matches_finite_difference():

@@ -61,6 +61,18 @@ def guiding_config(tolerance=1e-4):
     }
 
 
+def orbit_config():
+    return {
+        "schema_version": "1",
+        "kind": "classical-orbit",
+        "parameters": {
+            "electric": [0.3, 0.0, 0.0], "magnetic": [0.0, 0.0, 0.2],
+            "charge": 1.0, "x0": [0, 0, 0, 0], "u0": [1, 0, 0, 0],
+            "s_span": [0.0, 1.0], "step": 0.25, "tolerance": 1e-6,
+        },
+    }
+
+
 def write(tmp_path, doc, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(doc))
@@ -238,6 +250,25 @@ def test_worldline_s_span_must_give_increasing_samples(kind, tmp_path, capsys):
     assert f"parameters.{path}.s_span" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["classical-orbit", "classical-limit-sweep"])
+def test_step_must_divide_integration_span(kind, tmp_path, capsys):
+    """classical-orbit integrates over its s_span [0, 1]; the sweep's worldline
+    always spans 25 from s = 0, whatever its sample s_span."""
+    doc = orbit_config() if kind == "classical-orbit" else {
+        "schema_version": "1", "kind": "classical-limit-sweep",
+        "parameters": {"electric": [0.1, 0.0, 0.0], "factors": [1.0, 0.5],
+                       "ratio_bound": 1.0, "step": 0.25}}
+    assert validate_config(doc) == []
+    doc["parameters"]["step"] = 0.3
+    assert [d.split(":")[0] for d in validate_config(doc)] == ["parameters.step"]
+    cfg = write(tmp_path, doc)
+    assert main(["validate", cfg]) == EXIT_VALIDATION
+    assert "parameters.step" in capsys.readouterr().err
+    assert main(["run", cfg, "--out", str(tmp_path / "o"),
+                 "--workers", "1"]) == EXIT_VALIDATION
+    assert "parameters.step" in capsys.readouterr().err
+
+
 def test_cli_run_accuracy_failure_via_override(tmp_path, capsys):
     cfg = write(tmp_path, guiding_config())
     out = tmp_path / "o"
@@ -337,10 +368,20 @@ def test_guiding_run_singular_later_stage_is_a_violent_event(tmp_path, capsys):
         "s_span": [0, 3], "steps": 6, "fd_step": 0.4, "tolerance": 3}}
     cfg = write(tmp_path, doc)
     code = main(["run", cfg, "--out", str(tmp_path / "o"), "--workers", "1"])
-    capsys.readouterr()
-    assert code in (EXIT_OK, EXIT_ACCURACY)
-    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
-    assert manifest["residuals"]["violent_event"] is not None
+    stdout = capsys.readouterr().out
+    assert code == EXIT_OK
+
+    def reject(token):
+        raise ValueError(f"non-strict JSON token {token}")
+
+    # the condition number is inf: strict JSON writes null and a tag beside it
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text(),
+                          parse_constant=reject)
+    summary = json.loads(stdout, parse_constant=reject)
+    for doc in (manifest, summary):
+        event = doc["residuals"]["violent_event"]
+        assert event["condition_number"] is None
+        assert event["condition_number_nonfinite"] == "inf"
 
 
 def test_lw_field_map_event_on_worldline_is_nan_row(tmp_path, capsys):
@@ -437,6 +478,72 @@ def guiding_configs(draw):
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_guiding_run_exit_codes_fuzz(doc, capsys):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write(Path(tmp), doc)
+        code = main(["run", cfg, "--out", str(Path(tmp) / "o"), "--workers", "1"])
+    capsys.readouterr()
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERIC, EXIT_ACCURACY)
+
+
+@st.composite
+def orbit_configs(draw):
+    s0 = draw(_finite(-2, 2))
+    s1 = s0 + draw(_finite(0, 2))
+    # about half the steps divide the span; the others almost never do
+    n = draw(st.integers(1, 200))
+    step = draw(st.one_of(st.just((s1 - s0) / n), _finite(1e-2, 1)))
+    params = {"electric": draw(st.lists(_finite(-2, 2), min_size=3, max_size=3)),
+              "magnetic": draw(st.lists(_finite(-2, 2), min_size=3, max_size=3)),
+              "charge": draw(_finite(-3, 3)),
+              "x0": draw(st.lists(_finite(-1, 1), min_size=4, max_size=4)),
+              "u0": draw(st.lists(_finite(-3, 3), min_size=4, max_size=4)),
+              "s_span": [s0, s1],
+              "step": step,
+              "tolerance": draw(_finite(1e-12, 10))}
+    return {"schema_version": "1", "kind": "classical-orbit", "parameters": params}
+
+
+@st.composite
+def audit_configs(draw):
+    def wl():
+        # a wide s_span and a large u^0 cross every slice; the rest may not
+        u0 = draw(st.one_of(_finite(0.5, 2), _finite(0, 0.5)))
+        return {"u": [draw(st.sampled_from([1, -1])) * u0]
+                + draw(st.lists(_finite(-0.3, 0.3), min_size=3, max_size=3)),
+                "x0": draw(st.lists(_finite(-0.5, 0.5), min_size=4, max_size=4)),
+                "s_span": draw(st.one_of(st.just([-3.0, 3.0]), st.lists(
+                    _finite(-3, 3), min_size=2, max_size=2))),
+                "n": draw(st.integers(2, 40)), "q": draw(_finite(-3, 3))}
+
+    params = {
+        "worldlines": [wl() for _ in range(draw(st.integers(1, 2)))],
+        "grid": {"origin": [draw(_finite(-0.5, 0.2))] + draw(
+                     st.lists(_finite(-1.5, 0), min_size=3, max_size=3)),
+                 "spacings": [draw(_finite(0.05, 0.5))] + draw(
+                     st.lists(_finite(0.2, 1.5), min_size=3, max_size=3)),
+                 "extents": draw(st.lists(st.integers(1, 5), min_size=4, max_size=4))},
+        "tolerance": draw(_finite(1e-12, 10)),
+    }
+    if draw(st.booleans()):
+        params["kernel"] = draw(st.sampled_from(["nearest", "trilinear"]))
+    return {"schema_version": "1", "kind": "conservation-audit", "parameters": params}
+
+
+@given(doc=orbit_configs())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_classical_orbit_exit_codes_fuzz(doc, capsys):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write(Path(tmp), doc)
+        code = main(["run", cfg, "--out", str(Path(tmp) / "o"), "--workers", "1"])
+    capsys.readouterr()
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERIC, EXIT_ACCURACY)
+
+
+@given(doc=audit_configs())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_conservation_audit_exit_codes_fuzz(doc, capsys):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = write(Path(tmp), doc)
         code = main(["run", cfg, "--out", str(Path(tmp) / "o"), "--workers", "1"])
