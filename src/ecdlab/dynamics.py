@@ -19,6 +19,8 @@ import numpy as np
 
 from .minkowski import METRIC, AntisymTensor, as_four
 
+MAX_STEPS = 10 ** 6     # largest RK4 step count a worldline may ask for
+
 
 class IntegrationBlowup(ArithmeticError):
     """Numeric failure during worldline integration; carries the offending s."""
@@ -127,7 +129,9 @@ def step_count(s_span, step: float) -> int:
     """Number of steps of size step from s_span[0] to s_span[1].
 
     Raises ValueError unless that is a positive whole number (to a relative
-    1e-9), so that the last sample lands on s_span[1].
+    1e-9), so that the last sample lands on s_span[1], the step exceeds the
+    float spacing at the span's ends, so that the samples increase, and the
+    count is at most MAX_STEPS.
     """
     s0, s1 = float(s_span[0]), float(s_span[1])
     ratio = (s1 - s0) / step
@@ -135,6 +139,13 @@ def step_count(s_span, step: float) -> int:
     if n_steps < 1 or abs(s0 + n_steps * step - s1) > 1e-9 * max(1.0, abs(s1)):
         raise ValueError(f"step {step:g} must divide the s-span [{s0:g}, {s1:g}] "
                          f"into a positive whole number of steps")
+    spacing = np.spacing(max(abs(s0), abs(s1)))
+    if step <= spacing:
+        raise ValueError(f"step {step:g} is not above the float spacing {spacing:g} at "
+                         f"the ends of the s-span, so the samples would not increase")
+    if n_steps > MAX_STEPS:
+        raise ValueError(f"step {step:g} gives {n_steps} steps over the s-span "
+                         f"[{s0:g}, {s1:g}], more than the {MAX_STEPS} allowed")
     return n_steps
 
 

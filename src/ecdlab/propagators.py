@@ -134,14 +134,18 @@ def constant_field_van_vleck(F, s: float, q: float = 1.0) -> float:
     with the familiar (w s/2)/sin(w s/2) magnetic kernel); taking the square
     root of the full 4x4 determinant instead double-counts every pair.
     """
+    M0 = q * (np.asarray(F, dtype=float) @ METRIC)
+    return _van_vleck_of_eigs(np.linalg.eigvals(M0), s)
+
+
+def _van_vleck_of_eigs(eigs, s: float) -> float:
+    """The prefactor from the eigenvalues of q F^mu_nu: those of q F s are s times them."""
     if s == 0:
         raise ZeroDivisionError("prefactor singular at s = 0")
-    M = q * s * (np.asarray(F, dtype=float) @ METRIC)
-    eigs = np.linalg.eigvals(M)
-    if np.any(np.abs(np.real(eigs)) > 700):
+    y = s * eigs
+    if np.any(np.abs(np.real(y)) > 700):
         raise OverflowError("cosh overflow: |q F s| too large")
-    det = np.prod(_g(eigs))
-    return float(np.abs(det) ** 0.25 / s ** 2)
+    return float(np.abs(np.prod(_g(y))) ** 0.25 / s ** 2)
 
 
 def semiclassical_propagator(paths: Sequence[ClassicalPath], s: float,

@@ -1,12 +1,19 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ecdlab.ecd_core import (BoundaryAnsatz, EcdPair, EpsilonCalibration,
                              ViolentEvent, calibrate, consistency_residual,
-                             free_phi_closed_form, guiding_velocity,
-                             integrate_guiding, phi_eval, scale_transform_pair,
-                             surfing_residual)
+                             constant_field_pair, free_phi_closed_form,
+                             guiding_velocity, integrate_guiding, phi_eval,
+                             scale_transform_pair, surfing_residual)
 from ecdlab.ecd_currents import FreePhi
+from ecdlab.minkowski import AntisymTensor
+
+PHI_REFERENCE = json.loads(
+    (Path(__file__).parent / "data" / "phi_eval_reference.json").read_text())["cases"]
 
 
 def test_calibration_normalization():
@@ -56,6 +63,40 @@ def test_phi_eval_full_output_diagnostics():
     val, diag = phi_eval(pair, (0.0, 0.0, 0.0, 0.0), 0.0, full_output=True)
     assert diag["tail_bound"] == pytest.approx(1e-2 / 20.0)
     assert diag["quad_error"] < 1e-6 * abs(val)
+    # at s = 0 the integrand's imaginary part is exactly zero; the error test
+    # on the complex modulus still converges in a few rule applications
+    assert diag["evaluations"] <= 200
+
+
+def _reference_pair(case):
+    cal = calibrate(case["epsilon"], s_max=case["s_max"])
+    C = complex(*case["C"])
+    if case["kind"] == "free":
+        return EcdPair.free(case["u"], cal, C=C)
+    F = np.asarray(AntisymTensor.from_fields(case["E"], case["B"]))
+    return constant_field_pair(F, case["u0"], cal, q=case["q"], C=C,
+                               s_span=tuple(case["s_span"]), step=case["step"])
+
+
+@pytest.mark.parametrize("case", PHI_REFERENCE,
+                         ids=lambda c: f"{c['kind']}-eps{c['epsilon']:g}-tol{c['tol']:g}")
+def test_phi_eval_matches_frozen_reference(case):
+    """phi_eval against values frozen from the earlier four-scalar-quad
+    evaluation (real and imaginary parts of each half-line integrated
+    separately): free pairs on the worldline (s = 0 included) and off it at
+    eps = 0.1, 0.01, 0.001, and two constant fields at tol 1e-3 and 1e-8."""
+    pair = _reference_pair(case)
+    for p in case["points"]:
+        want = complex(p["re"], p["im"])
+        got = phi_eval(pair, p["x"], p["s"], tol=case["tol"])
+        assert abs(got - want) <= 100 * case["tol"] * abs(want), p
+
+
+def test_phi_eval_zero_wave_is_zero_and_cheap():
+    pair = EcdPair.free((1.0, 0.0, 0.0, 0.0), calibrate(0.1), C=0.0)
+    val, diag = phi_eval(pair, (0.0, 0.0, 0.0, 0.0), 0.7, full_output=True)
+    assert val == 0
+    assert diag["evaluations"] <= 200
 
 
 def test_closed_form_matches_wave_evaluator():

@@ -6,7 +6,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ecdlab import scenarios
@@ -203,6 +203,18 @@ def test_free_ecd_s_max_must_exceed_epsilons(tmp_path, capsys):
     assert [d.split(":")[0] for d in validate_config(doc)] == ["parameters.s_max"]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_free_ecd_non_finite_wave_is_numeric_failure(tmp_path, capsys):
+    """u^2 overflows, so every integrand value is NaN; the run must not pass
+    with a residual that dropped the NaN."""
+    doc = {"schema_version": "1", "kind": "free-ecd",
+           "parameters": {"epsilons": [0.1], "s_max": 1.0, "u": [1e200, 0, 0, 0],
+                          "tolerance_factor": 1.0}}
+    assert main(["run", write(tmp_path, doc), "--out", str(tmp_path / "o"),
+                 "--workers", "1"]) == EXIT_NUMERIC
+    assert "s'-quadrature error nan" in capsys.readouterr().err
+
+
 def test_classical_limit_sweep_epsilon_must_fit_window(tmp_path, capsys):
     doc = {"schema_version": "1", "kind": "classical-limit-sweep",
            "parameters": {"electric": [0.1, 0.0, 0.0], "factors": [1.0, 0.5],
@@ -248,6 +260,17 @@ def test_worldline_s_span_must_give_increasing_samples(kind, tmp_path, capsys):
     assert main(["run", cfg, "--out", str(tmp_path / "o"),
                  "--workers", "1"]) == EXIT_VALIDATION
     assert f"parameters.{path}.s_span" in capsys.readouterr().err
+
+
+def test_step_count_is_bounded(tmp_path, capsys):
+    """A step that divides a huge span would ask for 10^15 RK4 samples."""
+    doc = orbit_config()
+    doc["parameters"].update(s_span=[0.0, 1e12], step=1e-3)
+    assert [d.split(":")[0] for d in validate_config(doc)] == ["parameters.step"]
+    cfg = write(tmp_path, doc)
+    assert main(["run", cfg, "--out", str(tmp_path / "o"),
+                 "--workers", "1"]) == EXIT_VALIDATION
+    assert "parameters.step" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind", ["classical-orbit", "classical-limit-sweep"])
@@ -421,16 +444,20 @@ def _finite(lo, hi):
     return st.floats(min_value=lo, max_value=hi, allow_nan=False)
 
 
-@st.composite
-def lw_configs(draw):
+def _draw_u(draw):
+    """A timelike, null, spacelike or zero four-velocity, either time direction."""
     v = draw(st.lists(_finite(-2, 2), min_size=3, max_size=3))
     speed = math.sqrt(sum(c * c for c in v))
     u0 = {"timelike": speed + draw(_finite(0.1, 2)), "null": speed,
           "spacelike": speed * draw(_finite(0, 0.9)), "zero": 0.0}
     kind = draw(st.sampled_from(sorted(u0)))
-    u = [0.0] * 4 if kind == "zero" else [draw(st.sampled_from([1, -1])) * u0[kind]] + v
+    return [0.0] * 4 if kind == "zero" else [draw(st.sampled_from([1, -1])) * u0[kind]] + v
+
+
+@st.composite
+def lw_configs(draw):
     params = {
-        "worldline": {"u": u,
+        "worldline": {"u": _draw_u(draw),
                       "x0": draw(st.lists(_finite(-1, 1), min_size=4, max_size=4)),
                       "s_span": draw(st.lists(_finite(-3, 3), min_size=2, max_size=2)),
                       "n": draw(st.integers(2, 40)), "q": draw(_finite(-3, 3))},
@@ -530,6 +557,8 @@ def audit_configs(draw):
 
 
 @given(doc=orbit_configs())
+@example(doc={**orbit_config(), "parameters": {**orbit_config()["parameters"],
+              "s_span": [1.0, 1.0000000000000002], "step": 1.1102230246251565e-16}})
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_classical_orbit_exit_codes_fuzz(doc, capsys):
@@ -544,6 +573,29 @@ def test_classical_orbit_exit_codes_fuzz(doc, capsys):
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_conservation_audit_exit_codes_fuzz(doc, capsys):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write(Path(tmp), doc)
+        code = main(["run", cfg, "--out", str(Path(tmp) / "o"), "--workers", "1"])
+    capsys.readouterr()
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERIC, EXIT_ACCURACY)
+
+
+@st.composite
+def free_ecd_configs(draw):
+    params = {"epsilons": draw(st.lists(_finite(1e-4, 1).filter(lambda e: e > 0),
+                                        min_size=1, max_size=2)),
+              "u": _draw_u(draw),
+              "c0": draw(st.one_of(st.just(0.0), _finite(-3, 3))),
+              "tolerance_factor": draw(_finite(1e-3, 10).filter(lambda t: t > 0))}
+    if draw(st.booleans()):     # a short s'-window, sometimes below an epsilon
+        params["s_max"] = draw(_finite(1e-3, 2).filter(lambda s: s > 0))
+    return {"schema_version": "1", "kind": "free-ecd", "parameters": params}
+
+
+@given(doc=free_ecd_configs())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_free_ecd_exit_codes_fuzz(doc, capsys):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = write(Path(tmp), doc)
         code = main(["run", cfg, "--out", str(Path(tmp) / "o"), "--workers", "1"])
