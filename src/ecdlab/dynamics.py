@@ -211,19 +211,17 @@ def charge_conjugate(traj: Trajectory) -> Trajectory:
                       -traj.gamma_dots[::-1], q=traj.q)
 
 
-def eom_residual(traj: Trajectory, fieldp: FieldProvider, q=None) -> float:
-    """Max norm of d(gamma_dot)/ds - q F g gamma_dot over interior samples.
+def eom_residual(traj: Trajectory, fieldp: FieldProvider) -> float:
+    """Max norm of d(gamma_dot)/ds - q F g gamma_dot over interior samples, q = traj.q.
 
     The derivative is taken by central differences on the stored samples, so
     this is a direct check that a (possibly transformed) trajectory still
     solves the worldline equation in the supplied field.
     """
-    if q is None:
-        q = traj.q
     ds = np.diff(traj.s)
     if not np.allclose(ds, ds[0], rtol=1e-8):
         raise ValueError("eom_residual needs uniformly sampled s")
     d_gd = (traj.gamma_dots[2:] - traj.gamma_dots[:-2]) / (2.0 * ds[0])
-    rhs = np.array([lorentz_rhs(traj.gammas[i], traj.gamma_dots[i], fieldp, q)
+    rhs = np.array([lorentz_rhs(traj.gammas[i], traj.gamma_dots[i], fieldp, traj.q)
                     for i in range(1, traj.s.size - 1)])
     return float(np.abs(d_gd - rhs).max())

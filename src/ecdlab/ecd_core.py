@@ -15,6 +15,9 @@ self-consistent up to O(eps).  Differentiating the surfing condition along s
 turns it into the guiding ODE gamma_dot = -H^{-1} f with H the spatial-time
 Hessian of |phi|^2 and f its mixed s-derivative; a singular H is a physical
 outcome ("violent event") and is reported as data, never raised.
+
+Units are hbar = c = 1: hbar only sets the unit of s and of q / hbar (see
+propagators), and the classical limit is reached by weakening the field.
 """
 
 from __future__ import annotations
@@ -30,6 +33,9 @@ from .dynamics import Trajectory
 from .grids import fd_grad, fd_hessian
 from .propagators import (constant_field_action_provider, free_propagator, _pref,
                           _van_vleck_of_eigs)
+
+KAPPA_MAX = 1e8         # guiding-Hessian condition number that flags a violent event
+_PHASE_FD_STEP = 1e-3   # finite-difference step of classical_phase_gradient_check
 
 
 @dataclass(frozen=True)
@@ -47,8 +53,10 @@ class EpsilonCalibration:
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
+        if not np.isfinite(self.N):
+            raise ValueError(f"epsilon {self.epsilon:g} gives a non-finite N = {self.N:g}")
         if self.s_max <= self.epsilon:
-            raise ValueError("s_max must exceed epsilon")
+            raise ValueError(f"epsilon {self.epsilon:g} must be below s_max {self.s_max:g}")
 
     @property
     def N(self) -> float:
@@ -72,7 +80,7 @@ class BoundaryAnsatz:
     """phi restricted to the worldline: s -> phi(gamma_s, s).
 
     plane_phase is C e^{i u^2 s / 2} (the free ansatz); action_phase is
-    C e^{i I(s) / hbar} with I the classical action accumulated along the
+    C e^{i I(s)} with I the classical action accumulated along the
     trajectory.
     """
 
@@ -85,9 +93,8 @@ class BoundaryAnsatz:
         return BoundaryAnsatz(lambda s: C * np.exp(0.5j * u2 * s))
 
     @staticmethod
-    def action_phase(action_along: Callable[[float], float], C=1.0 + 0j,
-                     hbar: float = 1.0) -> "BoundaryAnsatz":
-        return BoundaryAnsatz(lambda s: C * np.exp(1j * action_along(s) / hbar))
+    def action_phase(action_along: Callable[[float], float], C=1.0 + 0j) -> "BoundaryAnsatz":
+        return BoundaryAnsatz(lambda s: C * np.exp(1j * action_along(s)))
 
 
 @dataclass(frozen=True)
@@ -98,16 +105,13 @@ class EcdPair:
     ansatz: BoundaryAnsatz
     propagator: Callable[[np.ndarray, np.ndarray, float], complex]
     calibration: EpsilonCalibration
-    hbar: float = 1.0
 
     @staticmethod
-    def free(u, calibration: EpsilonCalibration, C=1.0 + 0j, x0=(0, 0, 0, 0),
-             s_span=(-200.0, 200.0), q: float = 0.0, hbar: float = 1.0) -> "EcdPair":
-        span = max(abs(s_span[0]), abs(s_span[1]), 2 * calibration.s_max)
-        traj = Trajectory.uniform(u, x0=x0, s_span=(-span, span), n=9, q=q)
-        return EcdPair(traj, BoundaryAnsatz.plane_phase(u, C),
-                       lambda x, xp, sig: free_propagator(x, xp, sig, hbar),
-                       calibration, hbar=hbar)
+    def free(u, calibration: EpsilonCalibration, C=1.0 + 0j) -> "EcdPair":
+        """The uniform worldline u s through the origin, with a plane-phase ansatz."""
+        span = max(200.0, 2 * calibration.s_max)
+        traj = Trajectory.uniform(u, s_span=(-span, span), n=9)
+        return EcdPair(traj, BoundaryAnsatz.plane_phase(u, C), free_propagator, calibration)
 
 
 class QuadratureBudgetError(RuntimeError):
@@ -228,26 +232,25 @@ def guiding_hessian(phi, gamma, s, h):
     return hess[:4, :4], hess[:4, 4]
 
 
-def guiding_velocity(phi, gamma, s, h, kappa_max=1e8):
+def guiding_velocity(phi, gamma, s, h):
     H, f = guiding_hessian(phi, gamma, s, h)
     kappa = float(np.linalg.cond(H))
-    if not np.isfinite(kappa) or kappa >= kappa_max:
+    if not np.isfinite(kappa) or kappa >= KAPPA_MAX:
         return None, kappa
     return -np.linalg.solve(H, f), kappa
 
 
-def guiding_step(phi, state: GuidingState, h: float, ds: float,
-                 kappa_max: float = 1e8) -> GuidingState:
+def guiding_step(phi, state: GuidingState, h: float, ds: float) -> GuidingState:
     """One RK4 step of gamma_dot = -H^{-1} f; flags instead of raising on singular H."""
     if state.violent:
         return state
     s, gamma = state.s, state.gamma
-    k1, kap = guiding_velocity(phi, gamma, s, h, kappa_max)
+    k1, kap = guiding_velocity(phi, gamma, s, h)
     ks, kappa = [k1], kap
     for step in (ds / 2, ds / 2, ds):       # the k2, k3 and k4 probes
         if ks[-1] is None:
             break
-        k, kappa = guiding_velocity(phi, gamma + step * ks[-1], s + step, h, kappa_max)
+        k, kappa = guiding_velocity(phi, gamma + step * ks[-1], s + step, h)
         ks.append(k)
     if ks[-1] is None:                      # report the failing stage's kappa
         return GuidingState(s, gamma, kappa, violent=True)
@@ -256,15 +259,14 @@ def guiding_step(phi, state: GuidingState, h: float, ds: float,
     return GuidingState(s + ds, new_gamma, kap, violent=False)
 
 
-def integrate_guiding(phi, gamma0, s_span, n_steps: int, h: float = 1e-3,
-                      kappa_max: float = 1e8):
+def integrate_guiding(phi, gamma0, s_span, n_steps: int, h: float = 1e-3):
     """Integrate the guiding ODE; returns (states, violent_event_or_None)."""
     s0, s1 = s_span
     ds = (s1 - s0) / n_steps
     state = GuidingState(s0, as_four(gamma0).copy())
     states = [state]
     for _ in range(n_steps):
-        state = guiding_step(phi, state, h, ds, kappa_max)
+        state = guiding_step(phi, state, h, ds)
         states.append(state)
         if state.violent:
             return states, ViolentEvent(state.s, state.condition_number, state.gamma)
@@ -276,10 +278,10 @@ def integrate_guiding(phi, gamma0, s_span, n_steps: int, h: float = 1e-3,
 
 
 def constant_field_pair(F, u0, calibration: EpsilonCalibration, q: float = 1.0,
-                        C=1.0 + 0j, hbar: float = 1.0, x0=(0, 0, 0, 0),
-                        s_span=(-200.0, 200.0), step: float = 1e-2) -> EcdPair:
+                        C=1.0 + 0j, s_span=(-200.0, 200.0), step: float = 1e-2) -> EcdPair:
     """ECD pair whose propagator is the (exact) semiclassical constant-field form
-    and whose ansatz carries the classical action phase along the worldline."""
+    and whose ansatz carries the classical action phase along the worldline,
+    which passes the origin at s = 0 with velocity u0."""
     from .dynamics import FieldProvider, IntegratorConfig, integrate_worldline
 
     provider = constant_field_action_provider(F, q)
@@ -287,8 +289,8 @@ def constant_field_pair(F, u0, calibration: EpsilonCalibration, q: float = 1.0,
     span = max(abs(s_span[0]), abs(s_span[1]), 2 * calibration.s_max)
     fieldp = FieldProvider.constant(F)
     cfg = IntegratorConfig(step=step, tolerance=1e-6)
-    fwd = integrate_worldline((x0, u0), fieldp, q, (0.0, span), cfg)
-    bwd = integrate_worldline((x0, -np.asarray(u0, dtype=float)), fieldp, q,
+    fwd = integrate_worldline((np.zeros(4), u0), fieldp, q, (0.0, span), cfg)
+    bwd = integrate_worldline((np.zeros(4), -np.asarray(u0, dtype=float)), fieldp, q,
                               (0.0, span), cfg)
     s = np.concatenate([-bwd.s[::-1][:-1], fwd.s])
     gammas = np.concatenate([bwd.gammas[::-1][:-1], fwd.gammas])
@@ -307,17 +309,14 @@ def constant_field_pair(F, u0, calibration: EpsilonCalibration, q: float = 1.0,
 
     def G(x, xp, sigma):
         I = provider.action(x, xp, sigma)
-        return _pref(sigma, hbar) * _van_vleck_of_eigs(eigs, sigma) * np.exp(1j * I / hbar)
+        return _pref(sigma) * _van_vleck_of_eigs(eigs, sigma) * np.exp(1j * I)
 
-    return EcdPair(traj, BoundaryAnsatz.action_phase(action_along, C, hbar),
-                   G, calibration, hbar=hbar)
+    return EcdPair(traj, BoundaryAnsatz.action_phase(action_along, C), G, calibration)
 
 
-def classical_phase_gradient_check(pair: EcdPair, F, q: float,
-                                   s_samples, h: float = 1e-3,
-                                   tol: float = 1e-8,
-                                   with_recovery: bool = False):
-    """max_s |d_mu phi - i p_mu phi / hbar| / |phi| on the worldline.
+def classical_phase_gradient_check(pair: EcdPair, F, q: float, s_samples,
+                                   tol: float = 1e-8, with_recovery: bool = False):
+    """max_s |d_mu phi - i p_mu phi| / |phi| on the worldline.
 
     p_mu is the canonical momentum g gamma_dot + q A(gamma) of the classical
     worldline; the residual shrinks as the field varies more slowly on the
@@ -325,7 +324,7 @@ def classical_phase_gradient_check(pair: EcdPair, F, q: float,
 
     With with_recovery=True also returns the worst relative error of the
     velocity recovered from the measured phase gradient,
-    gamma_dot_rec = g (hbar Im[d phi / phi] - q A), against the integrated
+    gamma_dot_rec = g (Im[d phi / phi] - q A), against the integrated
     worldline velocity -- the phase gradient reconstructs the trajectory.
     """
     F_lower = METRIC @ np.asarray(F, dtype=float) @ METRIC
@@ -336,10 +335,10 @@ def classical_phase_gradient_check(pair: EcdPair, F, q: float,
         A_low = -0.5 * F_lower @ gamma
         p = METRIC @ gdot + q * A_low
         center = phi_eval(pair, gamma, float(s), tol=tol)
-        grad = fd_grad(lambda y: phi_eval(pair, y, float(s), tol=tol), gamma, h)
-        err = np.abs(grad - 1j * p * center / pair.hbar).max()
+        grad = fd_grad(lambda y: phi_eval(pair, y, float(s), tol=tol), gamma, _PHASE_FD_STEP)
+        err = np.abs(grad - 1j * p * center).max()
         worst = max(worst, err / abs(center))
-        p_measured = pair.hbar * np.imag(grad / center)
+        p_measured = np.imag(grad / center)
         gdot_rec = METRIC @ (p_measured - q * A_low)
         worst_rec = max(worst_rec, float(np.abs(gdot_rec - gdot).max()
                                          / np.abs(gdot).max()))
@@ -364,4 +363,4 @@ def scale_transform_pair(pair: EcdPair, lam: float) -> EcdPair:
     new_G = lambda x, xp, sig: lam ** -4 * old_G(np.asarray(x) / lam,
                                                  np.asarray(xp) / lam,
                                                  sig / lam ** 2)
-    return EcdPair(traj, new_ansatz, new_G, cal, hbar=pair.hbar)
+    return EcdPair(traj, new_ansatz, new_G, cal)

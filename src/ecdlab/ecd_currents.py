@@ -13,6 +13,8 @@ Fresnel-type integral that is evaluated to near machine precision and makes
 the remainder power-law fits possible (the raw remainder oscillates like
 cos(r^2 / eps) with an r^{-4} envelope; a radial average over a few sqrt(eps)
 is what decays like r^{-5}).
+
+Units are hbar = c = 1 (see propagators), so D^mu = d^mu - i q A^mu.
 """
 
 from __future__ import annotations
@@ -34,6 +36,10 @@ from .grids import (CurrentField, DepositKernel, EventGrid, TensorField,
                     grid_divergence, interior_max)
 
 _METRIC_DIAG = np.array([1.0, -1.0, -1.0, -1.0])
+_PANEL_NODES = 8        # Gauss-Legendre nodes per s-panel
+_MAX_PANELS = 4000      # panel count at which s_panels stops refining
+_SMEAR_POINTS = 81      # Simpson samples of radial_smear
+_PROFILE_POINTS = 14    # geometric radii of subtracted_profile_slope's fit
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +250,10 @@ class GaugeShiftedPhi(JetPhiField):
                        None if j.ds_grad is None else shifted(j.ds, j.ds_grad))
 
 
-def covariant_derivative(phi: PhiField, x, s, A: Optional[Callable],
-                         q: float, hbar: float = 1.0):
-    """D^mu phi = hbar d^mu phi - i q A^mu phi (upper index), vectorized."""
+def covariant_derivative(phi: PhiField, x, s, A: Optional[Callable], q: float):
+    """D^mu phi = d^mu phi - i q A^mu phi (upper index), vectorized."""
     jet = phi.jet(x, s)
-    re, im = _covariant_parts(jet.grad, jet.value, _potential(A, x, q), q, hbar)
+    re, im = _covariant_parts(jet.grad, jet.value, _potential(A, x, q), q)
     return np.moveaxis(re + 1j * im, 0, -1)
 
 
@@ -264,8 +269,7 @@ def _composite_gauss(edges, n: int):
     return (mid[:, None] + half[:, None] * gx).ravel(), (half[:, None] * gw).ravel()
 
 
-def s_panels(s_range, epsilon: float, nodes_per_panel: int = 8,
-             max_panels: int = 4000):
+def s_panels(s_range, epsilon: float):
     """Composite Gauss-Legendre nodes resolving the sinc oscillation in s.
 
     The free-wave phase varies like (s - t)^2 / (2 eps), so the panel width is
@@ -273,9 +277,9 @@ def s_panels(s_range, epsilon: float, nodes_per_panel: int = 8,
     """
     lo, hi = float(s_range[0]), float(s_range[1])
     rate = max(abs(lo), abs(hi)) / epsilon + 1.0
-    width = max((hi - lo) / max_panels, min(nodes_per_panel / rate, (hi - lo) / 8))
+    width = max((hi - lo) / _MAX_PANELS, min(_PANEL_NODES / rate, (hi - lo) / 8))
     n_panels = max(8, int(np.ceil((hi - lo) / width)))
-    return _composite_gauss(np.linspace(lo, hi, n_panels + 1), nodes_per_panel)
+    return _composite_gauss(np.linspace(lo, hi, n_panels + 1), _PANEL_NODES)
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +296,14 @@ def _potential(A: Optional[Callable], x, q: float):
     return np.moveaxis(np.asarray(A(x), dtype=float), -1, 0)
 
 
-def _covariant_parts(d_lower, f, A_c, q: float, hbar: float):
-    """Re and Im of hbar d^mu f - i q A^mu f, components first.
+def _covariant_parts(d_lower, f, A_c, q: float):
+    """Re and Im of d^mu f - i q A^mu f, components first.
 
     d_lower (..., 4) is the gradient of f; A_c is A^mu components first, or None.
     """
     d = np.moveaxis(d_lower, -1, 0)
-    hbar_g = hbar * _first(_METRIC_DIAG, d)
-    re, im = d.real * hbar_g, d.imag * hbar_g
+    g = _first(_METRIC_DIAG, d)
+    re, im = d.real * g, d.imag * g
     if A_c is not None:
         re += q * A_c * f.imag
         im -= q * A_c * f.real
@@ -307,7 +311,7 @@ def _covariant_parts(d_lower, f, A_c, q: float, hbar: float):
 
 
 def _jet_chunks(phi: PhiField, pts, s_nodes, s_weights, A: Optional[Callable],
-                q: float, hbar: float, order: int = 1):
+                q: float, order: int = 1):
     """(s, w, jet, D) per chunk of s-nodes on points (P, 4), in node order.
 
     D is (Re, Im) of D phi at order 1 and of d_s D phi at order 2.  Fixed
@@ -319,8 +323,8 @@ def _jet_chunks(phi: PhiField, pts, s_nodes, s_weights, A: Optional[Callable],
     for k in range(0, s_nodes.size, _S_CHUNK):
         s = s_nodes[k:k + _S_CHUNK]
         jet = phi.jet(pts, s, order)
-        D = (_covariant_parts(jet.grad, jet.value, A_c, q, hbar) if order == 1
-             else _covariant_parts(jet.ds_grad, jet.ds, A_c, q, hbar))
+        D = (_covariant_parts(jet.grad, jet.value, A_c, q) if order == 1
+             else _covariant_parts(jet.ds_grad, jet.ds, A_c, q))
         yield s, s_weights[k:k + _S_CHUNK], jet, D
 
 
@@ -337,49 +341,44 @@ def _on_grid(grid: EventGrid, values_c):
 
 
 def ecd_electric_current(phi: PhiField, A: Optional[Callable], grid: EventGrid,
-                         s_nodes, s_weights, q: float, hbar: float = 1.0,
-                         label: str = "ecd-j") -> CurrentField:
+                         s_nodes, s_weights, q: float) -> CurrentField:
     """j^mu(x) = int ds q Im[phi* D^mu phi] sampled on the grid."""
     pts = grid.points().reshape(-1, 4)
     values = np.zeros((4, pts.shape[0]))
     if q != 0.0:
-        for _, w, jet, D in _jet_chunks(phi, pts, s_nodes, s_weights, A, q, hbar):
+        for _, w, jet, D in _jet_chunks(phi, pts, s_nodes, s_weights, A, q):
             values += _conj_dot(q * w, jet.value, D, imag=True)
-    return CurrentField(grid, _on_grid(grid, values), label=label)
+    return CurrentField(grid, _on_grid(grid, values), label="ecd-j")
 
 
-def mass_current_b(pair_or_phi, A: Optional[Callable], grid: EventGrid,
-                   s_nodes, s_weights, q: float, hbar: float = 1.0,
+def mass_current_b(phi: PhiField, A: Optional[Callable], grid: EventGrid,
+                   s_nodes, s_weights, q: float,
                    trajectory: Optional[Trajectory] = None,
-                   calibration: Optional[EpsilonCalibration] = None,
-                   kernel: Optional[DepositKernel] = None,
-                   label: str = "ecd-b") -> CurrentField:
+                   calibration: Optional[EpsilonCalibration] = None) -> CurrentField:
     """b = bbar + bbreve: the bulk term Re[d_s phi* D^mu phi] integrated over s,
-    plus the worldline-supported (2/N)|phi|^2 gamma_dot deposit."""
-    phi = pair_or_phi
+    plus, given trajectory and calibration, the (2/N)|phi|^2 gamma_dot deposit."""
     pts = grid.points().reshape(-1, 4)
     values = np.zeros((4, pts.shape[0]))
-    for _, w, jet, D in _jet_chunks(phi, pts, s_nodes, s_weights, A, q, hbar):
+    for _, w, jet, D in _jet_chunks(phi, pts, s_nodes, s_weights, A, q):
         values += _conj_dot(w, jet.ds, D, imag=False)
     values = _on_grid(grid, values)
     if trajectory is not None and calibration is not None:
         values = values + deposit_line_current(
-            trajectory, grid, kernel or DepositKernel("trilinear"),
+            trajectory, grid, DepositKernel("trilinear"),
             lambda s, gamma, gdot: (2.0 / calibration.N) * float(phi.abs2(gamma, s))).values
-    return CurrentField(grid, values, label=label)
+    return CurrentField(grid, values, label="ecd-b")
 
 
-def _lagrangian(jet: WaveJet, D, hbar: float):
+def _lagrangian(jet: WaveJet, D):
     """L_m of a jet whose D phi has the components-first parts D = (re, im)."""
     re, im = D
     kinetic = 0.5 * np.sum((re * re + im * im) * _first(_METRIC_DIAG, re), axis=0)
     v, dv = jet.value, jet.ds
-    return -hbar * (v.real * dv.imag - v.imag * dv.real) - kinetic
+    return -(v.real * dv.imag - v.imag * dv.real) - kinetic
 
 
 def ecd_energy_momentum(phis: Sequence[PhiField], A: Optional[Callable],
-                        grid: EventGrid, s_nodes, s_weights, qs,
-                        hbar: float = 1.0) -> TensorField:
+                        grid: EventGrid, s_nodes, s_weights, qs) -> TensorField:
     """p^{nu mu} = sum_k m_k^{nu mu}, the waves' part (no field stress Theta), symmetric.
 
     m^{nu mu} = int ds [g^{nu mu} L_m + Re(D^nu phi (D^mu phi)*)], where the
@@ -389,8 +388,8 @@ def ecd_energy_momentum(phis: Sequence[PhiField], A: Optional[Callable],
     bilinear = np.zeros((4, 4, pts.shape[0]))
     lagrangian = np.zeros(pts.shape[0])
     for phi, q in zip(phis, qs):
-        for _, w, jet, D in _jet_chunks(phi, pts, s_nodes, s_weights, A, q, hbar):
-            lagrangian += np.einsum("n,np->p", w, _lagrangian(jet, D, hbar))
+        for _, w, jet, D in _jet_chunks(phi, pts, s_nodes, s_weights, A, q):
+            lagrangian += np.einsum("n,np->p", w, _lagrangian(jet, D))
             for part in D:
                 bilinear += np.einsum("inp,jnp->ijp", w[:, None] * part, part)
     # the sign of the bilinear relative to g L is fixed by requiring
@@ -403,18 +402,15 @@ def ecd_energy_momentum(phis: Sequence[PhiField], A: Optional[Callable],
 
 
 def ecd_dilatation_current(p: TensorField, phis: Sequence[PhiField],
-                           A: Optional[Callable], s_nodes, s_weights, qs,
-                           trajectories=(), calibrations=(),
-                           kernel: Optional[DepositKernel] = None,
-                           hbar: float = 1.0) -> CurrentField:
-    """xi^mu = p^{mu nu} x_nu + sum_k 2 int ds s (Bbar2^mu + Bbreve2^mu).
+                           A: Optional[Callable], s_nodes, s_weights, qs) -> CurrentField:
+    """xi^mu = p^{mu nu} x_nu + sum_k 2 int ds s Bbar2^mu, the waves' part
+    (no worldline deposit Bbreve2).
 
     Bbar2^mu = -Re[phi* d_s D^mu phi] is the s-weighted piece in the form
     that makes xi divergence-free pointwise for exact solutions; it absorbs
     the d^mu |phi|^2 improvement term coming from the scaling weight of phi
     (the two bulk forms differ by a total s-derivative, so only this one may
-    sit under the s-weight).  Bbreve2 is the matching worldline deposit
-    -(2/N) |phi|^2 delta^4(x - gamma) gamma_dot.
+    sit under the s-weight).
     """
     from .em_sources import geometric_dilatation_term
 
@@ -422,16 +418,9 @@ def ecd_dilatation_current(p: TensorField, phis: Sequence[PhiField],
     pts = grid.points().reshape(-1, 4)
     bulk = np.zeros((4, pts.shape[0]))
     for phi, q in zip(phis, qs):
-        for s, w, jet, D in _jet_chunks(phi, pts, s_nodes, s_weights, A, q, hbar, 2):
+        for s, w, jet, D in _jet_chunks(phi, pts, s_nodes, s_weights, A, q, 2):
             bulk -= _conj_dot(2.0 * w * s, jet.value, D, imag=False)
     xi = geometric_dilatation_term(p).values + _on_grid(grid, bulk)
-    kernel = kernel or DepositKernel("trilinear")
-    for phi, traj, cal in zip(phis, trajectories, calibrations):
-        def weight(s, gamma, gdot, _phi=phi, _cal=cal):
-            return -2.0 * s * (2.0 / _cal.N) * float(_phi.abs2(gamma, s))
-
-        line = deposit_line_current(traj, grid, kernel, weight, label="xi-breve")
-        xi += line.values
     return CurrentField(grid, xi, label="ecd-xi")
 
 
@@ -521,9 +510,9 @@ def free_charge_j0(r, u, C, cal: EpsilonCalibration, q: float = 1.0,
     raise ValueError(f"unknown method {method!r}")
 
 
-def charge_tail(r, C, cal: EpsilonCalibration, q: float = 1.0, u0_sign: float = 1.0):
-    """The light-cone (divergent) part of j^0: 2 pi q |C|^2 eps / r."""
-    return 2.0 * np.pi * q * abs(C) ** 2 * cal.epsilon * u0_sign / np.asarray(r, dtype=float)
+def charge_tail(r, C, cal: EpsilonCalibration, q: float = 1.0):
+    """The light-cone (divergent) part of j^0 at rest (u^0 > 0): 2 pi q |C|^2 eps / r."""
+    return divergent_coefficient(C, cal, q) / np.asarray(r, dtype=float)
 
 
 def divergent_coefficient(C, cal: EpsilonCalibration, q: float = 1.0) -> float:
@@ -549,16 +538,16 @@ def free_mass_b0(r, C, cal: EpsilonCalibration):
                                           + mass_profile_shape(x) / eps)
 
 
-def mass_truncation_tail(C, s_range, t: float = 0.0) -> float:
-    """Large-|s| part of bbar^0 lost to truncating the s-quadrature.
+def mass_truncation_tail(C, s_range) -> float:
+    """Large-|s| part of bbar^0 at t = 0 lost to truncating the s-quadrature.
 
-    The free-wave integrand behaves like -4 |C|^2 cos^2(a) / (t - s)^2 for
-    large |s|; its oscillation average integrates to
-    -2 |C|^2 [1/(s_hi - t) + 1/(t - s_lo)] beyond the window.  Adding this to
-    a truncated bulk integral recovers the full profile to O(1/S^2).
+    The free-wave integrand behaves like -4 |C|^2 cos^2(a) / s^2 for large
+    |s|; its oscillation average integrates to -2 |C|^2 [1/s_hi - 1/s_lo]
+    beyond the window.  Adding this to a truncated bulk integral recovers the
+    full profile to O(1/S^2).
     """
     lo, hi = float(s_range[0]), float(s_range[1])
-    return -2.0 * abs(C) ** 2 * (1.0 / (hi - t) + 1.0 / (t - lo))
+    return -2.0 * abs(C) ** 2 * (1.0 / hi - 1.0 / lo)
 
 
 def mass_tail(r, C, cal: EpsilonCalibration):
@@ -568,9 +557,9 @@ def mass_tail(r, C, cal: EpsilonCalibration):
     return -abs(C) ** 2 * (np.pi * eps / r + 2.0 * np.pi * r / (3.0 * eps))
 
 
-def radial_smear(fn, r0, width, n: int = 81):
+def radial_smear(fn, r0, width):
     """Average fn over [r0 - width/2, r0 + width/2] (Simpson)."""
-    rs = np.linspace(r0 - width / 2.0, r0 + width / 2.0, n)
+    rs = np.linspace(r0 - width / 2.0, r0 + width / 2.0, _SMEAR_POINTS)
     return float(simpson(np.asarray(fn(rs), dtype=float).ravel(), x=rs)) / width
 
 
@@ -585,8 +574,7 @@ def fit_loglog_slope(r, values):
 
 
 def subtracted_profile_slope(kind: str, C, cal: EpsilonCalibration, q: float = 1.0,
-                             x_window=(5.0, 60.0), n_points: int = 14,
-                             smear_width_x: float = 2.0):
+                             x_window=(5.0, 60.0), smear_width_x: float = 2.0):
     """Log-log slope of the radially smeared post-subtraction remainder.
 
     kind 'charge' subtracts the 2 pi eps / r tail from j^0; kind 'mass'
@@ -597,7 +585,7 @@ def subtracted_profile_slope(kind: str, C, cal: EpsilonCalibration, q: float = 1
     """
     eps = cal.epsilon
     sq = np.sqrt(eps)
-    xs = np.geomspace(x_window[0], x_window[1], n_points)
+    xs = np.geomspace(x_window[0], x_window[1], _PROFILE_POINTS)
 
     if kind == "charge":
         def remainder(r):
@@ -720,8 +708,7 @@ def continuity_residual(j: CurrentField, metadata: Optional[dict] = None) -> Aud
 
 
 def unitarity_lemma_residual(f: Callable, g: Callable, A: Optional[Callable],
-                             x, s: float, h: float, q: float = 0.0,
-                             hbar: float = 1.0) -> float:
+                             x, s: float, h: float, q: float = 0.0) -> float:
     """|d_s(f g*) - d_mu[(i/2)(D^mu f g* - (D^mu g)* f)]| at (x, s).
 
     f and g are scalar callables (x, s) -> complex solving the proper-time
@@ -731,7 +718,7 @@ def unitarity_lemma_residual(f: Callable, g: Callable, A: Optional[Callable],
 
     def D_up(fun, y, sv):
         A_up = np.zeros(4) if A is None else np.asarray(A(y), dtype=complex)
-        return (hbar * _METRIC_DIAG * fd_grad(lambda z: fun(z, sv), y, h)
+        return (_METRIC_DIAG * fd_grad(lambda z: fun(z, sv), y, h)
                 - 1j * q * A_up * fun(y, sv))
 
     def current(y):
@@ -744,20 +731,9 @@ def unitarity_lemma_residual(f: Callable, g: Callable, A: Optional[Callable],
 
 
 def s_continuity_residual(phi: Callable, A: Optional[Callable], x, s: float,
-                          h: float, q: float = 1.0, hbar: float = 1.0) -> float:
-    """|d_s rho + d_mu J^mu| with rho = q phi phi*, J = q Im phi* D phi."""
-    x = as_four(x)
+                          h: float, q: float = 1.0) -> float:
+    """|d_s rho + d_mu J^mu| with rho = q phi phi*, J = q Im phi* D phi.
 
-    def J(y):
-        center = phi(y, s)
-        A_up = np.zeros(4) if A is None else np.asarray(A(y), dtype=float)
-        D = (hbar * _METRIC_DIAG * fd_grad(lambda z: phi(z, s), y, h)
-             - 1j * q * A_up * center)
-        return q * np.imag(np.conj(center) * D)
-
-    def rho(sv):
-        v = phi(x, sv)
-        return q * (v * np.conj(v)).real
-
-    lhs = (rho(s + h) - rho(s - h)) / (2 * h)
-    return float(abs(lhs + np.trace(fd_grad(J, x, h))))
+    This is q times the unitarity lemma with f = g = phi.
+    """
+    return abs(q) * unitarity_lemma_residual(phi, phi, A, x, s, h, q)

@@ -208,27 +208,26 @@ def geometric_dilatation_term(p: TensorField) -> CurrentField:
     return CurrentField(p.grid, vals, label="xi-geometric")
 
 
-def dilatation_current(p: TensorField, trajs, kernel: DepositKernel = None) -> CurrentField:
+def dilatation_current(p: TensorField, trajs) -> CurrentField:
     """xi^nu = p^{nu mu} x_mu - sum_k int ds delta^4 s gamma_dot^2 gamma_dot^nu."""
-    kernel = kernel or DepositKernel("trilinear")
     xi = geometric_dilatation_term(p)
     for traj in trajs:
         line = deposit_line_current(
-            traj, p.grid, kernel,
+            traj, p.grid, DepositKernel("trilinear"),
             lambda s, g, gd: s * minkowski_dot(gd, gd), label="xi-line")
         xi = CurrentField(p.grid, xi.values - line.values, label="xi")
     return xi
 
 
-def classical_dilatation_charge(trajs, time: float, em_charge: float = 0.0) -> float:
-    """D = int d^3x xi^0 evaluated by the slice-crossing composition.
+def classical_dilatation_charge(trajs, time: float) -> float:
+    """D = int d^3x xi^0 of free particles by the slice-crossing composition.
 
     For each worldline the matter part of p^{0 mu} x_mu integrates to
     gamma_dot . gamma(s*) sign(gamma_dot^0) and the line term to
-    s* gamma_dot^2 sign(gamma_dot^0), with s* the slice crossing.  Any EM
-    contribution (zero for free particles) is passed in pre-integrated.
+    s* gamma_dot^2 sign(gamma_dot^0), with s* the slice crossing; the EM
+    contribution of free particles is zero.
     """
-    D = em_charge
+    D = 0.0
     for traj in trajs:
         s_star, gamma, gdot = _crossing_state(traj, time)
         sgn = np.sign(gdot[0])
@@ -247,7 +246,7 @@ def shift_s_origin(traj: Trajectory, b: float) -> Trajectory:
     return Trajectory(traj.s - b, traj.gammas, traj.gamma_dots, q=traj.q)
 
 
-def dilatation_shift_check(trajs, a, b, time: float, em_charge: float = 0.0) -> float:
+def dilatation_shift_check(trajs, a, b, time: float) -> float:
     """Relative residual of D -> D + P.a + sum_k m_k^2 b_k under origin shifts.
 
     P.a is the Euclidean dot product of the total spatial momentum with the
@@ -257,7 +256,7 @@ def dilatation_shift_check(trajs, a, b, time: float, em_charge: float = 0.0) -> 
     b = np.atleast_1d(np.asarray(b, dtype=float))
     if b.size != len(trajs):
         raise ValueError("need one s-shift per trajectory")
-    D = classical_dilatation_charge(trajs, time, em_charge)
+    D = classical_dilatation_charge(trajs, time)
     P_spatial = np.zeros(3)
     m2_terms = 0.0
     for traj, bk in zip(trajs, b):
@@ -266,6 +265,6 @@ def dilatation_shift_check(trajs, a, b, time: float, em_charge: float = 0.0) -> 
         m2_terms += minkowski_dot(gdot, gdot) * bk * np.sign(gdot[0])
     predicted = D + float(P_spatial @ np.asarray(a, dtype=float)) + m2_terms
     shifted = [shift_s_origin(shift_origin(t, a), bk) for t, bk in zip(trajs, b)]
-    recomputed = classical_dilatation_charge(shifted, time, em_charge)
+    recomputed = classical_dilatation_charge(shifted, time)
     scale = max(abs(D), abs(predicted), 1.0)
     return abs(recomputed - predicted) / scale

@@ -240,8 +240,7 @@ def _crossing_state(traj, t: float):
         raise DepositError(f"worldline does not cross the slice t={t:g}")
     order = np.argsort(g0)
     s_star = float(np.interp(t, g0[order], traj.s[order]))
-    gamma = np.array([np.interp(s_star, traj.s, traj.gammas[:, mu]) for mu in range(4)])
-    gamma_dot = np.array([np.interp(s_star, traj.s, traj.gamma_dots[:, mu]) for mu in range(4)])
+    gamma, gamma_dot = traj.state_at(s_star)
     gamma[0] = t   # exact by construction of s_star
     return s_star, gamma, gamma_dot
 

@@ -2,7 +2,9 @@
 
 Conventions used throughout the package:
 
-* metric signature (+, -, -, -), index 0 is time, units with c = 1;
+* metric signature (+, -, -, -), index 0 is time, units with hbar = c = 1
+  (hbar only sets the unit of the proper time s and of q / hbar, see
+  propagators, so a classical limit weakens the field instead);
 * all four-component objects are plain float arrays of shape (4,);
 * field-strength tensors F are stored with both indices up, F[mu, nu] = F^{mu nu}.
 """

@@ -2,14 +2,19 @@
 
 The propagators solve the proper-time Schrodinger equation
 
-    i hbar d_s G = H G,   H = 1/2 (-i hbar d - q A)^2  (Minkowski square),
+    i d_s G = H G,   H = 1/2 (-i d - q A)^2  (Minkowski square),
 
 and the semiclassical form is assembled from classical boundary-value paths:
 
-    G_sc(x, x'; s) = i sign(s) / (2 pi hbar)^2 * sum_beta F_beta e^{i I_beta / hbar},
+    G_sc(x, x'; s) = i sign(s) / (2 pi)^2 * sum_beta F_beta e^{i I_beta},
 
 with F the Van Vleck prefactor |det(-d_x d_x' I)|^{1/2}.  For quadratic
 Lagrangians (free motion, constant field) the semiclassical form is exact.
+
+Units are hbar = c = 1.  hbar only sets the unit of s and of q / hbar: with
+s' = hbar s the equation i hbar d_s phi = 1/2 (-i hbar d - q A)^2 phi becomes
+i d_s' phi = 1/2 (-i d - (q / hbar) A)^2 phi, and the classical limit is
+reached by scaling the field strength instead.
 """
 
 from __future__ import annotations
@@ -25,21 +30,29 @@ from .dynamics import FieldProvider
 from .grids import fd_grad, fd_hessian
 
 
+_GRAD_STEP = 1e-5          # central-difference step of ActionProvider.gradient
+_HESSIAN_STEP = 1e-3       # coarse step of the Richardson mixed Hessian
+_HJ_S_STEP = 1e-4          # s-step of the Hamilton-Jacobi d_s I
+_BVP_STEPS = 400           # RK4 steps along a shooting path
+_BVP_MAX_ITER = 40         # Newton iterations before the shooting gives up
+_BVP_TOL = 1e-10           # endpoint miss that ends the Newton iteration
+
+
 class NoPathError(RuntimeError):
     """Boundary-value solver failed to produce a classical path."""
 
 
-def _pref(s: float, hbar: float) -> complex:
-    return 1j * np.sign(s) / (2.0 * np.pi * hbar) ** 2
+def _pref(s: float) -> complex:
+    return 1j * np.sign(s) / (2.0 * np.pi) ** 2
 
 
-def free_propagator(x, xp, s: float, hbar: float = 1.0) -> complex:
-    """G_f = i sign(s) e^{i (x-x')^2 / (2 hbar s)} / ((2 pi hbar)^2 s^2)."""
+def free_propagator(x, xp, s: float) -> complex:
+    """G_f = i sign(s) e^{i (x-x')^2 / (2 s)} / ((2 pi)^2 s^2)."""
     if s == 0:
         raise ZeroDivisionError("free propagator is singular at s = 0")
     d = as_four(x) - as_four(xp)
-    phase = minkowski_dot(d, d) / (2.0 * hbar * s)
-    return _pref(s, hbar) * np.exp(1j * phase) / s ** 2
+    phase = minkowski_dot(d, d) / (2.0 * s)
+    return _pref(s) * np.exp(1j * phase) / s ** 2
 
 
 def gauge_transform_propagator(G: complex, alpha: Callable, x, xp,
@@ -71,12 +84,12 @@ class ActionProvider:
     grad_x: Callable = None
     mixed_hessian: Callable = None
 
-    def gradient(self, x, xp, s, h=1e-5) -> np.ndarray:
+    def gradient(self, x, xp, s) -> np.ndarray:
         if self.grad_x is not None:
             return np.asarray(self.grad_x(x, xp, s), dtype=float)
-        return fd_grad(lambda y: self.action(y, xp, s), as_four(x), h)
+        return fd_grad(lambda y: self.action(y, xp, s), as_four(x), _GRAD_STEP)
 
-    def hessian_x_xp(self, x, xp, s, h=1e-3) -> np.ndarray:
+    def hessian_x_xp(self, x, xp, s) -> np.ndarray:
         """Mixed second derivative d^2 I / dx^mu dx'^nu (both indices down)."""
         if self.mixed_hessian is not None:
             return np.asarray(self.mixed_hessian(x, xp, s), dtype=float)
@@ -85,7 +98,7 @@ class ActionProvider:
         def mixed(step):
             return fd_hessian(lambda w: self.action(w[:4], w[4:], s), z, step)[:4, 4:]
 
-        coarse, fine = mixed(h), mixed(h / 2)
+        coarse, fine = mixed(_HESSIAN_STEP), mixed(_HESSIAN_STEP / 2)
         return (4.0 * fine - coarse) / 3.0     # Richardson: kills the O(h^2) term
 
 
@@ -148,16 +161,15 @@ def _van_vleck_of_eigs(eigs, s: float) -> float:
     return float(np.abs(np.prod(_g(y))) ** 0.25 / s ** 2)
 
 
-def semiclassical_propagator(paths: Sequence[ClassicalPath], s: float,
-                             hbar: float = 1.0) -> complex:
+def semiclassical_propagator(paths: Sequence[ClassicalPath], s: float) -> complex:
     """Sum the Van Vleck-weighted phases of the supplied classical paths."""
     if len(paths) == 0:
         raise ValueError("semiclassical propagator needs at least one path")
-    total = sum(p.van_vleck * np.exp(1j * p.action / hbar) for p in paths)
-    return _pref(s, hbar) * total
+    total = sum(p.van_vleck * np.exp(1j * p.action) for p in paths)
+    return _pref(s) * total
 
 
-def delta_potential_propagator(x, xp, s: float, hbar: float = 1.0) -> complex:
+def delta_potential_propagator(x, xp, s: float) -> complex:
     """Free propagator plus the elastic bounce off a scatterer at the origin.
 
     The second term's phase is the action of the indirect path x' -> origin -> x;
@@ -171,9 +183,9 @@ def delta_potential_propagator(x, xp, s: float, hbar: float = 1.0) -> complex:
     rp = float(np.linalg.norm(xp[1:]))
     if r == 0.0 or rp == 0.0:
         raise ZeroDivisionError("bounce term singular at the spatial origin")
-    phase = ((x[0] - xp[0]) ** 2 - (r + rp) ** 2) / (2.0 * hbar * s)
-    bounce = np.sign(s) * np.exp(1j * phase) / ((2 * np.pi * hbar) ** 2 * r * rp * s)
-    return free_propagator(x, xp, s, hbar) + bounce
+    phase = ((x[0] - xp[0]) ** 2 - (r + rp) ** 2) / (2.0 * s)
+    bounce = np.sign(s) * np.exp(1j * phase) / ((2 * np.pi) ** 2 * r * rp * s)
+    return free_propagator(x, xp, s) + bounce
 
 
 def constant_field_action_provider(F, q: float = 1.0) -> ActionProvider:
@@ -224,13 +236,14 @@ def constant_field_action_provider(F, q: float = 1.0) -> ActionProvider:
 
 
 def hamilton_jacobi_residual(action: ActionProvider, A: Callable, x, xp, s: float,
-                             q: float = 1.0, hs: float = 1e-4) -> float:
+                             q: float = 1.0) -> float:
     """|d_s I + 1/2 (dI - qA)^2| at (x, x'; s) -- the Hamilton-Jacobi check.
 
     A is the contravariant potential x -> A^mu(x); it is lowered internally to
     match the lower-index endpoint momentum p_mu = dI/dx^mu.
     """
     x = as_four(x)
+    hs = _HJ_S_STEP
     dIds = (action.action(x, xp, s + hs) - action.action(x, xp, s - hs)) / (2 * hs)
     p = action.gradient(x, xp, s)
     kin = p - q * (METRIC @ np.asarray(A(x), dtype=float))
@@ -238,30 +251,27 @@ def hamilton_jacobi_residual(action: ActionProvider, A: Callable, x, xp, s: floa
     return float(abs(dIds + 0.5 * float(kin @ kin_up)))
 
 
-def classical_path_bvp(fieldp: FieldProvider, xp, x, s: float, q: float,
-                       initial_guess=None, n_steps: int = 400,
-                       max_iter: int = 40, tol: float = 1e-10) -> ClassicalPath:
+def classical_path_bvp(fieldp: FieldProvider, xp, x, s: float, q: float) -> ClassicalPath:
     """Single-shooting solution of the worldline boundary-value problem.
 
-    Newton iteration on the initial velocity with a finite-difference Jacobian;
-    the free straight-line velocity is the default initial guess.  The action
-    is accumulated along the converged path with Simpson weights.
+    Newton iteration on the initial velocity with a finite-difference Jacobian,
+    from the free straight-line velocity.  The action is accumulated along the
+    converged path with Simpson weights.
     """
     from .dynamics import IntegratorConfig, integrate_worldline
 
     x = as_four(x)
     xp = as_four(xp)
-    v = (np.asarray(initial_guess, dtype=float) if initial_guess is not None
-         else (x - xp) / s)
-    cfg = IntegratorConfig(step=s / n_steps, tolerance=np.inf)
+    v = (x - xp) / s
+    cfg = IntegratorConfig(step=s / _BVP_STEPS, tolerance=np.inf)
 
     def endpoint(v0):
         traj = integrate_worldline((xp, v0), fieldp, q, (0.0, s), cfg)
         return traj, traj.gammas[-1] - x
 
     traj, miss = endpoint(v)
-    for _ in range(max_iter):
-        if np.abs(miss).max() < tol:
+    for _ in range(_BVP_MAX_ITER):
+        if np.abs(miss).max() < _BVP_TOL:
             break
         J = np.empty((4, 4))
         dh = 1e-6 * max(1.0, np.abs(v).max())

@@ -29,8 +29,7 @@ from .ecd_core import (EcdPair, QuadratureBudgetError, calibrate,
                        classical_phase_gradient_check, consistency_residual,
                        constant_field_pair, integrate_guiding)
 from .ecd_currents import (charge_tail, divergent_coefficient,
-                           fit_loglog_slope, free_charge_j0, radial_smear,
-                           subtracted_profile_slope)
+                           fit_loglog_slope, free_charge_j0, radial_smear)
 from .propagators import NoPathError
 
 SCHEMA_VERSION = "1"
@@ -318,14 +317,13 @@ def _semantic_diagnostics(kind, p) -> list:
         if s_max <= eps:
             return [f"parameters.s_max: {s_max:g} must exceed the largest "
                     f"epsilon {eps:g}"]
+        return _calibration_diagnostics(p, ("epsilons",), s_max=s_max)
     if kind == "classical-limit-sweep":
-        eps = p.get("epsilon", _SWEEP_EPSILON)
-        if eps >= _SWEEP_S_MAX:
-            return [f"parameters.epsilon: {eps:g} must be below the sweep's "
-                    f"s'-window {_SWEEP_S_MAX:g}"]
+        return _calibration_diagnostics(p, ("epsilon",), s_max=_SWEEP_S_MAX)
     if kind == "current-regularization":
         diags = [f"parameters.{name}: must be nonzero, or the profile vanishes "
                  f"and has no power law" for name in ("c0", "charge") if p[name] == 0]
+        diags += _calibration_diagnostics(p, ("epsilon", "epsilons_collapse"))
         low = min(p.get("tail_window_x", _TAIL_WINDOW_X))
         width = p.get("smear_width_x", _SMEAR_WIDTH_X)
         if low <= width / 2:
@@ -344,6 +342,19 @@ def _semantic_diagnostics(kind, p) -> list:
             _traj_from(wl)
         except ValueError as exc:
             diags.append(f"parameters.{path}.s_span: {exc}")
+    return diags
+
+
+def _calibration_diagnostics(p, names, **calibration) -> list:
+    """Each epsilon under names must build the calibration that its runner
+    builds: below the s'-window s_max and with a finite N."""
+    diags = []
+    for name in names:
+        for eps in np.atleast_1d(p.get(name, [])):
+            try:
+                calibrate(float(eps), **calibration)
+            except ValueError as exc:
+                diags.append(f"parameters.{name}: {exc}")
     return diags
 
 
@@ -613,15 +624,14 @@ def _run_current_regularization(p, out: Path):
     _write_csv(out / "profile.csv", ["r", "j0", "tail", "remainder",
                                      "smeared_remainder"], rows)
     tail_slope, _ = fit_loglog_slope(rs, j0)
-    sub_slope, window = subtracted_profile_slope("charge", C, cal, q,
-                                                 x_window=xw, smear_width_x=smear_x)
+    sub_slope, _ = fit_loglog_slope(rs, smeared)
     residuals = {"tail_slope": float(tail_slope),
                  "subtracted_slope": float(sub_slope),
-                 "fit_window_r": [float(window[0]), float(window[1])],
+                 "fit_window_r": [float(rs[0]), float(rs[-1])],
                  "divergent_coefficient": divergent_coefficient(C, cal, q)}
     collapse = p.get("epsilons_collapse")
     if collapse:
-        base = free_charge_j0(rs, (1, 0, 0, 0), C, cal, q) / (q * abs(C) ** 2 * sq)
+        base = j0 / (q * abs(C) ** 2 * sq)
         worst = 0.0
         for e2 in collapse:
             cal2 = calibrate(e2)

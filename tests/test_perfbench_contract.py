@@ -1,30 +1,56 @@
-"""The benchmark's tracer wraps ecdlab names from outside; each must exist.
+"""The benchmark's tracer and workloads reach into ecdlab from outside; each
+name and keyword they use must exist.
 
 perfbench/tracing.py resolves every (module, attribute) pair in SPANS and
 COUNTERS, and the pair constructors it wraps, when a Tracer is entered. A
 missing name raises there, so deleting a function the benchmark times fails
-this test instead of the benchmark run.
+this test instead of the benchmark run. perfbench/workloads.py calls the
+library with keywords of its own; running each declared workload's seed-0
+solve and audit under the tracer fails here when one of them goes away.
 """
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
+
+import pytest
 
 import ecdlab.scenarios  # noqa: F401  (imports every ecdlab module the tracer wraps)
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+WORKLOAD_NAMES = [w["name"] for w in
+                  json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("_perfbench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_resolves_every_wrapped_name():
-    tracing = _load_tracing()
+    tracing = _load("tracing")
     tracer = tracing.Tracer()
     try:                        # exit even after a partial enter: it undoes each wrap
         tracer.__enter__()
     finally:
         tracer.__exit__(None, None, None)
+
+
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_seed_zero_workload_solves_and_audits_under_the_tracer(name, tmp_path):
+    tracing, workloads = _load("tracing"), _load("workloads")
+    workload = workloads.WORKLOADS[name]
+    inputs = workload.make(0)
+    paths = workloads.prepare(inputs, tmp_path)
+    with tracing.Tracer():
+        outputs = workload.solve(inputs, paths, tmp_path / "out")
+    audit = workload.audit(inputs, outputs)
+    assert audit.problems == []
+    assert audit.figures
+    for figure, value, target in audit.figures:
+        assert target is None or value <= target, (figure, value, target)

@@ -215,6 +215,32 @@ def test_free_ecd_non_finite_wave_is_numeric_failure(tmp_path, capsys):
     assert "s'-quadrature error nan" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, name, value", [
+    ("free-ecd", "epsilons", [5e-324]), ("classical-limit-sweep", "epsilon", 5e-324),
+    ("current-regularization", "epsilon", 5e-324),
+    ("current-regularization", "epsilons_collapse", [5e-324]),
+    ("current-regularization", "epsilon", 60.0)])
+def test_epsilon_without_calibration_is_rejected(kind, name, value, tmp_path, capsys):
+    """N = -1/(2 pi^2 eps) overflows for the smallest double: free-ecd wrote
+    N = -inf and exit 0.  current-regularization calibrates with s_max 50, so
+    a larger epsilon raised a ValueError (exit 1)."""
+    params = {"free-ecd": {"epsilons": [0.1], "c0": 0.0, "u": [0, 0, 0, 0],
+                           "tolerance_factor": 1.0},
+              "classical-limit-sweep": {"electric": [0.1, 0.0, 0.0],
+                                        "factors": [1.0, 0.5], "ratio_bound": 1.0},
+              "current-regularization": {"epsilon": 1e-3, "c0": 1e-3, "charge": 1.0}}[kind]
+    doc = {"schema_version": "1", "kind": kind, "parameters": params}
+    assert validate_config(doc) == []
+    params[name] = value
+    assert [d.split(":")[0] for d in validate_config(doc)] == [f"parameters.{name}"]
+    cfg = write(tmp_path, doc)
+    assert main(["validate", cfg]) == EXIT_VALIDATION
+    assert f"parameters.{name}" in capsys.readouterr().err
+    assert main(["run", cfg, "--out", str(tmp_path / "o"),
+                 "--workers", "1"]) == EXIT_VALIDATION
+    assert f"parameters.{name}" in capsys.readouterr().err
+
+
 def test_classical_limit_sweep_epsilon_must_fit_window(tmp_path, capsys):
     doc = {"schema_version": "1", "kind": "classical-limit-sweep",
            "parameters": {"electric": [0.1, 0.0, 0.0], "factors": [1.0, 0.5],
@@ -380,6 +406,27 @@ def test_guiding_run_bytes_are_pinned(tmp_path, capsys):
     data = (tmp_path / "o" / "guiding.csv").read_bytes()
     assert (hashlib.sha256(data).hexdigest(), len(data)) == (
         "bc91a20b6c02c0a401b66ec45ec8983bbd696acc05c92c6e82a0ede115582854", 1259)
+
+
+@pytest.mark.parametrize("kind, parameters, name, digest", [
+    ("free-ecd", {"epsilons": [0.1, 0.03], "tolerance_factor": 0.05}, "consistency.csv",
+     ("95825fd967a34d7234401087c1ef523e7de8fc5b45fbc85aac8ba4de8da2be7c", 137)),
+    ("current-regularization", {"epsilon": 1e-3, "c0": 1e-3, "charge": 1.0}, "profile.csv",
+     ("1815a3a4677627aa999ade1d6994d4acc46d127853a159746bf5be51354eb71f", 1541)),
+    ("classical-limit-sweep", {"electric": [0.1, 0.0, 0.0], "factors": [1.0, 0.5],
+                               "ratio_bound": 1.0}, "sweep.csv",
+     ("a7fd47fe62f91a5fc7e4fef7f1d67aaba8a0cfba8590efc3df4f046f7509e25c", 154)),
+], ids=["free-ecd", "current-regularization", "classical-limit-sweep"])
+def test_scenario_bytes_are_pinned(kind, parameters, name, digest, tmp_path, capsys):
+    """Digests taken while hbar was still a parameter of the propagators,
+    currents and pairs, and before current-regularization stopped smearing
+    its remainder twice."""
+    doc = {"schema_version": "1", "kind": kind, "parameters": parameters}
+    cfg = write(tmp_path, doc)
+    assert main(["run", cfg, "--out", str(tmp_path / "o"), "--workers", "1"]) == EXIT_OK
+    capsys.readouterr()
+    data = (tmp_path / "o" / name).read_bytes()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == digest
 
 
 def test_guiding_run_singular_later_stage_is_a_violent_event(tmp_path, capsys):
