@@ -445,6 +445,10 @@ def _profile_master(xs, cw):
     integral (Fresnel phase e^{i pi/4} sqrt(2 pi / k)), substitute k = v^2.
     Re(e^{i alpha} c) = cos(alpha) Re c - sin(alpha) Im c is summed in real
     arithmetic on one buffer of phases alpha; a zero weight skips its trig.
+    Each weighted row is summed by numpy's pairwise sum: a BLAS
+    matrix-vector product sums in an order that follows the BLAS thread
+    count (and so do the last bits of profile.csv), and einsum's running sum
+    loses about 2e-14 over the 60000 nodes.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     alpha = np.multiply.outer(xs ** 2, -0.5 * _K2)
@@ -452,9 +456,13 @@ def _profile_master(xs, cw):
     cw = cw * _V_WEIGHTS
     out = np.zeros(xs.shape)
     if np.any(cw.imag):
-        out -= np.sin(alpha, out=None if np.any(cw.real) else alpha) @ cw.imag
+        terms = np.sin(alpha, out=None if np.any(cw.real) else alpha)
+        terms *= cw.imag
+        out -= terms.sum(axis=-1)
     if np.any(cw.real):
-        out += np.cos(alpha, out=alpha) @ cw.real
+        terms = np.cos(alpha, out=alpha)
+        terms *= cw.real
+        out += terms.sum(axis=-1)
     return _PREF * out
 
 

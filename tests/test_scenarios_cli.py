@@ -412,15 +412,16 @@ def test_guiding_run_bytes_are_pinned(tmp_path, capsys):
     ("free-ecd", {"epsilons": [0.1, 0.03], "tolerance_factor": 0.05}, "consistency.csv",
      ("95825fd967a34d7234401087c1ef523e7de8fc5b45fbc85aac8ba4de8da2be7c", 137)),
     ("current-regularization", {"epsilon": 1e-3, "c0": 1e-3, "charge": 1.0}, "profile.csv",
-     ("1815a3a4677627aa999ade1d6994d4acc46d127853a159746bf5be51354eb71f", 1541)),
+     ("d189ddb890424561fb4bc62a8b5ed4779a4809bfed236c53b90b72cae8ce1457", 1540)),
     ("classical-limit-sweep", {"electric": [0.1, 0.0, 0.0], "factors": [1.0, 0.5],
                                "ratio_bound": 1.0}, "sweep.csv",
      ("a7fd47fe62f91a5fc7e4fef7f1d67aaba8a0cfba8590efc3df4f046f7509e25c", 154)),
 ], ids=["free-ecd", "current-regularization", "classical-limit-sweep"])
 def test_scenario_bytes_are_pinned(kind, parameters, name, digest, tmp_path, capsys):
-    """Digests taken while hbar was still a parameter of the propagators,
-    currents and pairs, and before current-regularization stopped smearing
-    its remainder twice."""
+    """consistency.csv and sweep.csv digests were taken while hbar was still a
+    parameter of the propagators, currents and pairs.  The profile.csv digest
+    was taken once the static-profile kernel summed its rows with numpy's
+    pairwise sum, so that its last bits no longer follow the BLAS thread count."""
     doc = {"schema_version": "1", "kind": kind, "parameters": parameters}
     cfg = write(tmp_path, doc)
     assert main(["run", cfg, "--out", str(tmp_path / "o"), "--workers", "1"]) == EXIT_OK
