@@ -75,26 +75,11 @@ def calibrate(epsilon: float, s_max: float = 50.0) -> EpsilonCalibration:
     return EpsilonCalibration(epsilon, s_max)
 
 
-@dataclass(frozen=True)
-class BoundaryAnsatz:
-    """phi restricted to the worldline: s -> phi(gamma_s, s).
-
-    plane_phase is C e^{i u^2 s / 2} (the free ansatz); action_phase is
-    C e^{i I(s)} with I the classical action accumulated along the
-    trajectory.
-    """
-
-    value: Callable[[float], complex]
-
-    @staticmethod
-    def plane_phase(u, C=1.0 + 0j) -> "BoundaryAnsatz":
-        u = as_four(u)
-        u2 = minkowski_dot(u, u)
-        return BoundaryAnsatz(lambda s: C * np.exp(0.5j * u2 * s))
-
-    @staticmethod
-    def action_phase(action_along: Callable[[float], float], C=1.0 + 0j) -> "BoundaryAnsatz":
-        return BoundaryAnsatz(lambda s: C * np.exp(1j * action_along(s)))
+def plane_phase(u, C=1.0 + 0j) -> Callable[[float], complex]:
+    """The free boundary ansatz s -> C e^{i u^2 s / 2}."""
+    u = as_four(u)
+    u2 = minkowski_dot(u, u)
+    return lambda s: C * np.exp(0.5j * u2 * s)
 
 
 @dataclass(frozen=True)
@@ -102,7 +87,7 @@ class EcdPair:
     """An extended-charge particle: worldline, boundary wave, propagator, calibration."""
 
     trajectory: Trajectory
-    ansatz: BoundaryAnsatz
+    ansatz: Callable[[float], complex]      # phi on the worldline, s -> phi(gamma_s, s)
     propagator: Callable[[np.ndarray, np.ndarray, float], complex]
     calibration: EpsilonCalibration
 
@@ -111,10 +96,10 @@ class EcdPair:
         """The uniform worldline u s through the origin, with a plane-phase ansatz."""
         span = max(200.0, 2 * calibration.s_max)
         traj = Trajectory.uniform(u, s_span=(-span, span), n=9)
-        return EcdPair(traj, BoundaryAnsatz.plane_phase(u, C), free_propagator, calibration)
+        return EcdPair(traj, plane_phase(u, C), free_propagator, calibration)
 
 
-class QuadratureBudgetError(RuntimeError):
+class QuadratureBudgetError(ArithmeticError):
     """The windowed s'-integral failed to reach the requested accuracy."""
 
 
@@ -138,7 +123,7 @@ def phi_eval(pair: EcdPair, x, s: float, tol: float = 1e-9,
         sigma, total = 1.0 / t, 0j
         for sig in (sigma, -sigma):
             gamma, _ = pair.trajectory.state_at(s - sig)
-            total += (pair.propagator(x, gamma, sig) * pair.ansatz.value(s - sig)
+            total += (pair.propagator(x, gamma, sig) * pair.ansatz(s - sig)
                       * cal.window(sig))
         return total / t ** 2
 
@@ -184,7 +169,7 @@ def consistency_residual(pair: EcdPair, s_samples, tol: float = 1e-9) -> float:
     for s in np.atleast_1d(s_samples):
         gamma, _ = pair.trajectory.state_at(float(s))
         val = phi_eval(pair, gamma, float(s), tol=tol)
-        ref = pair.ansatz.value(float(s))
+        ref = pair.ansatz(float(s))
         denom = abs(ref) if abs(ref) > 1e-12 else 1.0
         worst = max(worst, abs(val - ref) / denom)
     return worst
@@ -209,15 +194,6 @@ class GuidingState:
     gamma: np.ndarray
     condition_number: float = 1.0
     violent: bool = False
-
-
-@dataclass(frozen=True)
-class ViolentEvent:
-    """Guiding breakdown report: where it happened and how singular H was."""
-
-    s: float
-    condition_number: float
-    gamma: np.ndarray
 
 
 def _abs2(phi, x, s):
@@ -260,7 +236,7 @@ def guiding_step(phi, state: GuidingState, h: float, ds: float) -> GuidingState:
 
 
 def integrate_guiding(phi, gamma0, s_span, n_steps: int, h: float = 1e-3):
-    """Integrate the guiding ODE; returns (states, violent_event_or_None)."""
+    """Integrate the guiding ODE; returns (states, the violent state or None)."""
     s0, s1 = s_span
     ds = (s1 - s0) / n_steps
     state = GuidingState(s0, as_four(gamma0).copy())
@@ -269,7 +245,7 @@ def integrate_guiding(phi, gamma0, s_span, n_steps: int, h: float = 1e-3):
         state = guiding_step(phi, state, h, ds)
         states.append(state)
         if state.violent:
-            return states, ViolentEvent(state.s, state.condition_number, state.gamma)
+            return states, state
     return states, None
 
 
@@ -305,13 +281,13 @@ def constant_field_pair(F, u0, calibration: EpsilonCalibration, q: float = 1.0,
     from scipy.integrate import cumulative_trapezoid
     I_cum = cumulative_trapezoid(lag, s, initial=0.0)
     I_cum -= np.interp(0.0, s, I_cum)
-    action_along = lambda sv: float(np.interp(sv, s, I_cum))
 
     def G(x, xp, sigma):
         I = provider.action(x, xp, sigma)
         return _pref(sigma) * _van_vleck_of_eigs(eigs, sigma) * np.exp(1j * I)
 
-    return EcdPair(traj, BoundaryAnsatz.action_phase(action_along, C), G, calibration)
+    ansatz = lambda sv: C * np.exp(1j * float(np.interp(sv, s, I_cum)))
+    return EcdPair(traj, ansatz, G, calibration)
 
 
 def classical_phase_gradient_check(pair: EcdPair, F, q: float, s_samples,
@@ -356,7 +332,7 @@ def scale_transform_pair(pair: EcdPair, lam: float) -> EcdPair:
 
     traj = apply_scaling(pair.trajectory, lam)
     old_ansatz = pair.ansatz
-    new_ansatz = BoundaryAnsatz(lambda s: lam ** -2 * old_ansatz.value(s / lam ** 2))
+    new_ansatz = lambda s: lam ** -2 * old_ansatz(s / lam ** 2)
     cal = EpsilonCalibration(lam ** 2 * pair.calibration.epsilon,
                              lam ** 2 * pair.calibration.s_max)
     old_G = pair.propagator

@@ -19,10 +19,8 @@ Units are hbar = c = 1 (see propagators), so D^mu = d^mu - i q A^mu.
 
 from __future__ import annotations
 
-import json
-import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -32,8 +30,7 @@ from .minkowski import METRIC, as_four, minkowski_dot
 from .dynamics import Trajectory
 from .ecd_core import EpsilonCalibration
 from .grids import (CurrentField, DepositKernel, EventGrid, TensorField,
-                    boundary_flux3, deposit_line_current, fd_grad, grid_charge,
-                    grid_divergence, interior_max)
+                    boundary_flux3, deposit_line_current, fd_grad, grid_charge)
 
 _METRIC_DIAG = np.array([1.0, -1.0, -1.0, -1.0])
 _PANEL_NODES = 8        # Gauss-Legendre nodes per s-panel
@@ -348,7 +345,7 @@ def ecd_electric_current(phi: PhiField, A: Optional[Callable], grid: EventGrid,
     if q != 0.0:
         for _, w, jet, D in _jet_chunks(phi, pts, s_nodes, s_weights, A, q):
             values += _conj_dot(q * w, jet.value, D, imag=True)
-    return CurrentField(grid, _on_grid(grid, values), label="ecd-j")
+    return CurrentField(grid, _on_grid(grid, values))
 
 
 def mass_current_b(phi: PhiField, A: Optional[Callable], grid: EventGrid,
@@ -366,7 +363,7 @@ def mass_current_b(phi: PhiField, A: Optional[Callable], grid: EventGrid,
         values = values + deposit_line_current(
             trajectory, grid, DepositKernel("trilinear"),
             lambda s, gamma, gdot: (2.0 / calibration.N) * float(phi.abs2(gamma, s))).values
-    return CurrentField(grid, values, label="ecd-b")
+    return CurrentField(grid, values)
 
 
 def _lagrangian(jet: WaveJet, D):
@@ -397,8 +394,7 @@ def ecd_energy_momentum(phis: Sequence[PhiField], A: Optional[Callable],
     # Gaussian solution of the proper-time equation)
     values = np.moveaxis(bilinear, -1, 0) + lagrangian[:, None, None] * METRIC
     values = 0.5 * (values + np.swapaxes(values, -1, -2))
-    return TensorField(grid, values.reshape(grid.extents + (4, 4)), symmetric=True,
-                       label="ecd-p")
+    return TensorField(grid, values.reshape(grid.extents + (4, 4)), symmetric=True)
 
 
 def ecd_dilatation_current(p: TensorField, phis: Sequence[PhiField],
@@ -421,7 +417,7 @@ def ecd_dilatation_current(p: TensorField, phis: Sequence[PhiField],
         for s, w, jet, D in _jet_chunks(phi, pts, s_nodes, s_weights, A, q, 2):
             bulk -= _conj_dot(2.0 * w * s, jet.value, D, imag=False)
     xi = geometric_dilatation_term(p).values + _on_grid(grid, bulk)
-    return CurrentField(grid, xi, label="ecd-xi")
+    return CurrentField(grid, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -575,8 +571,8 @@ def fit_loglog_slope(r, values):
     """Least-squares slope of log|values| vs log r; returns (slope, intercept)."""
     r = np.asarray(r, dtype=float)
     v = np.abs(np.asarray(values, dtype=float))
-    if np.any(v == 0):
-        raise ValueError("cannot fit a power law through zero values")
+    if np.any(v == 0):          # a profile that underflowed: a numeric failure
+        raise FloatingPointError("cannot fit a power law through zero values")
     coef = np.polyfit(np.log(r), np.log(v), 1)
     return float(coef[0]), float(coef[1])
 
@@ -614,15 +610,7 @@ def subtracted_profile_slope(kind: str, C, cal: EpsilonCalibration, q: float = 1
 # light-cone deposit and subtraction
 
 
-@dataclass(frozen=True)
-class RegularizedCurrent:
-    finite: CurrentField
-    divergent_coefficient: float
-    epsilon: float
-
-
-def lightcone_deposit_uniform(grid: EventGrid, u, x0, coefficient: float,
-                              label: str = "lightcone") -> CurrentField:
+def lightcone_deposit_uniform(grid: EventGrid, u, x0, coefficient: float) -> CurrentField:
     """coefficient * int ds delta[(x - gamma_s)^2] gamma_dot on the grid.
 
     Uses both roots of the light-cone condition (no retarded theta: the
@@ -638,22 +626,20 @@ def lightcone_deposit_uniform(grid: EventGrid, u, x0, coefficient: float,
     half = np.sqrt(np.maximum(u_dot_d ** 2 - u2 * np.sum(d * d * _METRIC_DIAG, axis=-1), 0.0))
     amp = coefficient * (1.0 if u2 != 0.0 else 0.5)
     weight = np.where(half >= 1e-12, amp / np.maximum(half, 1e-12), 0.0)
-    return CurrentField(grid, weight[..., None] * u, label=label)
+    return CurrentField(grid, weight[..., None] * u)
 
 
-def subtract_divergent(j: CurrentField, traj: Trajectory, coefficient: float,
-                       cal: EpsilonCalibration) -> RegularizedCurrent:
-    """Remove the light-cone divergent piece of a sampled current."""
+def subtract_divergent(j: CurrentField, traj: Trajectory, coefficient: float) -> CurrentField:
+    """The finite part of a sampled current: j minus its light-cone divergent piece."""
     if coefficient == 0.0:
-        return RegularizedCurrent(j, 0.0, cal.epsilon)
+        return j
     du = np.diff(traj.gamma_dots, axis=0)
     if np.abs(du).max() > 1e-9:
         raise NotImplementedError("light-cone subtraction implemented for uniform worldlines")
     u = traj.gamma_dots[0]
     x0 = traj.gammas[0] - traj.s[0] * u
-    div = lightcone_deposit_uniform(j.grid, u, x0, coefficient, label="j-div")
-    finite = CurrentField(j.grid, j.values - div.values, label=f"{j.label}-finite")
-    return RegularizedCurrent(finite, coefficient, cal.epsilon)
+    div = lightcone_deposit_uniform(j.grid, u, x0, coefficient)
+    return CurrentField(j.grid, j.values - div.values)
 
 
 # ---------------------------------------------------------------------------
@@ -662,53 +648,27 @@ def subtract_divergent(j: CurrentField, traj: Trajectory, coefficient: float,
 
 @dataclass(frozen=True)
 class AuditReport:
-    label: str
     slice_charges: tuple
-    interior_divergence_max: float
     charge_spread: float
-    flux_corrected_spread: float
-    interior_corrected_spread: float = math.nan
-    metadata: dict = field(default_factory=dict)
-
-    def to_json(self, **extra) -> str:
-        doc = {
-            "label": self.label,
-            "slice_charges": list(self.slice_charges),
-            "interior_divergence_max": self.interior_divergence_max,
-            "charge_spread": self.charge_spread,
-            "flux_corrected_spread": self.flux_corrected_spread,
-            "interior_corrected_spread": self.interior_corrected_spread,
-            "metadata": dict(self.metadata, **extra),
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
+    interior_corrected_spread: float
 
 
-def continuity_residual(j: CurrentField, metadata: Optional[dict] = None) -> AuditReport:
-    """Interior max |d.j| plus per-slice charge spread (raw and flux-corrected)."""
-    div = grid_divergence(j)
+def continuity_residual(j: CurrentField) -> AuditReport:
+    """Per-slice charges and their spread, raw and flux-corrected on the interior."""
     charges = tuple(grid_charge(j, k) for k in range(j.grid.extents[0]))
     spread = max(charges) - min(charges)
     # flux correction: add back the charge that left through the spatial
-    # boundary up to each slice (trapezoid in time), then compare spreads
+    # boundary up to each slice (trapezoid in time)
     dt = j.grid.spacings[0]
     fluxes = [boundary_flux3(j, k) for k in range(len(charges))]
     leaked = np.concatenate([[0.0], np.cumsum(dt * 0.5 * (np.array(fluxes[:-1])
                                                           + np.array(fluxes[1:])))])
     corrected = list(np.asarray(charges) + leaked)
-    flux_spread = max(corrected) - min(corrected)
     # the boundary slices see only one-sided flux information (same reason the
     # divergence stencil excludes them); the interior spread is the audit figure
     interior = corrected[1:-1] if len(corrected) >= 4 else corrected
     interior_spread = max(interior) - min(interior)
-    return AuditReport(
-        label=j.label,
-        slice_charges=charges,
-        interior_divergence_max=interior_max(div),
-        charge_spread=float(spread),
-        flux_corrected_spread=float(flux_spread),
-        interior_corrected_spread=float(interior_spread),
-        metadata=metadata or {},
-    )
+    return AuditReport(charges, float(spread), float(interior_spread))
 
 
 # ---------------------------------------------------------------------------

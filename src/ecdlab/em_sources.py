@@ -26,7 +26,7 @@ from .grids import (CurrentField, DepositKernel, EventGrid, TensorField,
 LW_KAPPA = 1.0 / (2.0 * np.pi)
 
 
-class CoverageError(ValueError):
+class CoverageError(ArithmeticError):
     """The worldline samples do not bracket the required light-cone root."""
 
 
@@ -196,8 +196,7 @@ def stress_tensor(F) -> np.ndarray:
 def deposit_electric_current(traj: Trajectory, grid: EventGrid,
                              kernel: DepositKernel) -> CurrentField:
     """q int ds delta^4(x - gamma_s) gamma_dot_s; slice charge q exactly."""
-    return deposit_line_current(traj, grid, kernel, lambda s, g, gd: traj.q,
-                                label="electric")
+    return deposit_line_current(traj, grid, kernel, lambda s, g, gd: traj.q)
 
 
 def geometric_dilatation_term(p: TensorField) -> CurrentField:
@@ -205,7 +204,7 @@ def geometric_dilatation_term(p: TensorField) -> CurrentField:
     pts = p.grid.points()
     x_lower = pts @ METRIC
     vals = np.einsum("...nm,...m->...n", p.values, x_lower)
-    return CurrentField(p.grid, vals, label="xi-geometric")
+    return CurrentField(p.grid, vals)
 
 
 def dilatation_current(p: TensorField, trajs) -> CurrentField:
@@ -214,8 +213,8 @@ def dilatation_current(p: TensorField, trajs) -> CurrentField:
     for traj in trajs:
         line = deposit_line_current(
             traj, p.grid, DepositKernel("trilinear"),
-            lambda s, g, gd: s * minkowski_dot(gd, gd), label="xi-line")
-        xi = CurrentField(p.grid, xi.values - line.values, label="xi")
+            lambda s, g, gd: s * minkowski_dot(gd, gd))
+        xi = CurrentField(p.grid, xi.values - line.values)
     return xi
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .minkowski import as_four
 
 
-class DepositError(ValueError):
+class DepositError(ArithmeticError):
     """Raised when a worldline cannot be deposited on the requested grid."""
 
 
@@ -66,7 +66,6 @@ class CurrentField:
 
     grid: EventGrid
     values: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -84,7 +83,6 @@ class TensorField:
     grid: EventGrid
     values: np.ndarray
     symmetric: bool = False
-    label: str = ""
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -246,8 +244,7 @@ def _crossing_state(traj, t: float):
 
 
 def deposit_line_current(traj, grid: EventGrid, kernel: DepositKernel,
-                         weight: Callable[[float, np.ndarray, np.ndarray], float],
-                         label: str = "deposited") -> CurrentField:
+                         weight: Callable[[float, np.ndarray, np.ndarray], float]) -> CurrentField:
     """Sample w(s) * int ds delta^4(x - gamma_s) gamma_dot_s on the grid.
 
     On the slice x^0 = t the distribution reduces to
@@ -264,4 +261,4 @@ def deposit_line_current(traj, grid: EventGrid, kernel: DepositKernel,
         amp = weight(s_star, gamma, gamma_dot) / abs(gamma_dot[0])
         for idx, w in kernel.spread(grid, gamma[1:]):
             values[(k,) + idx] += (amp * w / vol) * gamma_dot
-    return CurrentField(grid, values, label=label)
+    return CurrentField(grid, values)

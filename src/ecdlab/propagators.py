@@ -38,7 +38,7 @@ _BVP_MAX_ITER = 40         # Newton iterations before the shooting gives up
 _BVP_TOL = 1e-10           # endpoint miss that ends the Newton iteration
 
 
-class NoPathError(RuntimeError):
+class NoPathError(ArithmeticError):
     """Boundary-value solver failed to produce a classical path."""
 
 

@@ -21,16 +21,14 @@ import jsonschema
 
 from . import __version__
 from .minkowski import as_four
-from .dynamics import (FieldProvider, IntegratorConfig, IntegrationBlowup,
-                       Trajectory, integrate_worldline, step_count)
-from .grids import DepositError, DepositKernel, EventGrid, grid_charge
-from .em_sources import CoverageError, deposit_electric_current, lw_fields
-from .ecd_core import (EcdPair, QuadratureBudgetError, calibrate,
-                       classical_phase_gradient_check, consistency_residual,
-                       constant_field_pair, integrate_guiding)
+from .dynamics import (FieldProvider, IntegratorConfig, Trajectory,
+                       integrate_worldline, step_count)
+from .grids import DepositKernel, EventGrid, grid_charge
+from .em_sources import deposit_electric_current, lw_fields
+from .ecd_core import (EcdPair, calibrate, classical_phase_gradient_check,
+                       consistency_residual, constant_field_pair, integrate_guiding)
 from .ecd_currents import (charge_tail, divergent_coefficient,
                            fit_loglog_slope, free_charge_j0, radial_smear)
-from .propagators import NoPathError
 
 SCHEMA_VERSION = "1"
 OUT_DIR_ENV = "ECDLAB_OUT_DIR"
@@ -319,11 +317,26 @@ def _semantic_diagnostics(kind, p) -> list:
                     f"epsilon {eps:g}"]
         return _calibration_diagnostics(p, ("epsilons",), s_max=s_max)
     if kind == "classical-limit-sweep":
-        return _calibration_diagnostics(p, ("epsilon",), s_max=_SWEEP_S_MAX)
+        f = p["factors"]
+        # the runner's residual ratios compare each factor with a stronger one
+        diags = [] if all(a > b for a, b in zip(f, f[1:])) else [
+            f"parameters.factors: {f} must strictly decrease (weakening field)"]
+        return diags + _calibration_diagnostics(p, ("epsilon",), s_max=_SWEEP_S_MAX)
     if kind == "current-regularization":
         diags = [f"parameters.{name}: must be nonzero, or the profile vanishes "
                  f"and has no power law" for name in ("c0", "charge") if p[name] == 0]
         diags += _calibration_diagnostics(p, ("epsilon", "epsilons_collapse"))
+        # the profile scales with q |c0/eps|^2 sqrt(eps), which must not over- or
+        # underflow; numpy turns a float overflow into inf instead of raising
+        for eps in [] if diags else [p["epsilon"], *p.get("epsilons_collapse", [])]:
+            try:
+                with np.errstate(all="ignore"):
+                    amp = p["charge"] * np.float64(p["c0"] / eps) ** 2 * np.sqrt(eps)
+            except OverflowError:       # a JSON integer beyond the float range
+                amp = math.inf
+            if not (np.isfinite(amp) and amp != 0):
+                diags.append(f"parameters.c0: the profile amplitude charge |c0/epsilon|^2 "
+                             f"sqrt(epsilon) is {amp:g} at epsilon {eps:g}")
         low = min(p.get("tail_window_x", _TAIL_WINDOW_X))
         width = p.get("smear_width_x", _SMEAR_WIDTH_X)
         if low <= width / 2:
@@ -593,8 +606,8 @@ def _run_classical_limit_sweep(p, out: Path):
     residuals = {"residuals": res_list, "ratios": ratios,
                  "velocity_recovery_rel": rec_list}
     bound = p["ratio_bound"]
-    # factors are expected in decreasing field strength; each halving of the
-    # field should shrink the residual by at least the declared ratio bound
+    # factors strictly decrease (validated); each halving of the field should
+    # shrink the residual by at least the declared ratio bound
     if ratios and max(ratios) > bound:
         raise AccuracyFailure(f"residual ratio {max(ratios):g} > bound {bound:g}")
     return residuals, {"ratio_bound": bound, "epsilon": eps}, ["sweep.csv"]
@@ -660,15 +673,16 @@ _RUNNERS = {
 
 
 def run_scenario(scenario: Scenario, out_dir, workers: Optional[int] = None) -> RunManifest:
-    """Run one scenario into out_dir; workers is accepted and ignored (no pools)."""
+    """Run one scenario into out_dir; workers is accepted and ignored (no pools).
+
+    Every numeric error of the library is an ArithmeticError; those and
+    LinAlgError become a NumericFailure (exit 3)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
     try:
         residuals, tolerances, outputs = _RUNNERS[scenario.kind](scenario.parameters, out)
-    except (IntegrationBlowup, DepositError, CoverageError, NoPathError,
-            QuadratureBudgetError, FloatingPointError, OverflowError,
-            ZeroDivisionError, np.linalg.LinAlgError) as exc:
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
         raise NumericFailure(str(exc)) from exc
     manifest = RunManifest(
         kind=scenario.kind,

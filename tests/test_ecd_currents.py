@@ -75,6 +75,8 @@ def test_charge_tail_is_exact_inverse_power():
     rs = np.geomspace(0.5, 5.0, 9)
     slope, _ = fit_loglog_slope(rs, charge_tail(rs, 1.0, cal))
     assert slope == pytest.approx(-1.0, abs=1e-12)
+    with pytest.raises(FloatingPointError):     # |C|^2 underflows: a numeric failure
+        fit_loglog_slope(rs, charge_tail(rs, 1e-170, cal))
     assert divergent_coefficient(0.7, cal, q=2.0) == pytest.approx(
         2.0 * np.pi * 2.0 * 0.49 * EPS)
 
@@ -380,20 +382,19 @@ def test_subtract_divergent_removes_tail():
     j = ecd_electric_current(phi, None, grid, sn, w, q=1.0)
     traj = Trajectory.uniform((1, 0, 0, 0), s_span=(-1, 1), n=5, q=1.0)
     coeff = divergent_coefficient(1.0, cal, 1.0)
-    reg = subtract_divergent(j, traj, coeff, cal)
+    reg = subtract_divergent(j, traj, coeff)
     rs = grid.axis(1)
     tail = charge_tail(rs, 1.0, cal, 1.0)
     raw = np.abs(j.values[0, :, 0, 0, 0])
-    finite = np.abs(reg.finite.values[0, :, 0, 0, 0])
+    finite = np.abs(reg.values[0, :, 0, 0, 0])
     # at several eps-lengths out the profile is tail-dominated: subtracting the
     # light-cone deposit must remove most of it
     assert finite.max() < 0.35 * raw.max()
-    assert np.abs(reg.finite.values[0, :, 0, 0, 0]
+    assert np.abs(reg.values[0, :, 0, 0, 0]
                   - (j.values[0, :, 0, 0, 0] - tail)).max() < 1e-3 * raw.max()
 
 
 def test_subtract_divergent_requires_uniform_worldline():
-    cal = calibrate(EPS)
     grid = EventGrid(origin=(0.0, 0.4, 0.0, 0.0), spacings=(1.0, 0.2, 1.0, 1.0),
                      extents=(1, 4, 1, 1))
     j = CurrentField(grid, np.zeros(grid.extents + (4,)))
@@ -402,7 +403,7 @@ def test_subtract_divergent_requires_uniform_worldline():
     gd = np.stack([np.ones_like(s), 0.2 * s, 0 * s, 0 * s], axis=1)
     bent = Trajectory(s, gam, gd, q=1.0)
     with pytest.raises(NotImplementedError):
-        subtract_divergent(j, bent, 1.0, cal)
+        subtract_divergent(j, bent, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -414,12 +415,10 @@ def test_continuity_audit_on_deposited_charge():
                      spacings=(0.2, 0.25, 0.25, 0.25), extents=(5, 9, 9, 9))
     traj = Trajectory.uniform((1.0, 0.2, 0.1, 0.0), s_span=(-4, 4), n=401, q=1.0)
     j = deposit_electric_current(traj, grid, DepositKernel("trilinear"))
-    rep = continuity_residual(j, metadata={"case": "uniform"})
+    rep = continuity_residual(j)
     assert rep.charge_spread < 1e-12
     assert rep.interior_corrected_spread <= rep.charge_spread + 1e-12
-    doc = json.loads(rep.to_json(extra_key=1))
-    assert doc["metadata"] == {"case": "uniform", "extra_key": 1}
-    assert doc["slice_charges"] == pytest.approx([1.0] * 5)
+    assert rep.slice_charges == pytest.approx([1.0] * 5)
 
 
 def test_unitarity_lemma_second_order():

@@ -5,6 +5,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,10 @@ from hypothesis import strategies as st
 from ecdlab import scenarios
 from ecdlab.cli import (EXIT_ACCURACY, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION,
                         main)
+from ecdlab.dynamics import IntegrationBlowup
 from ecdlab.ecd_core import QuadratureBudgetError
+from ecdlab.em_sources import CoverageError, WorldlineSingularity
+from ecdlab.grids import DepositError
 from ecdlab.propagators import NoPathError
 from ecdlab.scenarios import (SCENARIO_KINDS, ScenarioValidationError,
                               load_scenario, validate_config, validate_file)
@@ -173,7 +177,15 @@ def test_cli_run_numeric_failure(tmp_path, capsys):
 
 @pytest.mark.parametrize("exc", [NoPathError("caustic"),
                                  QuadratureBudgetError("budget"),
-                                 OverflowError("cosh overflow")],
+                                 OverflowError("cosh overflow"),
+                                 DepositError("outside the grid"),
+                                 CoverageError("not bracketed"),
+                                 IntegrationBlowup(0.5),
+                                 WorldlineSingularity("on the worldline"),
+                                 scenarios.NumericFailure("nested"),
+                                 FloatingPointError("underflow"),
+                                 ZeroDivisionError("division by zero"),
+                                 np.linalg.LinAlgError("singular matrix")],
                          ids=lambda e: type(e).__name__)
 def test_cli_run_numeric_exceptions_exit_3(tmp_path, capsys, monkeypatch, exc):
     def runner(p, out):
@@ -255,10 +267,29 @@ def test_classical_limit_sweep_epsilon_must_fit_window(tmp_path, capsys):
     assert validate_config(doc) == []
 
 
+@pytest.mark.parametrize("factors", [[0.5, 1.0], [1.0, 0.5, 0.5]])
+def test_classical_limit_sweep_factors_must_decrease(factors, tmp_path, capsys):
+    """The residual ratios assume a weakening field; both checks return
+    before any worldline is integrated."""
+    doc = {"schema_version": "1", "kind": "classical-limit-sweep",
+           "parameters": {"electric": [0.1, 0.0, 0.0], "factors": factors,
+                          "ratio_bound": 1.0}}
+    assert [d.split(":")[0] for d in validate_config(doc)] == ["parameters.factors"]
+    cfg = write(tmp_path, doc)
+    assert main(["validate", cfg]) == EXIT_VALIDATION
+    assert "parameters.factors" in capsys.readouterr().err
+    assert main(["run", cfg, "--out", str(tmp_path / "o"),
+                 "--workers", "1"]) == EXIT_VALIDATION
+    assert "parameters.factors" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name, value", [("tail_window_x", [0.5, 60.0]),
-                                         ("c0", 0.0), ("charge", 0.0)])
+                                         ("c0", 0.0), ("charge", 0.0),
+                                         ("c0", 1e-170), ("c0", 1e160)])
 def test_current_regularization_semantic_checks(name, value, tmp_path, capsys):
-    """A smear window reaching r <= 0, or a vanishing profile, exits 2."""
+    """A smear window reaching r <= 0, or a vanishing profile, exits 2.  So does
+    an amplitude q |c0/eps|^2 sqrt(eps) that underflows to 0 (the fit raised a
+    ValueError, exit 1) or overflows (Python's OverflowError, exit 3)."""
     doc = {"schema_version": "1", "kind": "current-regularization",
            "parameters": {"epsilon": 1e-3, "c0": 1e-3, "charge": 1.0}}
     assert validate_config(doc) == []
@@ -270,6 +301,16 @@ def test_current_regularization_semantic_checks(name, value, tmp_path, capsys):
     assert main(["run", cfg, "--out", str(tmp_path / "o"),
                  "--workers", "1"]) == EXIT_VALIDATION
     assert f"parameters.{name}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params", [{"epsilons_collapse": [1e-4, 1e-300]},
+                                    {"c0": 10 ** 400}], ids=["collapse", "huge-int"])
+def test_current_regularization_amplitude_check_covers_every_epsilon(params):
+    """Each epsilons_collapse entry is checked too; a JSON integer beyond the
+    float range is reported, not raised."""
+    doc = {"schema_version": "1", "kind": "current-regularization",
+           "parameters": {"epsilon": 1e-3, "c0": 1e-3, "charge": 1.0, **params}}
+    assert [d.split(":")[0] for d in validate_config(doc)] == ["parameters.c0"]
 
 
 @pytest.mark.parametrize("kind", ["lw-field-map", "conservation-audit"])
