@@ -19,7 +19,10 @@ Units are hbar = c = 1 (see propagators), so D^mu = d^mu - i q A^mu.
 
 from __future__ import annotations
 
+import contextvars
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -432,13 +435,15 @@ _CW_SINC2 = np.pi * (1.0 - _K2 / 2.0) + 0j
 _CW_DSINC2 = np.pi * (_K2 ** 3 - 6.0 * _K2 + 4.0) / 12.0 + 0j
 _CW_ADSINC2 = 1j * np.pi * (_K2 ** 2 - 2.0) / 4.0
 _PREF = (2.0 / np.pi) * np.sqrt(2.0 * np.pi)
+# radii per pool task: each thread's malloc arena keeps its block buffers,
+# so peak memory grows with the block
+_PROFILE_BLOCK = 2
+_POOL = ThreadPoolExecutor(len(os.sched_getaffinity(0)))
 
 
-def _profile_master(xs, cw):
-    """int dtau P((tau^2 - x^2)/2) for P with Fourier transform cw on [0, 2].
+def _profile_rows(xs, cw):
+    """The weighted Fourier sum of _profile_master for a 1-D block of radii.
 
-    Derivation: insert the Fourier representation, do the Gaussian tau
-    integral (Fresnel phase e^{i pi/4} sqrt(2 pi / k)), substitute k = v^2.
     Re(e^{i alpha} c) = cos(alpha) Re c - sin(alpha) Im c is summed in real
     arithmetic on one buffer of phases alpha; a zero weight skips its trig.
     Each weighted row is summed by numpy's pairwise sum: a BLAS
@@ -446,10 +451,8 @@ def _profile_master(xs, cw):
     count (and so do the last bits of profile.csv), and einsum's running sum
     loses about 2e-14 over the 60000 nodes.
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
     alpha = np.multiply.outer(xs ** 2, -0.5 * _K2)
     alpha += np.pi / 4.0
-    cw = cw * _V_WEIGHTS
     out = np.zeros(xs.shape)
     if np.any(cw.imag):
         terms = np.sin(alpha, out=None if np.any(cw.real) else alpha)
@@ -459,7 +462,28 @@ def _profile_master(xs, cw):
         terms = np.cos(alpha, out=alpha)
         terms *= cw.real
         out += terms.sum(axis=-1)
-    return _PREF * out
+    return out
+
+
+def _profile_master(xs, cw):
+    """int dtau P((tau^2 - x^2)/2) for P with Fourier transform cw on [0, 2].
+
+    Derivation: insert the Fourier representation, do the Gaussian tau
+    integral (Fresnel phase e^{i pi/4} sqrt(2 pi / k)), substitute k = v^2.
+    Every row is an independent sum, so blocks of _PROFILE_BLOCK radii run
+    on the thread pool and give the same bytes for any number of threads.
+    Each block runs in a copy of the caller's context, which carries the
+    caller's np.errstate into the pool thread.
+    """
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    flat = xs.ravel()
+    cw = cw * _V_WEIGHTS
+    blocks = [_POOL.submit(contextvars.copy_context().run, _profile_rows,
+                           flat[k:k + _PROFILE_BLOCK], cw)
+              for k in range(0, flat.size, _PROFILE_BLOCK)]
+    # flat[:0] keeps an empty input empty
+    out = np.concatenate([flat[:0]] + [block.result() for block in blocks])
+    return _PREF * out.reshape(xs.shape)
 
 
 def charge_profile_shape(xs):
@@ -587,10 +611,16 @@ def subtracted_profile_slope(kind: str, C, cal: EpsilonCalibration, q: float = 1
     radial window of a few sqrt(eps) suppresses the oscillation by a further
     1 / r and exposes the r^{-5} law.  Returns (slope, fit window in r).
     """
-    eps = cal.epsilon
-    sq = np.sqrt(eps)
-    xs = np.geomspace(x_window[0], x_window[1], _PROFILE_POINTS)
+    sq = np.sqrt(cal.epsilon)
+    rs = np.geomspace(x_window[0], x_window[1], _PROFILE_POINTS) * sq
+    smeared = _smeared_remainder(kind, C, cal, q, rs, smear_width_x * sq)
+    slope, _ = fit_loglog_slope(rs, smeared)
+    return slope, (rs[0], rs[-1])
 
+
+def _smeared_remainder(kind: str, C, cal: EpsilonCalibration, q: float, rs, width):
+    """The post-subtraction remainder of subtracted_profile_slope, averaged
+    by radial_smear over a window of the given width around each of rs."""
     if kind == "charge":
         def remainder(r):
             return free_charge_j0(r, (1, 0, 0, 0), C, cal, q) - charge_tail(r, C, cal, q)
@@ -599,11 +629,7 @@ def subtracted_profile_slope(kind: str, C, cal: EpsilonCalibration, q: float = 1
             return free_mass_b0(r, C, cal) - mass_tail(r, C, cal)
     else:
         raise ValueError(f"unknown profile kind {kind!r}")
-
-    smeared = np.array([radial_smear(remainder, x * sq, smear_width_x * sq)
-                        for x in xs])
-    slope, _ = fit_loglog_slope(xs * sq, smeared)
-    return slope, (xs[0] * sq, xs[-1] * sq)
+    return np.array([radial_smear(remainder, r, width) for r in rs])
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,12 +24,12 @@ from . import __version__
 from .minkowski import as_four
 from .dynamics import (FieldProvider, IntegratorConfig, Trajectory,
                        integrate_worldline, step_count)
-from .grids import DepositKernel, EventGrid, grid_charge
+from .grids import DepositError, DepositKernel, EventGrid, grid_charge
 from .em_sources import deposit_electric_current, lw_fields
 from .ecd_core import (EcdPair, calibrate, classical_phase_gradient_check,
                        consistency_residual, constant_field_pair, integrate_guiding)
-from .ecd_currents import (charge_tail, divergent_coefficient,
-                           fit_loglog_slope, free_charge_j0, radial_smear)
+from .ecd_currents import (_smeared_remainder, charge_tail, divergent_coefficient,
+                           fit_loglog_slope, free_charge_j0)
 
 SCHEMA_VERSION = "1"
 OUT_DIR_ENV = "ECDLAB_OUT_DIR"
@@ -299,7 +300,18 @@ def validate_config(doc) -> list:
         diags.append(f"{path.rstrip('.')}: {err.message}")
     if diags:
         return diags
-    return _semantic_diagnostics(kind, doc["parameters"])
+    diags = [f"{path}: an integer beyond the float range"
+             for path in _float_overflows(doc["parameters"], "parameters")]
+    return diags or _semantic_diagnostics(kind, doc["parameters"])
+
+
+def _float_overflows(obj, path) -> list:
+    """Paths of the JSON integers under obj that no float can hold."""
+    if isinstance(obj, (dict, list)):
+        items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+        return [bad for key, value in items
+                for bad in _float_overflows(value, f"{path}.{key}")]
+    return [path] if isinstance(obj, int) and abs(obj) > sys.float_info.max else []
 
 
 def _semantic_diagnostics(kind, p) -> list:
@@ -329,11 +341,8 @@ def _semantic_diagnostics(kind, p) -> list:
         # the profile scales with q |c0/eps|^2 sqrt(eps), which must not over- or
         # underflow; numpy turns a float overflow into inf instead of raising
         for eps in [] if diags else [p["epsilon"], *p.get("epsilons_collapse", [])]:
-            try:
-                with np.errstate(all="ignore"):
-                    amp = p["charge"] * np.float64(p["c0"] / eps) ** 2 * np.sqrt(eps)
-            except OverflowError:       # a JSON integer beyond the float range
-                amp = math.inf
+            with np.errstate(all="ignore"):
+                amp = p["charge"] * np.float64(p["c0"] / eps) ** 2 * np.sqrt(eps)
             if not (np.isfinite(amp) and amp != 0):
                 diags.append(f"parameters.c0: the profile amplitude charge |c0/epsilon|^2 "
                              f"sqrt(epsilon) is {amp:g} at epsilon {eps:g}")
@@ -349,12 +358,21 @@ def _semantic_diagnostics(kind, p) -> list:
         worldlines = {f"worldlines.{i}": wl for i, wl in enumerate(p["worldlines"])}
     else:
         return []
-    diags = []
+    diags, trajs = [], {}
     for path, wl in worldlines.items():
         try:        # s_span and n must give strictly increasing samples
-            _traj_from(wl)
+            trajs[path] = _traj_from(wl)
         except ValueError as exc:
             diags.append(f"parameters.{path}.s_span: {exc}")
+    if kind == "conservation-audit" and not diags:
+        # the runner's deposit: each worldline must cross every slice inside the grid
+        grid = _grid_from(p["grid"])
+        kernel = DepositKernel(p.get("kernel", "trilinear"))
+        for path, traj in trajs.items():
+            try:
+                deposit_electric_current(traj, grid, kernel)
+            except DepositError as exc:
+                diags.append(f"parameters.{path}: {exc}")
     return diags
 
 
@@ -628,11 +646,7 @@ def _run_current_regularization(p, out: Path):
     j0 = free_charge_j0(rs, (1, 0, 0, 0), C, cal, q)
     tail = charge_tail(rs, C, cal, q)
     remainder = j0 - tail
-
-    def rem_fn(r):
-        return free_charge_j0(r, (1, 0, 0, 0), C, cal, q) - charge_tail(r, C, cal, q)
-
-    smeared = np.array([radial_smear(rem_fn, r, smear_x * sq) for r in rs])
+    smeared = _smeared_remainder("charge", C, cal, q, rs, smear_x * sq)
     rows = [[rs[i], j0[i], tail[i], remainder[i], smeared[i]] for i in range(len(rs))]
     _write_csv(out / "profile.csv", ["r", "j0", "tail", "remainder",
                                      "smeared_remainder"], rows)

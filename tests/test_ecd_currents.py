@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecdlab import ecd_currents
 from ecdlab.dynamics import Trajectory
 from ecdlab.ecd_core import calibrate
 from ecdlab.ecd_currents import (ConjugatedPhi, FreePhi, GaugeShiftedPhi,
@@ -50,6 +53,43 @@ def test_profile_shapes_pinned():
     np.testing.assert_allclose(
         mass_profile_shape(xs),
         [10.469780445801684, 62.83185451502887, 127.75810131496274], rtol=1e-12)
+
+
+def test_profile_shapes_do_not_depend_on_thread_count(monkeypatch):
+    inputs = [np.geomspace(0.05, 80.0, 333),
+              np.random.default_rng(7).uniform(0.1, 60.0, (9, 37)), 7.5]
+    shapes = (charge_profile_shape, mass_profile_shape)
+    default = [f(x) for f in shapes for x in inputs]
+    assert [d.shape for d in default] == [(333,), (9, 37), (1,)] * 2
+    for threads in (1, 3):
+        with ThreadPoolExecutor(threads) as pool:
+            monkeypatch.setattr(ecd_currents, "_POOL", pool)
+            for want, got in zip(default, [f(x) for f in shapes for x in inputs]):
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)
+
+
+def test_profile_kernel_keeps_the_callers_errstate():
+    """Pool threads see the caller's np.errstate: cos(inf) raises as it does
+    in the caller's thread."""
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        charge_profile_shape([np.inf])
+
+
+def test_profile_kernel_memory_is_bounded_by_its_blocks(monkeypatch):
+    """One (radii x 60000) phase buffer took 40 MB for 81 radii; blocks of
+    _PROFILE_BLOCK radii per thread take a few MB."""
+    xs = np.geomspace(5.0, 60.0, 81)
+    with ThreadPoolExecutor(2) as pool:
+        monkeypatch.setattr(ecd_currents, "_POOL", pool)
+        charge_profile_shape(xs)
+        tracemalloc.start()
+        try:
+            charge_profile_shape(xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_charge_profile_fourier_vs_quad():

@@ -167,12 +167,34 @@ def test_cli_run_invalid_config(tmp_path, capsys):
     assert "tolerance" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_run_numeric_failure(tmp_path, capsys):
-    # worldline sits outside the grid: the deposit is a hard numeric precondition
-    cfg = write(tmp_path, audit_config(x0=(0.0, 5.0, 0.0, 0.0)))
+    # a field strong enough to blow up the RK4 worldline passes validation
+    doc = orbit_config()
+    doc["parameters"]["electric"] = [1e10, 0.0, 0.0]
+    cfg = write(tmp_path, doc)
+    assert main(["validate", cfg]) == EXIT_OK
     assert main(["run", cfg, "--out", str(tmp_path / "o"),
                  "--workers", "1"]) == EXIT_NUMERIC
     assert "numeric failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid, x0", [({}, (0.0, 5.0, 0.0, 0.0)),
+                                      ({"origin": [-0.4, 10, 10, 10]}, (0, 0, 0, 0)),
+                                      ({"extents": [5, 2, 9, 9]}, (0, 0, 0, 0))],
+                         ids=["worldline-outside", "origin", "extents"])
+def test_audit_worldline_must_be_deposited_inside_the_grid(grid, x0, tmp_path, capsys):
+    """validate makes the runner's deposit, so a grid that misses its worldline
+    exits 2 before the run; run exited 3 ("too close to the spatial grid edge")."""
+    doc = audit_config(x0=x0)
+    doc["parameters"]["grid"].update(grid)
+    assert [d.split(":")[0] for d in validate_config(doc)] == ["parameters.worldlines.0"]
+    cfg = write(tmp_path, doc)
+    assert main(["validate", cfg]) == EXIT_VALIDATION
+    assert "parameters.worldlines.0: " in capsys.readouterr().err
+    assert main(["run", cfg, "--out", str(tmp_path / "o"),
+                 "--workers", "1"]) == EXIT_VALIDATION
+    assert "parameters.worldlines.0: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("exc", [NoPathError("caustic"),
@@ -311,6 +333,39 @@ def test_current_regularization_amplitude_check_covers_every_epsilon(params):
     doc = {"schema_version": "1", "kind": "current-regularization",
            "parameters": {"epsilon": 1e-3, "c0": 1e-3, "charge": 1.0, **params}}
     assert [d.split(":")[0] for d in validate_config(doc)] == ["parameters.c0"]
+
+
+@pytest.mark.parametrize("kind, name, path", [
+    ("free-ecd", "epsilons", "epsilons.0"), ("free-ecd", "s_max", "s_max"),
+    ("classical-limit-sweep", "epsilon", "epsilon"),
+    ("current-regularization", "epsilon", "epsilon"),
+    ("current-regularization", "epsilons_collapse", "epsilons_collapse.0"),
+    ("conservation-audit", "q", "worldlines.0.q")])
+def test_integer_beyond_float_range_is_a_validation_failure(kind, name, path,
+                                                            tmp_path, capsys):
+    """A JSON integer no float can hold: an epsilon raised OverflowError from
+    the calibration check (exit 1), a worldline charge exited 3."""
+    doc = {"free-ecd": {"schema_version": "1", "kind": "free-ecd",
+                        "parameters": {"epsilons": [0.1], "tolerance_factor": 1.0}},
+           "classical-limit-sweep": {"schema_version": "1", "kind": "classical-limit-sweep",
+                                     "parameters": {"electric": [0.1, 0.0, 0.0],
+                                                    "factors": [1.0, 0.5],
+                                                    "ratio_bound": 1.0}},
+           "current-regularization": {"schema_version": "1", "kind": "current-regularization",
+                                      "parameters": {"epsilon": 1e-3, "c0": 1e-3,
+                                                     "charge": 1.0}},
+           "conservation-audit": audit_config()}[kind]
+    params = doc["parameters"]
+    target = params["worldlines"][0] if kind == "conservation-audit" else params
+    target[name] = [10 ** 400] if name.startswith("epsilons") else 10 ** 400
+    assert validate_config(doc) == [
+        f"parameters.{path}: an integer beyond the float range"]
+    cfg = write(tmp_path, doc)
+    assert main(["validate", cfg]) == EXIT_VALIDATION
+    assert f"parameters.{path}: " in capsys.readouterr().err
+    assert main(["run", cfg, "--out", str(tmp_path / "o"),
+                 "--workers", "1"]) == EXIT_VALIDATION
+    assert f"parameters.{path}: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind", ["lw-field-map", "conservation-audit"])
