@@ -6,28 +6,24 @@ tail ~ eps/r (the divergent piece, supported on (x - gamma_s)^2 = 0) and a
 finite remainder.  The mass current b = bbar + bbreve (dimension -5) has an
 analogous split with an additional r/eps light-cone piece.
 
-Static radial profiles are computed two ways: a direct adaptive s-quadrature,
-and an exact reduction using the compactly supported Fourier transforms of
-sinc^2 and its derivative -- the latter turns each profile into a finite
-Fresnel-type integral that is evaluated to near machine precision and makes
-the remainder power-law fits possible (the raw remainder oscillates like
-cos(r^2 / eps) with an r^{-4} envelope; a radial average over a few sqrt(eps)
-is what decays like r^{-5}).
+Static radial profiles use the compactly supported Fourier transforms of
+sinc^2 and its derivative, which turn each profile into a finite Fresnel
+integral with polynomial weights.  Its closed form (Fresnel moments) is good
+to near machine precision and makes the remainder power-law fits possible
+(the raw remainder oscillates like cos(r^2 / eps) with an r^{-4} envelope; a
+radial average over a few sqrt(eps) is what decays like r^{-5}).
 
 Units are hbar = c = 1 (see propagators), so D^mu = d^mu - i q A^mu.
 """
 
 from __future__ import annotations
 
-import contextvars
-import os
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad, simpson
+from scipy.integrate import simpson
+from scipy.special import modfresnelm
 
 from .minkowski import METRIC, as_four, minkowski_dot
 from .dynamics import Trajectory
@@ -39,7 +35,9 @@ _METRIC_DIAG = np.array([1.0, -1.0, -1.0, -1.0])
 _PANEL_NODES = 8        # Gauss-Legendre nodes per s-panel
 _MAX_PANELS = 4000      # panel count at which s_panels stops refining
 _SMEAR_POINTS = 81      # Simpson samples of radial_smear
-_PROFILE_POINTS = 14    # geometric radii of subtracted_profile_slope's fit
+_PROFILE_POINTS = 14    # geometric radii of a profile fit (fit_radii)
+TAIL_WINDOW_X = (5.0, 60.0)     # default profile fit window, r / sqrt(eps)
+SMEAR_WIDTH_X = 2.0             # default radial smear width, in sqrt(eps)
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +259,6 @@ def covariant_derivative(phi: PhiField, x, s, A: Optional[Callable], q: float):
 # s-quadrature helpers
 
 
-def _composite_gauss(edges, n: int):
-    """Nodes and weights of n-point Gauss-Legendre on each panel between edges."""
-    gx, gw = np.polynomial.legendre.leggauss(n)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    return (mid[:, None] + half[:, None] * gx).ravel(), (half[:, None] * gw).ravel()
-
-
 def s_panels(s_range, epsilon: float):
     """Composite Gauss-Legendre nodes resolving the sinc oscillation in s.
 
@@ -279,7 +269,11 @@ def s_panels(s_range, epsilon: float):
     rate = max(abs(lo), abs(hi)) / epsilon + 1.0
     width = max((hi - lo) / _MAX_PANELS, min(_PANEL_NODES / rate, (hi - lo) / 8))
     n_panels = max(8, int(np.ceil((hi - lo) / width)))
-    return _composite_gauss(np.linspace(lo, hi, n_panels + 1), _PANEL_NODES)
+    edges = np.linspace(lo, hi, n_panels + 1)
+    gx, gw = np.polynomial.legendre.leggauss(_PANEL_NODES)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * np.diff(edges)
+    return (mid[:, None] + half[:, None] * gx).ravel(), (half[:, None] * gw).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -427,68 +421,67 @@ def ecd_dilatation_current(p: TensorField, phis: Sequence[PhiField],
 # static radial profiles of the free charge
 
 
-_V_NODES, _V_WEIGHTS = _composite_gauss(np.linspace(0.0, np.sqrt(2.0), 6001), 10)
-_K2 = _V_NODES ** 2
-# Fourier transforms on [0, 2] (zero outside): triangle for sinc^2,
-# pi (k^3 - 6k + 4)/12 for sinc'^2, i pi (k^2 - 2)/4 for the odd a*sinc'^2.
-_CW_SINC2 = np.pi * (1.0 - _K2 / 2.0) + 0j
-_CW_DSINC2 = np.pi * (_K2 ** 3 - 6.0 * _K2 + 4.0) / 12.0 + 0j
-_CW_ADSINC2 = 1j * np.pi * (_K2 ** 2 - 2.0) / 4.0
+# Fourier transforms on [0, 2] (zero outside) as coefficients of the
+# polynomials in k = v^2: triangle pi (1 - k/2) for sinc^2,
+# pi (k^3 - 6k + 4)/12 for sinc'^2, and twice i pi (k^2 - 2)/4 for the odd
+# a*sinc'^2.
+_CW_SINC2 = (np.pi, -np.pi / 2.0)
+_CW_DSINC2 = (np.pi / 3.0, -np.pi / 2.0, 0.0, np.pi / 12.0)
+_CW_2ADSINC2 = (-1j * np.pi, 0.0, 0.5j * np.pi)
 _PREF = (2.0 / np.pi) * np.sqrt(2.0 * np.pi)
-# radii per pool task: each thread's malloc arena keeps its block buffers,
-# so peak memory grows with the block
-_PROFILE_BLOCK = 2
-_POOL = ThreadPoolExecutor(len(os.sched_getaffinity(0)))
+_SERIES_BETA = 1.125    # below it (x < 1.5) the Fresnel moments use their series
+_SERIES_TERMS = 40
 
 
-def _profile_rows(xs, cw):
-    """The weighted Fourier sum of _profile_master for a 1-D block of radii.
+def _fresnel_moments(beta, n_max: int):
+    """I_n(beta) = int_0^sqrt2 v^{2n} e^{-i beta v^2} dv for n = 0 .. n_max.
 
-    Re(e^{i alpha} c) = cos(alpha) Re c - sin(alpha) Im c is summed in real
-    arithmetic on one buffer of phases alpha; a zero weight skips its trig.
-    Each weighted row is summed by numpy's pairwise sum: a BLAS
-    matrix-vector product sums in an order that follows the BLAS thread
-    count (and so do the last bits of profile.csv), and einsum's running sum
-    loses about 2e-14 over the 60000 nodes.
+    Above _SERIES_BETA, I_0 = sqrt(pi/beta) e^{-i pi/4} (1/2 - e^{-2i beta}
+    K_-(sqrt(2 beta))) with the modified Fresnel integral K_- (Abramowitz &
+    Stegun 7.3), whose phase comes from beta itself rather than a rounded
+    argument; parts integration then raises n:
+    I_n = (i / 2 beta) [2^{n-1/2} e^{-2i beta} - (2n-1) I_{n-1}].  That
+    recursion loses digits as beta -> 0, so below _SERIES_BETA the power series
+    I_n = sum_m (-i beta)^m / m! 2^{n+m+1/2} / (2n+2m+1) is summed instead.
+    Returns shape (n_max + 1,) + beta.shape.
     """
-    alpha = np.multiply.outer(xs ** 2, -0.5 * _K2)
-    alpha += np.pi / 4.0
-    out = np.zeros(xs.shape)
-    if np.any(cw.imag):
-        terms = np.sin(alpha, out=None if np.any(cw.real) else alpha)
-        terms *= cw.imag
-        out -= terms.sum(axis=-1)
-    if np.any(cw.real):
-        terms = np.cos(alpha, out=alpha)
-        terms *= cw.real
-        out += terms.sum(axis=-1)
+    beta = np.asarray(beta, dtype=float)
+    out = np.empty((n_max + 1,) + beta.shape, dtype=complex)
+    n = np.arange(n_max + 1)[:, None]
+    small = beta < _SERIES_BETA
+    z = -2j * beta[small]
+    term, acc = np.ones_like(z), np.zeros((n_max + 1, z.size), dtype=complex)
+    for m in range(_SERIES_TERMS):            # term = (-2i beta)^m / m!
+        acc += term / (2 * n + 2 * m + 1)
+        term = term * z / (m + 1)
+    out[:, small] = 2.0 ** (n + 0.5) * acc
+    b = beta[~small]
+    phase = np.exp(-2j * b)
+    moment = (np.sqrt(np.pi / b) * np.exp(-0.25j * np.pi)
+              * (0.5 - phase * modfresnelm(np.sqrt(2.0 * b))[1]))
+    out[0, ~small] = moment
+    for k in range(1, n_max + 1):
+        moment = 0.5j / b * (2.0 ** (k - 0.5) * phase - (2 * k - 1) * moment)
+        out[k, ~small] = moment
     return out
 
 
-def _profile_master(xs, cw):
-    """int dtau P((tau^2 - x^2)/2) for P with Fourier transform cw on [0, 2].
+def _profile(moments, coeffs):
+    """int dtau P((tau^2 - x^2)/2) for the P whose Fourier transform on [0, 2]
+    is sum_n coeffs[n] k^n, from the moments I_n(x^2 / 2).
 
     Derivation: insert the Fourier representation, do the Gaussian tau
-    integral (Fresnel phase e^{i pi/4} sqrt(2 pi / k)), substitute k = v^2.
-    Every row is an independent sum, so blocks of _PROFILE_BLOCK radii run
-    on the thread pool and give the same bytes for any number of threads.
-    Each block runs in a copy of the caller's context, which carries the
-    caller's np.errstate into the pool thread.
+    integral (Fresnel phase e^{i pi/4} sqrt(2 pi / k)), substitute k = v^2;
+    what is left is the sum over n of coeffs[n] I_n.
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    flat = xs.ravel()
-    cw = cw * _V_WEIGHTS
-    blocks = [_POOL.submit(contextvars.copy_context().run, _profile_rows,
-                           flat[k:k + _PROFILE_BLOCK], cw)
-              for k in range(0, flat.size, _PROFILE_BLOCK)]
-    # flat[:0] keeps an empty input empty
-    out = np.concatenate([flat[:0]] + [block.result() for block in blocks])
-    return _PREF * out.reshape(xs.shape)
+    total = sum(c * moment for c, moment in zip(coeffs, moments))
+    return _PREF * np.real(np.exp(0.25j * np.pi) * total)
 
 
 def charge_profile_shape(xs):
     """f(x) = int dtau sinc^2((tau^2 - x^2)/2); tail 2 pi / x."""
-    return _profile_master(xs, _CW_SINC2)
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    return _profile(_fresnel_moments(xs ** 2 / 2.0, 1), _CW_SINC2)
 
 
 def mass_profile_shape(xs):
@@ -498,17 +491,17 @@ def mass_profile_shape(xs):
     profiles, each with a polynomial Fourier weight.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    return (_profile_master(xs, 2.0 * _CW_ADSINC2)
-            + xs ** 2 * _profile_master(xs, _CW_DSINC2))
+    moments = _fresnel_moments(xs ** 2 / 2.0, 3)
+    return _profile(moments, _CW_2ADSINC2) + xs ** 2 * _profile(moments, _CW_DSINC2)
 
 
-def free_charge_j0(r, u, C, cal: EpsilonCalibration, q: float = 1.0,
-                   method: str = "fourier"):
+def free_charge_j0(r, u, C, cal: EpsilonCalibration, q: float = 1.0):
     """Static charge density j^0(r) of the free calibrated wave at rest.
 
     j^0(r) = q |C|^2 u^0 int ds sinc^2(((u^0 s)^2 - r^2) / (2 eps)); the
     calibration prefactor 1/(4 pi^4 N^2 eps^2) is identically 1.  Scaling
-    form: j^0 = q |C|^2 sign(u^0) sqrt(eps) f(r / sqrt(eps)).
+    form: j^0 = q |C|^2 sign(u^0) sqrt(eps) f(r / sqrt(eps)), with f the
+    closed-form charge_profile_shape.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
     if np.any(r <= 0):
@@ -518,24 +511,7 @@ def free_charge_j0(r, u, C, cal: EpsilonCalibration, q: float = 1.0,
         raise ValueError("the static profile is defined in the charge rest frame")
     eps = cal.epsilon
     amp = q * abs(C) ** 2 * np.sign(u[0]) * np.sqrt(eps)
-    if method == "fourier":
-        return amp * charge_profile_shape(r / np.sqrt(eps))
-    if method == "quad":
-        out = np.empty(r.size)
-        for i, rv in enumerate(r):
-            def f(tau):
-                return np.sinc((tau ** 2 - rv ** 2) / (2 * eps) / np.pi) ** 2
-            T = max(60.0 * rv, 60.0 * np.sqrt(eps))
-            with warnings.catch_warnings():
-                # the subdivision cap only limits the last digit here; the
-                # cross-check against the Fourier evaluator bounds the error
-                warnings.simplefilter("ignore", IntegrationWarning)
-                val, _ = quad(f, 0, T, limit=2000,
-                              points=[rv], epsabs=1e-12, epsrel=1e-10)
-            # analytic tail of the truncated half-line: int_T^inf ~ 2 eps^2/(3 T^3)
-            out[i] = 2.0 * val / np.sqrt(eps) + 4.0 * eps ** 2 / (3.0 * T ** 3 * np.sqrt(eps))
-        return amp * out
-    raise ValueError(f"unknown method {method!r}")
+    return amp * charge_profile_shape(r / np.sqrt(eps))
 
 
 def charge_tail(r, C, cal: EpsilonCalibration, q: float = 1.0):
@@ -578,13 +554,6 @@ def mass_truncation_tail(C, s_range) -> float:
     return -2.0 * abs(C) ** 2 * (1.0 / hi - 1.0 / lo)
 
 
-def mass_tail(r, C, cal: EpsilonCalibration):
-    """Light-cone part of bbar^0: -|C|^2 [pi eps / r + 2 pi r / (3 eps)]."""
-    r = np.asarray(r, dtype=float)
-    eps = cal.epsilon
-    return -abs(C) ** 2 * (np.pi * eps / r + 2.0 * np.pi * r / (3.0 * eps))
-
-
 def radial_smear(fn, r0, width):
     """Average fn over [r0 - width/2, r0 + width/2] (Simpson)."""
     rs = np.linspace(r0 - width / 2.0, r0 + width / 2.0, _SMEAR_POINTS)
@@ -601,34 +570,35 @@ def fit_loglog_slope(r, values):
     return float(coef[0]), float(coef[1])
 
 
+def fit_radii(eps: float, x_window):
+    """The _PROFILE_POINTS geometric radii of a profile fit over x_window,
+    which is given in units of sqrt(eps)."""
+    return np.geomspace(x_window[0], x_window[1], _PROFILE_POINTS) * np.sqrt(eps)
+
+
 def subtracted_profile_slope(kind: str, C, cal: EpsilonCalibration, q: float = 1.0,
-                             x_window=(5.0, 60.0), smear_width_x: float = 2.0):
+                             x_window=TAIL_WINDOW_X, smear_width_x: float = SMEAR_WIDTH_X):
     """Log-log slope of the radially smeared post-subtraction remainder.
 
-    kind 'charge' subtracts the 2 pi eps / r tail from j^0; kind 'mass'
-    subtracts both light-cone pieces from bbar^0.  The raw remainder
-    oscillates like cos(r^2 / eps) under an r^{-4} envelope; averaging over a
-    radial window of a few sqrt(eps) suppresses the oscillation by a further
-    1 / r and exposes the r^{-5} law.  Returns (slope, fit window in r).
+    kind must be 'charge': the 2 pi eps / r tail is subtracted from j^0.  The
+    raw remainder oscillates like cos(r^2 / eps) under an r^{-4} envelope;
+    averaging over a radial window of a few sqrt(eps) suppresses the
+    oscillation by a further 1 / r and exposes the r^{-5} law.  Returns
+    (slope, fit window in r).
     """
-    sq = np.sqrt(cal.epsilon)
-    rs = np.geomspace(x_window[0], x_window[1], _PROFILE_POINTS) * sq
-    smeared = _smeared_remainder(kind, C, cal, q, rs, smear_width_x * sq)
+    if kind != "charge":
+        raise ValueError(f"unknown profile kind {kind!r}")
+    rs = fit_radii(cal.epsilon, x_window)
+    smeared = smeared_remainder(C, cal, q, rs, smear_width_x * np.sqrt(cal.epsilon))
     slope, _ = fit_loglog_slope(rs, smeared)
     return slope, (rs[0], rs[-1])
 
 
-def _smeared_remainder(kind: str, C, cal: EpsilonCalibration, q: float, rs, width):
-    """The post-subtraction remainder of subtracted_profile_slope, averaged
-    by radial_smear over a window of the given width around each of rs."""
-    if kind == "charge":
-        def remainder(r):
-            return free_charge_j0(r, (1, 0, 0, 0), C, cal, q) - charge_tail(r, C, cal, q)
-    elif kind == "mass":
-        def remainder(r):
-            return free_mass_b0(r, C, cal) - mass_tail(r, C, cal)
-    else:
-        raise ValueError(f"unknown profile kind {kind!r}")
+def smeared_remainder(C, cal: EpsilonCalibration, q: float, rs, width):
+    """The charge remainder j^0 - tail, averaged by radial_smear over a window
+    of the given width around each of rs."""
+    def remainder(r):
+        return free_charge_j0(r, (1, 0, 0, 0), C, cal, q) - charge_tail(r, C, cal, q)
     return np.array([radial_smear(remainder, r, width) for r in rs])
 
 

@@ -28,8 +28,9 @@ from .grids import DepositError, DepositKernel, EventGrid, grid_charge
 from .em_sources import deposit_electric_current, lw_fields
 from .ecd_core import (EcdPair, calibrate, classical_phase_gradient_check,
                        consistency_residual, constant_field_pair, integrate_guiding)
-from .ecd_currents import (_smeared_remainder, charge_tail, divergent_coefficient,
-                           fit_loglog_slope, free_charge_j0)
+from .ecd_currents import (SMEAR_WIDTH_X, TAIL_WINDOW_X, charge_tail,
+                           divergent_coefficient, fit_loglog_slope, fit_radii,
+                           free_charge_j0, smeared_remainder)
 
 SCHEMA_VERSION = "1"
 OUT_DIR_ENV = "ECDLAB_OUT_DIR"
@@ -39,8 +40,6 @@ _SWEEP_S_MAX = 10.0             # s'-window of classical-limit-sweep
 _SWEEP_SPAN = 2 * _SWEEP_S_MAX + 5  # worldline half-span of classical-limit-sweep, from s = 0
 _SWEEP_EPSILON = 1e-2           # default epsilon of classical-limit-sweep
 _SWEEP_STEP = 1e-2              # default RK4 step of classical-limit-sweep
-_TAIL_WINDOW_X = (5.0, 60.0)    # default fit window of current-regularization, r / sqrt(eps)
-_SMEAR_WIDTH_X = 2.0            # default radial smear width of current-regularization
 
 SCENARIO_KINDS = (
     "classical-orbit",
@@ -346,8 +345,8 @@ def _semantic_diagnostics(kind, p) -> list:
             if not (np.isfinite(amp) and amp != 0):
                 diags.append(f"parameters.c0: the profile amplitude charge |c0/epsilon|^2 "
                              f"sqrt(epsilon) is {amp:g} at epsilon {eps:g}")
-        low = min(p.get("tail_window_x", _TAIL_WINDOW_X))
-        width = p.get("smear_width_x", _SMEAR_WIDTH_X)
+        low = min(p.get("tail_window_x", TAIL_WINDOW_X))
+        width = p.get("smear_width_x", SMEAR_WIDTH_X)
         if low <= width / 2:
             diags.append(f"parameters.tail_window_x: {low:g} must exceed half the "
                          f"smear width {width / 2:g}, so that every smeared radius is positive")
@@ -638,15 +637,14 @@ def _run_current_regularization(p, out: Path):
     q = p["charge"]
     cal = calibrate(eps)
     C = c0 / eps
-    xw = tuple(p.get("tail_window_x", _TAIL_WINDOW_X))
-    smear_x = p.get("smear_width_x", _SMEAR_WIDTH_X)
+    xw = tuple(p.get("tail_window_x", TAIL_WINDOW_X))
+    smear_x = p.get("smear_width_x", SMEAR_WIDTH_X)
     sq = np.sqrt(eps)
-    xs = np.geomspace(xw[0], xw[1], 14)
-    rs = xs * sq
+    rs = fit_radii(eps, xw)
     j0 = free_charge_j0(rs, (1, 0, 0, 0), C, cal, q)
     tail = charge_tail(rs, C, cal, q)
     remainder = j0 - tail
-    smeared = _smeared_remainder("charge", C, cal, q, rs, smear_x * sq)
+    smeared = smeared_remainder(C, cal, q, rs, smear_x * sq)
     rows = [[rs[i], j0[i], tail[i], remainder[i], smeared[i]] for i in range(len(rs))]
     _write_csv(out / "profile.csv", ["r", "j0", "tail", "remainder",
                                      "smeared_remainder"], rows)
@@ -663,7 +661,7 @@ def _run_current_regularization(p, out: Path):
         for e2 in collapse:
             cal2 = calibrate(e2)
             C2 = c0 / e2
-            r2 = xs * np.sqrt(e2)
+            r2 = fit_radii(e2, xw)
             prof = free_charge_j0(r2, (1, 0, 0, 0), C2, cal2, q) \
                 / (q * abs(C2) ** 2 * np.sqrt(e2))
             worst = max(worst, float(np.abs(prof / base - 1.0).max()))

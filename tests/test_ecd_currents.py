@@ -1,5 +1,5 @@
 import json
-import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import IntegrationWarning, quad
 
-from ecdlab import ecd_currents
 from ecdlab.dynamics import Trajectory
 from ecdlab.ecd_core import calibrate
 from ecdlab.ecd_currents import (ConjugatedPhi, FreePhi, GaugeShiftedPhi,
@@ -22,7 +22,8 @@ from ecdlab.ecd_currents import (ConjugatedPhi, FreePhi, GaugeShiftedPhi,
                                  lightcone_deposit_uniform, mass_current_b,
                                  mass_profile_shape, mass_truncation_tail,
                                  s_continuity_residual, s_panels,
-                                 subtract_divergent, unitarity_lemma_residual)
+                                 subtract_divergent, subtracted_profile_slope,
+                                 unitarity_lemma_residual)
 from ecdlab.em_sources import deposit_electric_current
 from ecdlab.grids import (CurrentField, DepositKernel, EventGrid,
                           deposit_line_current, grid_divergence, interior_max)
@@ -55,49 +56,74 @@ def test_profile_shapes_pinned():
         [10.469780445801684, 62.83185451502887, 127.75810131496274], rtol=1e-12)
 
 
-def test_profile_shapes_do_not_depend_on_thread_count(monkeypatch):
+PROFILE_REFERENCE = json.loads(
+    (Path(__file__).parent / "data" / "profile_reference.json").read_text())
+
+
+def test_profile_shapes_match_reference():
+    """The closed forms against a 30-digit mpmath quadrature of the Fourier
+    v-integral (the file's "generator" entry says how it was made), on both
+    sides of the series / recursion switch at x = 1.5."""
+    ref = PROFILE_REFERENCE
+    xs = np.array(ref["x"])
+    np.testing.assert_allclose(charge_profile_shape(xs), ref["charge_shape"],
+                               rtol=1e-14, atol=0)
+    np.testing.assert_allclose(mass_profile_shape(xs), ref["mass_shape"],
+                               rtol=1e-14, atol=0)
+    j0 = ref["free_charge_j0"]
+    np.testing.assert_allclose(
+        free_charge_j0(j0["r"], (1, 0, 0, 0), j0["C"], calibrate(j0["epsilon"]),
+                       q=j0["q"]), j0["j0"], rtol=1e-14, atol=0)
+    grid = np.random.default_rng(7).uniform(0.1, 60.0, (9, 37))
+    for shape in (charge_profile_shape, mass_profile_shape):
+        assert shape(grid).shape == (9, 37)
+        assert np.array_equal(shape(-grid), shape(grid))
+        assert shape(7.5).shape == (1,)
+        assert shape(np.array([])).shape == (0,)
+
+
+def test_profile_shapes_do_not_depend_on_thread_count():
+    """The closed forms hold no shared state: calls from 1 or 3 worker
+    threads give the arrays of a call in the caller's thread, bit for bit."""
     inputs = [np.geomspace(0.05, 80.0, 333),
               np.random.default_rng(7).uniform(0.1, 60.0, (9, 37)), 7.5]
-    shapes = (charge_profile_shape, mass_profile_shape)
-    default = [f(x) for f in shapes for x in inputs]
+    calls = [(f, x) for f in (charge_profile_shape, mass_profile_shape)
+             for x in inputs]
+    default = [f(x) for f, x in calls]
     assert [d.shape for d in default] == [(333,), (9, 37), (1,)] * 2
     for threads in (1, 3):
         with ThreadPoolExecutor(threads) as pool:
-            monkeypatch.setattr(ecd_currents, "_POOL", pool)
-            for want, got in zip(default, [f(x) for f in shapes for x in inputs]):
-                assert got.shape == want.shape
-                assert np.array_equal(got, want)
-
-
-def test_profile_kernel_keeps_the_callers_errstate():
-    """Pool threads see the caller's np.errstate: cos(inf) raises as it does
-    in the caller's thread."""
-    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
-        charge_profile_shape([np.inf])
-
-
-def test_profile_kernel_memory_is_bounded_by_its_blocks(monkeypatch):
-    """One (radii x 60000) phase buffer took 40 MB for 81 radii; blocks of
-    _PROFILE_BLOCK radii per thread take a few MB."""
-    xs = np.geomspace(5.0, 60.0, 81)
-    with ThreadPoolExecutor(2) as pool:
-        monkeypatch.setattr(ecd_currents, "_POOL", pool)
-        charge_profile_shape(xs)
-        tracemalloc.start()
-        try:
-            charge_profile_shape(xs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peak < 8e6
+            got = list(pool.map(lambda c: c[0](c[1]), calls))
+        for want, g in zip(default, got):
+            assert g.shape == want.shape
+            assert np.array_equal(g, want)
 
 
 def test_charge_profile_fourier_vs_quad():
+    """free_charge_j0 against a direct adaptive quadrature of its defining
+    s-integral, q |C|^2 int ds sinc^2((s^2 - r^2) / (2 eps)), plus the
+    analytic tail 4 eps^2 / (3 T^3) of the half-line cut at T."""
     cal = calibrate(EPS)
     rs = np.array([0.3, 0.7, 1.2])
-    fou = free_charge_j0(rs, (1, 0, 0, 0), 0.8, cal, q=1.3)
-    direct = free_charge_j0(rs, (1, 0, 0, 0), 0.8, cal, q=1.3, method="quad")
+    C, q = 0.8, 1.3
+    fou = free_charge_j0(rs, (1, 0, 0, 0), C, cal, q=q)
+    direct = np.empty(rs.size)
+    for i, rv in enumerate(rs):
+        T = max(60.0 * rv, 60.0 * np.sqrt(EPS))
+        with warnings.catch_warnings():
+            # the subdivision cap only limits the last digit here
+            warnings.simplefilter("ignore", IntegrationWarning)
+            val, _ = quad(lambda s: np.sinc((s ** 2 - rv ** 2) / (2 * EPS) / np.pi) ** 2,
+                          0, T, limit=2000, points=[rv], epsabs=1e-12, epsrel=1e-10)
+        direct[i] = q * C ** 2 * (2.0 * val + 4.0 * EPS ** 2 / (3.0 * T ** 3))
     assert np.abs(fou / direct - 1.0).max() < 1e-6
+
+
+def test_profile_kernel_keeps_the_callers_errstate():
+    """The closed forms run under the caller's np.errstate: an infinite radius
+    raises as any invalid operation would."""
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        charge_profile_shape([np.inf])
 
 
 def test_charge_profile_input_validation():
@@ -106,8 +132,8 @@ def test_charge_profile_input_validation():
         free_charge_j0(-0.1, (1, 0, 0, 0), 1.0, cal)
     with pytest.raises(ValueError):
         free_charge_j0(0.5, (1.1, 0.3, 0, 0), 1.0, cal)
-    with pytest.raises(ValueError):
-        free_charge_j0(0.5, (1, 0, 0, 0), 1.0, cal, method="nope")
+    with pytest.raises(ValueError):     # 'charge' is the only fitted profile
+        subtracted_profile_slope("mass", 1.0, cal)
 
 
 def test_charge_tail_is_exact_inverse_power():

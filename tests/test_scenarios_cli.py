@@ -508,7 +508,7 @@ def test_guiding_run_bytes_are_pinned(tmp_path, capsys):
     ("free-ecd", {"epsilons": [0.1, 0.03], "tolerance_factor": 0.05}, "consistency.csv",
      ("95825fd967a34d7234401087c1ef523e7de8fc5b45fbc85aac8ba4de8da2be7c", 137)),
     ("current-regularization", {"epsilon": 1e-3, "c0": 1e-3, "charge": 1.0}, "profile.csv",
-     ("d189ddb890424561fb4bc62a8b5ed4779a4809bfed236c53b90b72cae8ce1457", 1540)),
+     ("2dfa28ea493af5178a73e6cf8b4443feeddb084a3dfb989a7e79847fe813002f", 1536)),
     ("classical-limit-sweep", {"electric": [0.1, 0.0, 0.0], "factors": [1.0, 0.5],
                                "ratio_bound": 1.0}, "sweep.csv",
      ("a7fd47fe62f91a5fc7e4fef7f1d67aaba8a0cfba8590efc3df4f046f7509e25c", 154)),
@@ -516,8 +516,10 @@ def test_guiding_run_bytes_are_pinned(tmp_path, capsys):
 def test_scenario_bytes_are_pinned(kind, parameters, name, digest, tmp_path, capsys):
     """consistency.csv and sweep.csv digests were taken while hbar was still a
     parameter of the propagators, currents and pairs.  The profile.csv digest
-    was taken once the static-profile kernel summed its rows with numpy's
-    pairwise sum, so that its last bits no longer follow the BLAS thread count."""
+    was retaken when closed-form Fresnel moments replaced the 60,000-node
+    Fourier sum of the static profiles: the r and tail columns kept their
+    bytes, and j0 and remainder moved closer to a 50-digit evaluation of the
+    profile (worst relative error 6.5e-15 -> 1.3e-15 and 5.0e-9 -> 3.9e-10)."""
     doc = {"schema_version": "1", "kind": kind, "parameters": parameters}
     cfg = write(tmp_path, doc)
     assert main(["run", cfg, "--out", str(tmp_path / "o"), "--workers", "1"]) == EXIT_OK
@@ -740,6 +742,78 @@ def free_ecd_configs(draw):
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_free_ecd_exit_codes_fuzz(doc, capsys):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write(Path(tmp), doc)
+        code = main(["run", cfg, "--out", str(Path(tmp) / "o"), "--workers", "1"])
+    capsys.readouterr()
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERIC, EXIT_ACCURACY)
+
+
+@st.composite
+def sweep_configs(draw):
+    """Weak fields (|q E| < 0.09), small boosts and epsilons from 1e-3 to the
+    default keep a run at a few seconds: its phase quadratures grow fast with
+    the field and the boost (charge 3 took 50 s, u0 (3, 2, 2, 0) 21 s).  An
+    epsilon from 5 up may not fit the s'-window.  The cost also keeps the
+    test at 10 examples."""
+    factors = draw(st.lists(_finite(1e-3, 1), min_size=2, max_size=2, unique=True))
+    if draw(st.booleans()):     # only strictly decreasing factors pass validation
+        factors.sort(reverse=True)
+    params = {"electric": draw(st.lists(_finite(-0.05, 0.05), min_size=3, max_size=3)),
+              "factors": factors,
+              "ratio_bound": draw(_finite(1e-3, 10))}
+    if draw(st.booleans()):
+        params["charge"] = draw(_finite(-1, 1))
+    if draw(st.booleans()):     # timelike, null, spacelike, zero, past-directed
+        params["u0"] = draw(st.sampled_from([[1.0, 0.3, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0],
+                                             [0.5, 0.0, 1.0, 0.0], [0.0] * 4,
+                                             [-1.0, 0.0, 0.0, 0.2]]))
+    if draw(st.booleans()):
+        params["s_span"] = draw(st.lists(_finite(-3, 3), min_size=2, max_size=2))
+    if draw(st.booleans()):     # about half divide the worldline span; the others do not
+        params["step"] = draw(st.one_of(st.sampled_from([5e-3, 1e-2]), _finite(1e-3, 1)))
+    if draw(st.booleans()):
+        params["epsilon"] = draw(st.one_of(_finite(1e-3, 1e-2), _finite(5, 20)))
+    return {"schema_version": "1", "kind": "classical-limit-sweep", "parameters": params}
+
+
+@given(doc=sweep_configs())
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_classical_limit_sweep_exit_codes_fuzz(doc, capsys):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write(Path(tmp), doc)
+        code = main(["run", cfg, "--out", str(Path(tmp) / "o"), "--workers", "1"])
+    capsys.readouterr()
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERIC, EXIT_ACCURACY)
+
+
+@st.composite
+def regularization_configs(draw):
+    def epsilon():      # from far below any calibration to beyond its s'-window
+        return 10.0 ** draw(_finite(-8, 2))
+
+    def signed(lo, hi):     # a signed power of ten, or now and then an edge value
+        if draw(st.integers(0, 7)) == 0:
+            return draw(st.sampled_from([0.0, 1e-170, 1e160]))
+        return draw(st.sampled_from([1, -1])) * 10.0 ** draw(_finite(lo, hi))
+
+    params = {"epsilon": epsilon(), "c0": signed(-5, 1), "charge": signed(-2, 1)}
+    if draw(st.booleans()):
+        params["epsilons_collapse"] = [epsilon() for _ in range(draw(st.integers(0, 2)))]
+    if draw(st.booleans()):
+        params["tail_window_x"] = draw(st.lists(_finite(0.1, 200), min_size=2, max_size=2))
+    if draw(st.booleans()):
+        params["smear_width_x"] = draw(_finite(1e-3, 10).filter(lambda w: w > 0))
+    if draw(st.booleans()):
+        params["slope_tolerance"] = draw(_finite(1e-3, 2).filter(lambda t: t > 0))
+    return {"schema_version": "1", "kind": "current-regularization", "parameters": params}
+
+
+@given(doc=regularization_configs())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_current_regularization_exit_codes_fuzz(doc, capsys):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = write(Path(tmp), doc)
         code = main(["run", cfg, "--out", str(Path(tmp) / "o"), "--workers", "1"])
