@@ -64,13 +64,12 @@ def main(argv=None) -> int:
 
     out_dir = args.out or os.environ.get(OUT_DIR_ENV) or "ecdlab-out"
     try:
-        scenario = load_scenario(args.config, overrides=args.override)
+        manifest = run_scenario(load_scenario(args.config, overrides=args.override),
+                                out_dir, workers=args.workers)
     except ScenarioValidationError as exc:
         for d in exc.diagnostics:
             print(d, file=sys.stderr)
         return EXIT_VALIDATION
-    try:
-        manifest = run_scenario(scenario, out_dir, workers=args.workers)
     except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -211,16 +211,15 @@ class DepositKernel:
                 raise DepositError(f"point {xs} falls outside the spatial grid")
             return [(tuple(idx), 1.0)]
         base = np.floor(frac).astype(int)
+        if np.any(base < 0) or np.any(base + 1 >= shape):     # the cell's far corner
+            raise DepositError(f"point {xs} too close to the spatial grid edge")
         t = frac - base
         out = []
         for corner in range(8):
             offs = np.array([(corner >> b) & 1 for b in range(3)])
-            idx = base + offs
-            if np.any(idx < 0) or np.any(idx >= shape):
-                raise DepositError(f"point {xs} too close to the spatial grid edge")
             w = np.prod(np.where(offs == 1, t, 1.0 - t))
             if w != 0.0:
-                out.append((tuple(idx), float(w)))
+                out.append((tuple(base + offs), float(w)))
         return out
 
 

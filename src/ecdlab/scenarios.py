@@ -1,7 +1,8 @@
 """Declarative scenario runner: JSON configs in, CSV data and a JSON manifest out.
 
-Every scenario kind owns a schema (unknown keys are errors), a runner, and a
-CSV column contract documented in the runner docstring.  Data files carry no
+Every scenario kind owns a schema (unknown keys are errors), its defaults in
+_DEFAULTS, a set-up that validation and the run share (_prepare), a runner,
+and a CSV column contract documented in the runner docstring.  Data files carry no
 timestamps and use fixed summation orders, so identical configs reproduce
 byte-identical CSVs; wall-clock metadata lives only in the manifest.
 """
@@ -21,7 +22,7 @@ import numpy as np
 import jsonschema
 
 from . import __version__
-from .minkowski import as_four
+from .minkowski import AntisymTensor, as_four
 from .dynamics import (FieldProvider, IntegratorConfig, Trajectory,
                        integrate_worldline, step_count)
 from .grids import DepositError, DepositKernel, EventGrid, grid_charge
@@ -34,12 +35,8 @@ from .ecd_currents import (SMEAR_WIDTH_X, TAIL_WINDOW_X, charge_tail,
 
 SCHEMA_VERSION = "1"
 OUT_DIR_ENV = "ECDLAB_OUT_DIR"
-_FREE_ECD_S_MAX = 50.0          # default s'-window of free-ecd
-_LW_FD_STEP = 1e-4              # default finite-difference step of lw-field-map
 _SWEEP_S_MAX = 10.0             # s'-window of classical-limit-sweep
 _SWEEP_SPAN = 2 * _SWEEP_S_MAX + 5  # worldline half-span of classical-limit-sweep, from s = 0
-_SWEEP_EPSILON = 1e-2           # default epsilon of classical-limit-sweep
-_SWEEP_STEP = 1e-2              # default RK4 step of classical-limit-sweep
 
 SCENARIO_KINDS = (
     "classical-orbit",
@@ -53,7 +50,7 @@ SCENARIO_KINDS = (
 
 
 class ScenarioValidationError(ValueError):
-    """Config fails schema or semantic validation; carries all diagnostics."""
+    """Config fails the schema or the run's set-up; carries the diagnostics."""
 
     def __init__(self, diagnostics):
         super().__init__("; ".join(diagnostics))
@@ -72,13 +69,7 @@ class AccuracyFailure(AssertionError):
 # schemas
 
 
-def _num(minimum=None, exclusive_minimum=None):
-    s = {"type": "number"}
-    if minimum is not None:
-        s["minimum"] = minimum
-    if exclusive_minimum is not None:
-        s["exclusiveMinimum"] = exclusive_minimum
-    return s
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 
 
 def _arr(n, item=None):
@@ -92,7 +83,7 @@ _GRID_SCHEMA = {
     "required": ["origin", "spacings", "extents"],
     "properties": {
         "origin": _arr(4),
-        "spacings": _arr(4, _num(exclusive_minimum=0)),
+        "spacings": _arr(4, _POSITIVE),
         "extents": _arr(4, {"type": "integer", "minimum": 1}),
     },
 }
@@ -123,8 +114,8 @@ _PARAM_SCHEMAS = {
             "x0": _arr(4),
             "u0": _arr(4),
             "s_span": _arr(2),
-            "step": _num(exclusive_minimum=0),
-            "tolerance": _num(exclusive_minimum=0),
+            "step": _POSITIVE,
+            "tolerance": _POSITIVE,
         },
     },
     "lw-field-map": {
@@ -134,7 +125,7 @@ _PARAM_SCHEMAS = {
         "properties": {
             "worldline": _WORLDLINE_SCHEMA,
             "grid": _GRID_SCHEMA,
-            "fd_step": _num(exclusive_minimum=0),
+            "fd_step": _POSITIVE,
         },
     },
     "conservation-audit": {
@@ -146,7 +137,7 @@ _PARAM_SCHEMAS = {
                            "minItems": 1},
             "grid": _GRID_SCHEMA,
             "kernel": {"type": "string", "enum": ["nearest", "trilinear"]},
-            "tolerance": _num(exclusive_minimum=0),
+            "tolerance": _POSITIVE,
         },
     },
     "free-ecd": {
@@ -154,12 +145,12 @@ _PARAM_SCHEMAS = {
         "additionalProperties": False,
         "required": ["epsilons", "tolerance_factor"],
         "properties": {
-            "epsilons": {"type": "array", "items": _num(exclusive_minimum=0),
+            "epsilons": {"type": "array", "items": _POSITIVE,
                          "minItems": 1},
-            "s_max": _num(exclusive_minimum=0),
+            "s_max": _POSITIVE,
             "u": _arr(4),
             "c0": {"type": "number"},
-            "tolerance_factor": _num(exclusive_minimum=0),
+            "tolerance_factor": _POSITIVE,
         },
     },
     "guiding-run": {
@@ -172,7 +163,7 @@ _PARAM_SCHEMAS = {
                 "additionalProperties": False,
                 "required": ["M_diag", "x0", "u"],
                 "properties": {
-                    "M_diag": _arr(4, _num(exclusive_minimum=0)),
+                    "M_diag": _arr(4, _POSITIVE),
                     "x0": _arr(4),
                     "u": _arr(4),
                     "wobble_amp": _arr(4),
@@ -181,8 +172,8 @@ _PARAM_SCHEMAS = {
             },
             "s_span": _arr(2),
             "steps": {"type": "integer", "minimum": 2},
-            "fd_step": _num(exclusive_minimum=0),
-            "tolerance": _num(exclusive_minimum=0),
+            "fd_step": _POSITIVE,
+            "tolerance": _POSITIVE,
         },
     },
     "classical-limit-sweep": {
@@ -194,11 +185,11 @@ _PARAM_SCHEMAS = {
             "charge": {"type": "number"},
             "u0": _arr(4),
             "s_span": _arr(2),
-            "step": _num(exclusive_minimum=0),
-            "factors": {"type": "array", "items": _num(exclusive_minimum=0),
+            "step": _POSITIVE,
+            "factors": {"type": "array", "items": _POSITIVE,
                         "minItems": 2},
-            "epsilon": _num(exclusive_minimum=0),
-            "ratio_bound": _num(exclusive_minimum=0),
+            "epsilon": _POSITIVE,
+            "ratio_bound": _POSITIVE,
         },
     },
     "current-regularization": {
@@ -206,16 +197,34 @@ _PARAM_SCHEMAS = {
         "additionalProperties": False,
         "required": ["epsilon", "c0", "charge"],
         "properties": {
-            "epsilon": _num(exclusive_minimum=0),
+            "epsilon": _POSITIVE,
             "epsilons_collapse": {"type": "array",
-                                  "items": _num(exclusive_minimum=0)},
+                                  "items": _POSITIVE},
             "c0": {"type": "number"},
             "charge": {"type": "number"},
-            "tail_window_x": _arr(2, _num(exclusive_minimum=0)),
-            "smear_width_x": _num(exclusive_minimum=0),
-            "slope_tolerance": _num(exclusive_minimum=0),
+            "tail_window_x": _arr(2, _POSITIVE),
+            "smear_width_x": _POSITIVE,
+            "slope_tolerance": _POSITIVE,
         },
     },
+}
+
+_WORLDLINE_DEFAULTS = {"x0": (0.0, 0.0, 0.0, 0.0), "s_span": (-10.0, 10.0), "n": 201,
+                       "q": 1.0}
+
+# The value of each optional parameter a config leaves out.  A nested table
+# fills the object under its key, or each object of the array under it.
+_DEFAULTS = {
+    "classical-orbit": {},
+    "lw-field-map": {"worldline": _WORLDLINE_DEFAULTS, "fd_step": 1e-4},
+    "conservation-audit": {"worldlines": _WORLDLINE_DEFAULTS, "kernel": "trilinear"},
+    "free-ecd": {"s_max": 50.0, "u": (1.0, 0.0, 0.0, 0.0), "c0": 1.0},
+    "guiding-run": {"packet": {"wobble_amp": (0.0, 0.0, 0.0, 0.0), "wobble_freq": 1.0},
+                    "fd_step": 1e-3},
+    "classical-limit-sweep": {"charge": 1.0, "u0": (1.0, 0.0, 0.0, 0.0),
+                              "s_span": (-1.0, 1.0), "step": 1e-2, "epsilon": 1e-2},
+    "current-regularization": {"epsilons_collapse": (), "tail_window_x": TAIL_WINDOW_X,
+                               "smear_width_x": SMEAR_WIDTH_X, "slope_tolerance": 0.5},
 }
 
 _TOP_SCHEMA = {
@@ -280,28 +289,40 @@ def strict_json(obj, **kwargs) -> str:
 
 
 def validate_config(doc) -> list:
-    """Schema, then semantic, diagnostics; empty list means valid."""
-    diags = []
-    validator = jsonschema.Draft202012Validator(_TOP_SCHEMA)
-    for err in sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path)):
-        path = ".".join(str(p) for p in err.absolute_path) or "<root>"
-        if list(err.absolute_path) == ["kind"]:
-            diags.append(f"kind: must be one of {', '.join(SCENARIO_KINDS)}")
-        else:
-            diags.append(f"{path}: {err.message}")
+    """Diagnostics of a config document; an empty list means valid.  Past the
+    top-level schema, validation is the run's own set-up: see _prepare."""
+    diags = [f"kind: must be one of {', '.join(SCENARIO_KINDS)}" if path == "kind"
+             else f"{path}: {message}" for path, message in _schema_errors(_TOP_SCHEMA, doc)]
     if diags:
         return diags
-    kind = doc["kind"]
-    pvalidator = jsonschema.Draft202012Validator(_PARAM_SCHEMAS[kind])
-    for err in sorted(pvalidator.iter_errors(doc["parameters"]),
-                      key=lambda e: list(e.absolute_path)):
-        path = "parameters." + ".".join(str(p) for p in err.absolute_path)
-        diags.append(f"{path.rstrip('.')}: {err.message}")
+    try:
+        _prepare(doc["kind"], doc["parameters"])
+    except ScenarioValidationError as exc:
+        return exc.diagnostics
+    return []
+
+
+def _prepare(kind, params) -> dict:
+    """The set-up of a run: params checked against kind's schema, completed
+    from _DEFAULTS, then given the objects kind's runner takes.  It runs no
+    RK4, quadrature, field solve or profile, so validation stays cheap.
+
+    Raises ScenarioValidationError with every schema diagnostic, or else with
+    the first value the set-up rejects."""
+    diags = [f"{path}: {message}" for path, message
+             in _schema_errors(_PARAM_SCHEMAS[kind], params, "parameters")]
+    diags = diags or [f"{path}: an integer beyond the float range"
+                      for path in _float_overflows(params, "parameters")]
     if diags:
-        return diags
-    diags = [f"{path}: an integer beyond the float range"
-             for path in _float_overflows(doc["parameters"], "parameters")]
-    return diags or _semantic_diagnostics(kind, doc["parameters"])
+        raise ScenarioValidationError(diags)
+    return _PREPARERS[kind](_with_defaults(params, _DEFAULTS[kind]))
+
+
+def _schema_errors(schema, instance, *prefix) -> list:
+    """(path, message) of each schema error of instance, in path order."""
+    errors = jsonschema.Draft202012Validator(schema).iter_errors(instance)
+    return [(".".join(map(str, (*prefix, *err.absolute_path))) or "<root>", err.message)
+            for err in sorted(errors, key=lambda e: list(e.absolute_path))]
 
 
 def _float_overflows(obj, path) -> list:
@@ -313,114 +334,64 @@ def _float_overflows(obj, path) -> list:
     return [path] if isinstance(obj, int) and abs(obj) > sys.float_info.max else []
 
 
-def _semantic_diagnostics(kind, p) -> list:
-    """Constraints between schema-valid values that the schema cannot state."""
-    if kind in ("classical-orbit", "classical-limit-sweep"):
-        span = p["s_span"] if kind == "classical-orbit" else (0.0, _SWEEP_SPAN)
-        try:
-            step_count(span, p.get("step", _SWEEP_STEP))
-        except ValueError as exc:
-            return [f"parameters.step: {exc}"]
-    if kind == "free-ecd":
-        s_max, eps = p.get("s_max", _FREE_ECD_S_MAX), max(p["epsilons"])
-        if s_max <= eps:
-            return [f"parameters.s_max: {s_max:g} must exceed the largest "
-                    f"epsilon {eps:g}"]
-        return _calibration_diagnostics(p, ("epsilons",), s_max=s_max)
-    if kind == "classical-limit-sweep":
-        f = p["factors"]
-        # the runner's residual ratios compare each factor with a stronger one
-        diags = [] if all(a > b for a, b in zip(f, f[1:])) else [
-            f"parameters.factors: {f} must strictly decrease (weakening field)"]
-        return diags + _calibration_diagnostics(p, ("epsilon",), s_max=_SWEEP_S_MAX)
-    if kind == "current-regularization":
-        diags = [f"parameters.{name}: must be nonzero, or the profile vanishes "
-                 f"and has no power law" for name in ("c0", "charge") if p[name] == 0]
-        diags += _calibration_diagnostics(p, ("epsilon", "epsilons_collapse"))
-        # the profile scales with q |c0/eps|^2 sqrt(eps), which must not over- or
-        # underflow; numpy turns a float overflow into inf instead of raising
-        for eps in [] if diags else [p["epsilon"], *p.get("epsilons_collapse", [])]:
-            with np.errstate(all="ignore"):
-                amp = p["charge"] * np.float64(p["c0"] / eps) ** 2 * np.sqrt(eps)
-            if not (np.isfinite(amp) and amp != 0):
-                diags.append(f"parameters.c0: the profile amplitude charge |c0/epsilon|^2 "
-                             f"sqrt(epsilon) is {amp:g} at epsilon {eps:g}")
-        low = min(p.get("tail_window_x", TAIL_WINDOW_X))
-        width = p.get("smear_width_x", SMEAR_WIDTH_X)
-        if low <= width / 2:
-            diags.append(f"parameters.tail_window_x: {low:g} must exceed half the "
-                         f"smear width {width / 2:g}, so that every smeared radius is positive")
-        return diags
-    if kind == "lw-field-map":
-        worldlines = {"worldline": p["worldline"]}
-    elif kind == "conservation-audit":
-        worldlines = {f"worldlines.{i}": wl for i, wl in enumerate(p["worldlines"])}
-    else:
-        return []
-    diags, trajs = [], {}
-    for path, wl in worldlines.items():
-        try:        # s_span and n must give strictly increasing samples
-            trajs[path] = _traj_from(wl)
-        except ValueError as exc:
-            diags.append(f"parameters.{path}.s_span: {exc}")
-    if kind == "conservation-audit" and not diags:
-        # the runner's deposit: each worldline must cross every slice inside the grid
-        grid = _grid_from(p["grid"])
-        kernel = DepositKernel(p.get("kernel", "trilinear"))
-        for path, traj in trajs.items():
-            try:
-                deposit_electric_current(traj, grid, kernel)
-            except DepositError as exc:
-                diags.append(f"parameters.{path}: {exc}")
-    return diags
+def _with_defaults(params, defaults) -> dict:
+    """A copy of params with each absent key taken from defaults; a nested
+    table fills the object under its key, or each object of the array under it."""
+    out = dict(params)
+    for key, default in defaults.items():
+        if isinstance(default, dict):
+            value = out[key]
+            out[key] = ([_with_defaults(v, default) for v in value] if isinstance(value, list)
+                        else _with_defaults(value, default))
+        else:
+            out.setdefault(key, default)
+    return out
 
 
-def _calibration_diagnostics(p, names, **calibration) -> list:
-    """Each epsilon under names must build the calibration that its runner
-    builds: below the s'-window s_max and with a finite N."""
-    diags = []
-    for name in names:
-        for eps in np.atleast_1d(p.get(name, [])):
-            try:
-                calibrate(float(eps), **calibration)
-            except ValueError as exc:
-                diags.append(f"parameters.{name}: {exc}")
-    return diags
+def _check(ok, path, message):
+    if not ok:
+        raise ScenarioValidationError([f"parameters.{path}: {message}"])
 
 
-def validate_file(path) -> list:
+def _at(path, build, *args, **kwargs):
+    """build(*args, **kwargs); the ValueError or DepositError it raises is
+    reported against parameters.<path>."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        return [f"cannot read {path}: {exc}"]
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        return [f"parse failure at line {exc.lineno} column {exc.colno}: {exc.msg}"]
-    return validate_config(doc)
+        return build(*args, **kwargs)
+    except (ValueError, DepositError) as exc:
+        raise ScenarioValidationError([f"parameters.{path}: {exc}"]) from None
 
 
-def load_scenario(path, overrides=()) -> Scenario:
+def _read_config(path):
     try:
-        doc = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except OSError as exc:
         raise ScenarioValidationError([f"cannot read {path}: {exc}"])
     except json.JSONDecodeError as exc:
         raise ScenarioValidationError(
             [f"parse failure at line {exc.lineno} column {exc.colno}: {exc.msg}"])
+
+
+def validate_file(path) -> list:
+    try:
+        return validate_config(_read_config(path))
+    except ScenarioValidationError as exc:
+        return exc.diagnostics
+
+
+def load_scenario(path, overrides=()) -> Scenario:
+    doc = _read_config(path)
     for key, raw in overrides:
+        *parents, last = key.split(".")
         node = doc
-        parts = key.split(".")
-        for p in parts[:-1]:
-            if not isinstance(node, dict) or p not in node:
-                raise ScenarioValidationError([f"override path {key!r} not in config"])
-            node = node[p]
-        if not isinstance(node, dict) or parts[-1] not in node:
+        for part in parents:
+            node = node.get(part) if isinstance(node, dict) else None
+        if not isinstance(node, dict) or last not in node:
             raise ScenarioValidationError([f"override path {key!r} not in config"])
         try:
-            node[parts[-1]] = json.loads(raw)
+            node[last] = json.loads(raw)
         except json.JSONDecodeError:
-            node[parts[-1]] = raw
+            node[last] = raw
     diags = validate_config(doc)
     if diags:
         raise ScenarioValidationError(diags)
@@ -440,29 +411,90 @@ def _write_csv(path, header, rows):
                         else str(v) for v in row])
 
 
-def _grid_from(params) -> EventGrid:
-    return EventGrid(origin=params["origin"], spacings=params["spacings"],
-                     extents=tuple(params["extents"]))
+# ---------------------------------------------------------------------------
+# per-kind set-up: the parameters with defaults in, the same dict plus the
+# objects the runner takes out (see _prepare).  A worldline's failure is its
+# s_span's: with n, it must give increasing samples.
 
 
-def _traj_from(wl) -> Trajectory:
-    return Trajectory.uniform(wl["u"], x0=wl.get("x0", (0, 0, 0, 0)),
-                              s_span=tuple(wl.get("s_span", (-10.0, 10.0))),
-                              n=wl.get("n", 201), q=wl.get("q", 1.0))
+def _prepare_classical_orbit(p):
+    _at("step", step_count, p["s_span"], p["step"])
+    return dict(p, F=np.asarray(AntisymTensor.from_fields(p["electric"], p["magnetic"])),
+                cfg=IntegratorConfig(step=p["step"], tolerance=p["tolerance"]))
+
+
+def _prepare_lw_field_map(p):
+    return dict(p, traj=_at("worldline.s_span", Trajectory.uniform, **p["worldline"]),
+                grid=EventGrid(**p["grid"]))
+
+
+def _prepare_conservation_audit(p):
+    grid, kernel = EventGrid(**p["grid"]), DepositKernel(p["kernel"])
+    trajs = [_at(f"worldlines.{i}.s_span", Trajectory.uniform, **wl)
+             for i, wl in enumerate(p["worldlines"])]
+    # each worldline must cross every slice inside the grid
+    return dict(p, grid=grid, currents=[_at(f"worldlines.{i}", deposit_electric_current,
+                                            traj, grid, kernel) for i, traj in enumerate(trajs)])
+
+
+def _prepare_free_ecd(p):
+    s_max, eps = p["s_max"], max(p["epsilons"])
+    _check(s_max > eps, "s_max", f"{s_max:g} must exceed the largest epsilon {eps:g}")
+    return dict(p, cals=[_at("epsilons", calibrate, e, s_max=s_max) for e in p["epsilons"]])
+
+
+def _prepare_classical_limit_sweep(p):
+    _at("step", step_count, (0.0, _SWEEP_SPAN), p["step"])
+    f = p["factors"]
+    # the runner's residual ratios compare each factor with a stronger one
+    _check(all(a > b for a, b in zip(f, f[1:])), "factors",
+           f"{f} must strictly decrease (weakening field)")
+    return dict(p, cal=_at("epsilon", calibrate, p["epsilon"], s_max=_SWEEP_S_MAX),
+                F_base=np.asarray(AntisymTensor.from_fields(p["electric"], (0, 0, 0))))
+
+
+def _prepare_current_regularization(p):
+    for name in ("c0", "charge"):
+        _check(p[name] != 0, name, "must be nonzero, or the profile vanishes and has no power law")
+    cals = [_at("epsilon", calibrate, p["epsilon"])]
+    cals += [_at("epsilons_collapse", calibrate, e) for e in p["epsilons_collapse"]]
+    # the profile scales with q |c0/eps|^2 sqrt(eps), which must not over- or
+    # underflow; numpy turns a float overflow into inf instead of raising
+    with np.errstate(all="ignore"):
+        amps = [p["charge"] * np.float64(p["c0"] / cal.epsilon) ** 2 * np.sqrt(cal.epsilon)
+                for cal in cals]
+    for cal, amp in zip(cals, amps):
+        _check(np.isfinite(amp) and amp != 0, "c0", f"the profile amplitude charge "
+               f"|c0/epsilon|^2 sqrt(epsilon) is {amp:g} at epsilon {cal.epsilon:g}")
+    xw, width = tuple(p["tail_window_x"]), p["smear_width_x"]
+    _check(xw[0] != xw[1], "tail_window_x",
+           f"its ends are both {xw[0]:g}; they must differ, or every fit radius is the same")
+    _check(min(xw) > width / 2, "tail_window_x", f"{min(xw):g} must exceed half the smear "
+           f"width {width / 2:g}, so that every smeared radius is positive")
+    # one (calibration, amplitude, fit radii) per epsilon: the profile's, then each collapse's
+    return dict(p, profiles=[(cal, amp, fit_radii(cal.epsilon, xw))
+                             for cal, amp in zip(cals, amps)])
+
+
+_PREPARERS = {
+    "classical-orbit": _prepare_classical_orbit,
+    "lw-field-map": _prepare_lw_field_map,
+    "conservation-audit": _prepare_conservation_audit,
+    "free-ecd": _prepare_free_ecd,
+    "guiding-run": dict,        # the runner takes the parameters as they are
+    "classical-limit-sweep": _prepare_classical_limit_sweep,
+    "current-regularization": _prepare_current_regularization,
+}
 
 
 # ---------------------------------------------------------------------------
-# per-kind runners
+# per-kind runners: each takes its kind's _prepare output
 
 
 def _run_classical_orbit(p, out: Path):
     """trajectory.csv columns: s, gamma0..3, gamma_dot0..3, norm2_drift."""
-    from .minkowski import AntisymTensor
-
-    F = AntisymTensor.from_fields(p["electric"], p["magnetic"])
-    cfg = IntegratorConfig(step=p["step"], tolerance=p["tolerance"])
-    traj = integrate_worldline((p["x0"], p["u0"]), FieldProvider.constant(np.asarray(F)),
-                               p["charge"], tuple(p["s_span"]), cfg)
+    traj = integrate_worldline((p["x0"], p["u0"]), FieldProvider.constant(p["F"]),
+                               p["charge"], tuple(p["s_span"]), p["cfg"])
     n2 = traj.norm2_samples()
     drift = np.abs(n2 - n2[0])
     rows = [[traj.s[i], *traj.gammas[i], *traj.gamma_dots[i], drift[i]]
@@ -478,11 +510,9 @@ def _run_classical_orbit(p, out: Path):
 
 def _run_lw_field_map(p, out: Path):
     """fields.csv columns: t,x,y,z, A0..3, E1..3, B1..3 (NaN where uncovered)."""
-    traj = _traj_from(p["worldline"])
-    grid = _grid_from(p["grid"])
+    grid, wl = p["grid"], p["worldline"]
     pts = grid.points().reshape(-1, 4)
-    h = p.get("fd_step", _LW_FD_STEP)
-    A, F, covered = lw_fields(pts, traj, h)
+    A, F, covered = lw_fields(pts, p["traj"], p["fd_step"])
     E = F[:, 1:, 0]
     B = -F[:, [2, 3, 1], [3, 1, 2]]
     vals = np.hstack([A, E, B])
@@ -492,30 +522,24 @@ def _run_lw_field_map(p, out: Path):
                + ["E1", "E2", "E3", "B1", "B2", "B3"], np.hstack([pts, vals]))
     residuals = {"covered_points": int(covered.sum()), "total_points": len(pts)}
     # Coulomb cross-check when the worldline is at rest
-    u = as_four(p["worldline"]["u"])
-    if np.all(u[1:] == 0.0) and covered.any():
-        x0 = as_four(p["worldline"].get("x0", (0, 0, 0, 0)))
-        r = np.linalg.norm(pts[:, 1:] - x0[1:], axis=1)
+    if np.all(as_four(wl["u"])[1:] == 0.0) and covered.any():
+        r = np.linalg.norm(pts[:, 1:] - as_four(wl["x0"])[1:], axis=1)
         far = covered & (r > 3 * max(grid.spacings[1:]))
         if far.any():
-            q = p["worldline"].get("q", 1.0)
-            coulomb = q / (4 * np.pi * r[far])
+            coulomb = wl["q"] / (4 * np.pi * r[far])
             residuals["coulomb_max_rel_error"] = float(
                 (np.abs(A[far, 0] - coulomb) / np.abs(coulomb)).max())
-    return residuals, {"fd_step": h}, ["fields.csv"]
+    return residuals, {"fd_step": p["fd_step"]}, ["fields.csv"]
 
 
 def _run_conservation_audit(p, out: Path):
     """charges.csv columns: slice_index, t, then one charge column per worldline."""
-    grid = _grid_from(p["grid"])
-    kernel = DepositKernel(p.get("kernel", "trilinear"))
-    trajs = [_traj_from(wl) for wl in p["worldlines"]]
-    currents = [deposit_electric_current(t, grid, kernel) for t in trajs]
+    grid, currents = p["grid"], p["currents"]
     n_t = grid.extents[0]
     charge_table = [[grid_charge(j, k) for j in currents] for k in range(n_t)]
     rows = [[k, grid.axis(0)[k]] + charge_table[k] for k in range(n_t)]
     _write_csv(out / "charges.csv",
-               ["slice", "t"] + [f"charge{i}" for i in range(len(trajs))], rows)
+               ["slice", "t"] + [f"charge{i}" for i in range(len(currents))], rows)
     spreads = [max(col) - min(col) for col in zip(*charge_table)]
     residuals = {"charge_spread_max": float(max(spreads)),
                  "charge_spreads": [float(s) for s in spreads]}
@@ -527,16 +551,13 @@ def _run_conservation_audit(p, out: Path):
 
 def _run_free_ecd(p, out: Path):
     """consistency.csv columns: epsilon, N, residual, tail_bound."""
-    u = tuple(p.get("u", (1.0, 0.0, 0.0, 0.0)))
-    c0 = p.get("c0", 1.0)
-    s_max = p.get("s_max", _FREE_ECD_S_MAX)
+    s_max = p["s_max"]
     s_samples = np.linspace(-2.0, 2.0, 5)
     rows = []
     residuals = {"by_epsilon": {}}
     worst = 0.0
-    for eps in p["epsilons"]:
-        cal = calibrate(eps, s_max=s_max)
-        pair = EcdPair.free(u, cal, C=c0)
+    for eps, cal in zip(p["epsilons"], p["cals"]):
+        pair = EcdPair.free(tuple(p["u"]), cal, C=p["c0"])
         res = consistency_residual(pair, s_samples)
         tail_bound = eps / s_max
         rows.append([eps, cal.N, res, tail_bound])
@@ -556,13 +577,10 @@ def _run_guiding_run(p, out: Path):
     """guiding.csv columns: s, gamma0..3, center0..3, deviation."""
     pk = p["packet"]
     M = np.diag(pk["M_diag"])
-    x0 = as_four(pk["x0"])
-    u = as_four(pk["u"])
-    amp = as_four(pk.get("wobble_amp", (0.0, 0.0, 0.0, 0.0)))
-    freq = pk.get("wobble_freq", 1.0)
+    x0, u, amp = as_four(pk["x0"]), as_four(pk["u"]), as_four(pk["wobble_amp"])
 
     def center(s):
-        return x0 + u * s + amp * np.sin(freq * s)
+        return x0 + u * s + amp * np.sin(pk["wobble_freq"] * s)
 
     def packet_phi(x, s):
         # integrate_guiding squares this amplitude to get |phi|^2 = e^{-d M d}
@@ -570,9 +588,8 @@ def _run_guiding_run(p, out: Path):
         return float(np.exp(-0.5 * d @ M @ d))
 
     s0, s1 = p["s_span"]
-    fd = p.get("fd_step", 1e-3)
     states, event = integrate_guiding(packet_phi, center(s0), (s0, s1),
-                                      p["steps"], h=fd)
+                                      p["steps"], h=p["fd_step"])
     rows = []
     devs = []
     for st in states:
@@ -588,28 +605,19 @@ def _run_guiding_run(p, out: Path):
                  {"s": event.s, "condition_number": event.condition_number}}
     if max(devs) > p["tolerance"]:
         raise AccuracyFailure(f"guiding deviation {max(devs):g} > {p['tolerance']:g}")
-    return residuals, {"tolerance": p["tolerance"], "fd_step": fd}, ["guiding.csv"]
+    return residuals, {"tolerance": p["tolerance"], "fd_step": p["fd_step"]}, ["guiding.csv"]
 
 
 def _run_classical_limit_sweep(p, out: Path):
     """sweep.csv columns: factor, phase_gradient_residual."""
-    from .minkowski import AntisymTensor
-
-    F_base = np.asarray(AntisymTensor.from_fields(p["electric"], (0, 0, 0)))
-    q = p.get("charge", 1.0)
-    u0 = as_four(p.get("u0", (1.0, 0.0, 0.0, 0.0)))
-    s_span = tuple(p.get("s_span", (-1.0, 1.0)))
-    step = p.get("step", _SWEEP_STEP)
-    eps = p.get("epsilon", _SWEEP_EPSILON)
-    s_max = _SWEEP_S_MAX
-    cal = calibrate(eps, s_max=s_max)
-    s_samples = np.linspace(s_span[0], s_span[1], 2)
+    q, u0 = p["charge"], as_four(p["u0"])
+    s_samples = np.linspace(p["s_span"][0], p["s_span"][1], 2)
     rows = []
     res_list = []
     rec_list = []
     for fac in p["factors"]:
-        F = fac * F_base
-        pair = constant_field_pair(F, u0, cal, q=q, step=step,
+        F = fac * p["F_base"]
+        pair = constant_field_pair(F, u0, p["cal"], q=q, step=p["step"],
                                    s_span=(-_SWEEP_SPAN, _SWEEP_SPAN))
         resid, rec = classical_phase_gradient_check(pair, F, q, s_samples,
                                                     with_recovery=True)
@@ -627,24 +635,18 @@ def _run_classical_limit_sweep(p, out: Path):
     # shrink the residual by at least the declared ratio bound
     if ratios and max(ratios) > bound:
         raise AccuracyFailure(f"residual ratio {max(ratios):g} > bound {bound:g}")
-    return residuals, {"ratio_bound": bound, "epsilon": eps}, ["sweep.csv"]
+    return residuals, {"ratio_bound": bound, "epsilon": p["epsilon"]}, ["sweep.csv"]
 
 
 def _run_current_regularization(p, out: Path):
     """profile.csv columns: r, j0, tail, remainder, smeared_remainder."""
-    eps = p["epsilon"]
-    c0 = p["c0"]
-    q = p["charge"]
-    cal = calibrate(eps)
-    C = c0 / eps
-    xw = tuple(p.get("tail_window_x", TAIL_WINDOW_X))
-    smear_x = p.get("smear_width_x", SMEAR_WIDTH_X)
-    sq = np.sqrt(eps)
-    rs = fit_radii(eps, xw)
+    c0, q = p["c0"], p["charge"]
+    (cal, amp, rs), *collapse = p["profiles"]
+    C = c0 / cal.epsilon
     j0 = free_charge_j0(rs, (1, 0, 0, 0), C, cal, q)
     tail = charge_tail(rs, C, cal, q)
     remainder = j0 - tail
-    smeared = smeared_remainder(C, cal, q, rs, smear_x * sq)
+    smeared = smeared_remainder(C, cal, q, rs, p["smear_width_x"] * np.sqrt(cal.epsilon))
     rows = [[rs[i], j0[i], tail[i], remainder[i], smeared[i]] for i in range(len(rs))]
     _write_csv(out / "profile.csv", ["r", "j0", "tail", "remainder",
                                      "smeared_remainder"], rows)
@@ -654,23 +656,19 @@ def _run_current_regularization(p, out: Path):
                  "subtracted_slope": float(sub_slope),
                  "fit_window_r": [float(rs[0]), float(rs[-1])],
                  "divergent_coefficient": divergent_coefficient(C, cal, q)}
-    collapse = p.get("epsilons_collapse")
     if collapse:
-        base = j0 / (q * abs(C) ** 2 * sq)
+        base = j0 / amp
         worst = 0.0
-        for e2 in collapse:
-            cal2 = calibrate(e2)
-            C2 = c0 / e2
-            r2 = fit_radii(e2, xw)
-            prof = free_charge_j0(r2, (1, 0, 0, 0), C2, cal2, q) \
-                / (q * abs(C2) ** 2 * np.sqrt(e2))
+        for cal2, amp2, r2 in collapse:
+            prof = free_charge_j0(r2, (1, 0, 0, 0), c0 / cal2.epsilon, cal2, q) / amp2
             worst = max(worst, float(np.abs(prof / base - 1.0).max()))
         residuals["collapse_max_rel"] = worst
-    tol = p.get("slope_tolerance", 0.5)
+    tol = p["slope_tolerance"]
     if abs(tail_slope + 1.0) > 0.02 or abs(sub_slope + 5.0) > tol:
         raise AccuracyFailure(
             f"slopes tail={tail_slope:.3f} subtracted={sub_slope:.3f} outside bounds")
-    return residuals, {"slope_tolerance": tol, "smear_width_x": smear_x}, ["profile.csv"]
+    return residuals, {"slope_tolerance": tol, "smear_width_x": p["smear_width_x"]}, \
+        ["profile.csv"]
 
 
 _RUNNERS = {
@@ -687,13 +685,15 @@ _RUNNERS = {
 def run_scenario(scenario: Scenario, out_dir, workers: Optional[int] = None) -> RunManifest:
     """Run one scenario into out_dir; workers is accepted and ignored (no pools).
 
-    Every numeric error of the library is an ArithmeticError; those and
-    LinAlgError become a NumericFailure (exit 3)."""
+    The set-up is validate_config's, and raises ScenarioValidationError
+    (exit 2).  Every numeric error of the library is an ArithmeticError; those
+    and LinAlgError become a NumericFailure (exit 3)."""
+    t0 = time.time()
+    prepared = _prepare(scenario.kind, scenario.parameters)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    t0 = time.time()
     try:
-        residuals, tolerances, outputs = _RUNNERS[scenario.kind](scenario.parameters, out)
+        residuals, tolerances, outputs = _RUNNERS[scenario.kind](prepared, out)
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         raise NumericFailure(str(exc)) from exc
     manifest = RunManifest(

@@ -7,10 +7,13 @@ missing name raises there, so deleting a function the benchmark times fails
 this test instead of the benchmark run. perfbench/workloads.py calls the
 library with keywords of its own; running each declared workload's seed-0
 solve and audit under the tracer fails here when one of them goes away.
+perfbench/selftest.py names more of the program (scenarios.validate_config,
+scenarios.consistency_residual, ecd_core.EcdPair.free); its suite runs here too.
 """
 
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -54,3 +57,9 @@ def test_seed_zero_workload_solves_and_audits_under_the_tracer(name, tmp_path):
     assert audit.figures
     for figure, value, target in audit.figures:
         assert target is None or value <= target, (figure, value, target)
+
+
+def test_perfbench_selftest_passes():
+    proc = subprocess.run([sys.executable, "selftest.py"], cwd=PERFBENCH,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

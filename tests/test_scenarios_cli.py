@@ -5,6 +5,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -307,11 +308,14 @@ def test_classical_limit_sweep_factors_must_decrease(factors, tmp_path, capsys):
 
 @pytest.mark.parametrize("name, value", [("tail_window_x", [0.5, 60.0]),
                                          ("c0", 0.0), ("charge", 0.0),
-                                         ("c0", 1e-170), ("c0", 1e160)])
+                                         ("c0", 1e-170), ("c0", 1e160),
+                                         ("tail_window_x", [5.0, 5.0])])
 def test_current_regularization_semantic_checks(name, value, tmp_path, capsys):
     """A smear window reaching r <= 0, or a vanishing profile, exits 2.  So does
     an amplitude q |c0/eps|^2 sqrt(eps) that underflows to 0 (the fit raised a
-    ValueError, exit 1) or overflows (Python's OverflowError, exit 3)."""
+    ValueError, exit 1) or overflows (Python's OverflowError, exit 3), and a
+    fit window with equal ends (14 equal radii: polyfit warned and the run
+    exited 4)."""
     doc = {"schema_version": "1", "kind": "current-regularization",
            "parameters": {"epsilon": 1e-3, "c0": 1e-3, "charge": 1.0}}
     assert validate_config(doc) == []
@@ -382,6 +386,92 @@ def test_worldline_s_span_must_give_increasing_samples(kind, tmp_path, capsys):
     assert main(["run", cfg, "--out", str(tmp_path / "o"),
                  "--workers", "1"]) == EXIT_VALIDATION
     assert f"parameters.{path}.s_span" in capsys.readouterr().err
+
+
+def test_tail_window_ends_may_come_in_either_order(tmp_path, capsys):
+    """Only equal ends are rejected: a window given from 60 down to 5 fits the
+    same radii in reverse and runs."""
+    doc = {"schema_version": "1", "kind": "current-regularization",
+           "parameters": {"epsilon": 1e-3, "c0": 1e-3, "charge": 1.0,
+                          "tail_window_x": [60.0, 5.0]}}
+    assert validate_config(doc) == []
+    assert main(["run", write(tmp_path, doc), "--out", str(tmp_path / "o"),
+                 "--workers", "1"]) == EXIT_OK
+    capsys.readouterr()
+
+
+def valid_config(kind):
+    """One small config of each kind that validates."""
+    params = {"free-ecd": {"epsilons": [0.1], "tolerance_factor": 1.0},
+              "classical-limit-sweep": {"electric": [0.1, 0.0, 0.0], "factors": [1.0, 0.5],
+                                        "ratio_bound": 1.0},
+              "current-regularization": {"epsilon": 1e-3, "c0": 1e-3, "charge": 1.0,
+                                         "epsilons_collapse": [1e-4]}}
+    configs = {"classical-orbit": orbit_config, "lw-field-map": lw_config,
+               "conservation-audit": audit_config, "guiding-run": guiding_config}
+    if kind in configs:
+        return configs[kind]()
+    return {"schema_version": "1", "kind": kind, "parameters": params[kind]}
+
+
+class Computed(Exception):
+    """Raised by a compute entry point in place of its work."""
+
+
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+def test_validation_runs_no_computation(kind, monkeypatch, tmp_path):
+    """Validation is the run's own set-up and stays cheap: it calls none of the
+    compute entry points that scenarios imports, while the run calls one."""
+    def computed(*args, **kwargs):
+        raise Computed
+
+    for name in ("integrate_worldline", "constant_field_pair", "consistency_residual",
+                 "classical_phase_gradient_check", "integrate_guiding", "lw_fields",
+                 "free_charge_j0", "charge_tail", "smeared_remainder", "grid_charge"):
+        monkeypatch.setattr(scenarios, name, computed)
+    doc = valid_config(kind)
+    assert validate_config(doc) == []
+    with pytest.raises(Computed):
+        scenarios.run_scenario(scenarios.Scenario(kind, doc["parameters"]), tmp_path)
+
+
+def test_defaults_table_matches_the_schemas():
+    """Every optional parameter has exactly one default, which its schema
+    accepts, and the table names no key its schema lacks.  A nested table
+    belongs to an object, or an array of objects, with optional keys."""
+    def check(schema, table, where):
+        props = schema["properties"]
+        assert set(table) <= set(props), where
+        for key, prop in props.items():
+            item = prop.get("items", prop)
+            if "properties" in item:
+                check(item, table.get(key, {}), f"{where}.{key}")
+            else:
+                assert (key in table) != (key in schema["required"]), f"{where}.{key}"
+                if key in table:
+                    jsonschema.validate(json.loads(json.dumps(table[key])), prop)
+
+    assert set(scenarios._DEFAULTS) == set(SCENARIO_KINDS)
+    for kind, schema in scenarios._PARAM_SCHEMAS.items():
+        check(schema, scenarios._DEFAULTS[kind], kind)
+
+
+@pytest.mark.parametrize("kind, params, tolerance, value", [
+    ("free-ecd", {"epsilons": [0.1], "tolerance_factor": 1.0}, "s_max", 50.0),
+    ("lw-field-map", lw_config()["parameters"], "fd_step", 1e-4)],
+    ids=["free-ecd", "lw-field-map"])
+def test_manifest_echoes_the_config_as_written(kind, params, tolerance, value, tmp_path):
+    """The manifest's scenario is the config with no default filled in (the
+    lw-field-map worldline has no x0), the run leaves its parameters as they
+    were, and the tolerances carry the filled defaults with their types."""
+    written = json.loads(json.dumps(params))
+    scenarios.run_scenario(scenarios.Scenario(kind, params), tmp_path)
+    assert params == written
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["scenario"] == {"kind": kind, "parameters": written,
+                                    "schema_version": "1"}
+    assert manifest["tolerances"][tolerance] == value
+    assert type(manifest["tolerances"][tolerance]) is float
 
 
 def test_step_count_is_bounded(tmp_path, capsys):
@@ -811,6 +901,9 @@ def regularization_configs(draw):
 
 
 @given(doc=regularization_configs())
+@example(doc={"schema_version": "1", "kind": "current-regularization",
+              "parameters": {"epsilon": 1e-3, "c0": 1e-3, "charge": 1.0,
+                             "tail_window_x": [5.0, 5.0]}})
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_current_regularization_exit_codes_fuzz(doc, capsys):
