@@ -302,25 +302,26 @@ def classical_phase_gradient_check(pair: EcdPair, F, q: float, s_samples,
     velocity recovered from the measured phase gradient,
     gamma_dot_rec = g (Im[d phi / phi] - q A), against the integrated
     worldline velocity -- the phase gradient reconstructs the trajectory.
+    Raises FloatingPointError where a returned figure is not finite (a
+    vanishing wave or, for the recovery, a vanishing velocity).
     """
     F_lower = METRIC @ np.asarray(F, dtype=float) @ METRIC
-    worst = 0.0
-    worst_rec = 0.0
+    worst = worst_rec = 0.0
     for s in np.atleast_1d(s_samples):
         gamma, gdot = pair.trajectory.state_at(float(s))
         A_low = -0.5 * F_lower @ gamma
         p = METRIC @ gdot + q * A_low
         center = phi_eval(pair, gamma, float(s), tol=tol)
         grad = fd_grad(lambda y: phi_eval(pair, y, float(s), tol=tol), gamma, _PHASE_FD_STEP)
-        err = np.abs(grad - 1j * p * center).max()
-        worst = max(worst, err / abs(center))
-        p_measured = np.imag(grad / center)
-        gdot_rec = METRIC @ (p_measured - q * A_low)
-        worst_rec = max(worst_rec, float(np.abs(gdot_rec - gdot).max()
-                                         / np.abs(gdot).max()))
-    if with_recovery:
-        return worst, worst_rec
-    return worst
+        # np.maximum keeps a NaN, where max() would drop it; it is raised below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            worst = np.maximum(worst, np.abs(grad - 1j * p * center).max() / abs(center))
+            gdot_rec = METRIC @ (np.imag(grad / center) - q * A_low)
+            worst_rec = np.maximum(worst_rec, np.abs(gdot_rec - gdot).max() / np.abs(gdot).max())
+    figures = (float(worst), float(worst_rec)) if with_recovery else (float(worst),)
+    if not np.all(np.isfinite(figures)):
+        raise FloatingPointError(f"phase-gradient figures {figures} are not all finite")
+    return figures if with_recovery else figures[0]
 
 
 def scale_transform_pair(pair: EcdPair, lam: float) -> EcdPair:

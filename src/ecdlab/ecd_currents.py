@@ -18,6 +18,7 @@ Units are hbar = c = 1 (see propagators), so D^mu = d^mu - i q A^mu.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -25,7 +26,7 @@ import numpy as np
 from scipy.integrate import simpson
 from scipy.special import modfresnelm
 
-from .minkowski import METRIC, as_four, minkowski_dot
+from .minkowski import as_four, minkowski_dot
 from .dynamics import Trajectory
 from .ecd_core import EpsilonCalibration
 from .grids import (CurrentField, DepositKernel, EventGrid, TensorField,
@@ -56,17 +57,14 @@ class WaveJet(NamedTuple):
     ds_grad: Optional[np.ndarray] = None
 
 
-def _jet_args(x, s, order):
-    """Checked x and s; 1-D s becomes (n, 1, ..., 1) and x gains a leading axis."""
+def _jet_s(s, order, ndim: int):
+    """Checked s; 1-D s-nodes become (n, 1, ..., 1) against ndim coordinate axes."""
     if order not in (1, 2):
         raise ValueError(f"jet order must be 1 or 2, got {order!r}")
-    x = np.asarray(x, dtype=float)
     s = np.asarray(s, dtype=float)
     if s.ndim > 1:
         raise ValueError("s must be a scalar or a 1-D array of s-nodes")
-    if s.ndim:
-        x = x[None]
-    return x, s.reshape(s.shape + (1,) * (x.ndim - 1 - s.ndim))
+    return s.reshape(s.shape + (1,) * ndim)
 
 
 def _first(v, a):
@@ -104,12 +102,16 @@ class PhiField:
 
     def jet(self, x, s, order: int = 1) -> WaveJet:
         """Value, gradient, d_s and at order 2 d_s grad, one s-node at a time."""
-        _jet_args(x, s, order)
+        _jet_s(s, order, 0)
         if np.ndim(s):
             parts = zip(*(self.jet(x, sv, order) for sv in s))
             return WaveJet(*(None if p[0] is None else np.stack(p) for p in parts))
         return WaveJet(self.value(x, s), self.grad(x, s), self.ds(x, s),
                        self.ds_grad(x, s) if order == 2 else None)
+
+    def grid_jet(self, grid: EventGrid, s, order: int = 1) -> WaveJet:
+        """The jet at the grid's events in C order: jet(grid.points() as (P, 4))."""
+        return self.jet(grid.points().reshape(-1, 4), s, order)
 
     def abs2(self, x, s):
         v = self.value(x, s)
@@ -117,7 +119,32 @@ class PhiField:
 
 
 class JetPhiField(PhiField):
-    """A wave that computes its jet in one pass; single parts read the jet."""
+    """A wave that computes its jet in one pass; single parts read the jet.
+
+    Subclasses implement _jet_axes(c, s, order): c holds four coordinate
+    arrays that broadcast against each other and against s (a scalar, or
+    nodes shaped (n, 1, ..., 1)); the parts come back full-size, gradients
+    components first.  jet passes its events' columns, grid_jet the grid's
+    open mesh, so a factor of one coordinate is made once per grid line.
+    """
+
+    def jet(self, x, s, order: int = 1) -> WaveJet:
+        x = np.asarray(x, dtype=float)
+        return self._jet_on(tuple(x.reshape(-1, 4).T), s, order, x.shape[:-1])
+
+    def grid_jet(self, grid: EventGrid, s, order: int = 1) -> WaveJet:
+        mesh = np.meshgrid(*(grid.axis(mu) for mu in range(4)), indexing="ij", sparse=True)
+        return self._jet_on(mesh, s, order, (math.prod(grid.extents),))
+
+    def _jet_on(self, c, s, order, shape) -> WaveJet:
+        """_jet_axes at c, reshaped to s's shape + shape with gradients' components last."""
+        jet = self._jet_axes(c, _jet_s(s, order, c[0].ndim), order)
+        shape = np.shape(s) + shape
+
+        def grad(d):
+            return None if d is None else np.moveaxis(d.reshape((4,) + shape), 0, -1)
+        return WaveJet(jet.value.reshape(shape), grad(jet.grad), jet.ds.reshape(shape),
+                       grad(jet.ds_grad))
 
     def value(self, x, s):
         return self.jet(x, s).value
@@ -146,37 +173,46 @@ class FreePhi(JetPhiField):
         self.x0 = as_four(x0)
         self.u2 = minkowski_dot(self.u, self.u)
 
-    def jet(self, x, s, order: int = 1) -> WaveJet:
-        x, s = _jet_args(x, s, order)
+    def _jet_axes(self, c, s, order):
         eps, u2 = self.epsilon, self.u2
-        g = _first(_METRIC_DIAG, x)
-        u = _first(self.u, x)
-        # xi = y - u s with y = x - x0, so u.xi and xi^2 come from per-point
-        # and per-node parts, and so does the phase u.xi + u^2 s/2 = u.y - u^2 s/2
-        y = np.ascontiguousarray(np.moveaxis(x - self.x0, -1, 0))
-        u_dot_y = np.sum(y * u * g, axis=0)
-        a = (np.sum(y * y * g, axis=0) - 2.0 * s * u_dot_y + u2 * s * s) / (2.0 * eps)
-        core = self.C * np.exp(1j * u_dot_y) * np.exp(-0.5j * u2 * s)
-        # sinc(a) = sin a / a and its a-derivatives from one sin and one cos;
-        # below |a| = 1e-4 their Taylor series are exact to rounding
+        u_low = self.u * _METRIC_DIAG
+        # per axis: y = x - x0, xi = y - u s, the phase u.xi + u^2 s/2 = u.y - u^2 s/2,
+        # a = xi^2 / 2 eps, d_mu a = xi_mu / eps and d_s a = -u.xi / eps
+        y = [cm - x0m for cm, x0m in zip(c, self.x0)]
+        xi = [ym - um * s for ym, um in zip(y, self.u)]
+        a = sum(xm * (xm * (g / (2.0 * eps))) for xm, g in zip(xi, _METRIC_DIAG))
+        ds_a = sum(xm * (-ul / eps) for xm, ul in zip(xi, u_low))
+        core = math.prod((np.exp(1j * ul * ym) for ym, ul in zip(y, u_low)),
+                         start=self.C * np.exp(-0.5j * u2 * s))
+        # S = sin a / a, S' = (cos a - S) / a and S'' = -(sin a + 2 S') / a from one
+        # sin and one cos; below |a| = 1e-4 their Taylor series are exact to rounding
         small = np.abs(a) < 1e-4
+        a_small = a[small]
         safe = np.where(small, 1.0, a)
-        sin_a, cos_a = np.sin(safe), np.cos(safe)
-        value = core * np.where(small, 1.0 - a * a / 6.0, sin_a / safe)
-        core_dS = core * np.where(small, a * (a * a / 30.0 - 1.0 / 3.0),
-                                  (safe * cos_a - sin_a) / (safe * safe))
-        # d_mu a = xi_mu / eps, d_s a = -u.xi / eps; the phase adds i u_mu and -i u^2 / 2
-        xi_eps = (y - u * s) * (g / eps)
-        ds_a = (u2 * s - u_dot_y) / eps
-        grad = np.moveaxis(1j * u * g * value + core_dS * xi_eps, 0, -1)
+        sin_a = np.sin(safe)
+        sinc = sin_a / safe
+        sinc[small] = 1.0 - a_small * a_small / 6.0
+        dS = (np.cos(safe) - sinc) / safe
+        dS[small] = a_small * (a_small * a_small / 30.0 - 1.0 / 3.0)
+        value = core * sinc
+        core_dS = core * dS
+        # the phase adds i u_mu to d_mu and -i u^2 / 2 to d_s
+        xi_eps = [xm * (g / eps) for xm, g in zip(xi, _METRIC_DIAG)]
+        grad = np.empty((4,) + value.shape, dtype=complex)
+        for out, ul, xe in zip(grad, u_low, xi_eps):
+            np.multiply(core_dS, xe, out=out)
+            out += 1j * ul * value
         ds = -0.5j * u2 * value + core_dS * ds_a
         if order == 1:
             return WaveJet(value, grad, ds)
-        d2S = np.where(small, a * a / 10.0 - 1.0 / 3.0,
-                       ((2.0 - safe * safe) * sin_a - 2.0 * safe * cos_a) / safe ** 3)
+        d2S = -(sin_a + 2.0 * dS) / safe
+        d2S[small] = a_small * a_small / 10.0 - 1.0 / 3.0
         ds_core_dS = -0.5j * u2 * core_dS + core * d2S * ds_a
-        ds_grad = 1j * u * g * ds + ds_core_dS * xi_eps - core_dS * (u * g / eps)
-        return WaveJet(value, grad, ds, np.moveaxis(ds_grad, 0, -1))
+        ds_grad = np.empty_like(grad)
+        for out, ul, xe in zip(ds_grad, u_low, xi_eps):
+            np.multiply(ds_core_dS, xe, out=out)
+            out += 1j * ul * ds - core_dS * (ul / eps)
+        return WaveJet(value, grad, ds, ds_grad)
 
 
 class GaussianSolutionPhi(JetPhiField):
@@ -195,35 +231,38 @@ class GaussianSolutionPhi(JetPhiField):
             raise ValueError("width parameter a must be positive")
         self.a = float(a)
 
-    def jet(self, x, s, order: int = 1) -> WaveJet:
-        x, s = _jet_args(x, s, order)
-        x = np.ascontiguousarray(np.moveaxis(x, -1, 0))
+    def _jet_axes(self, c, s, order):
         inv0 = 1.0 / (self.a + 1j * s)          # 1 / sigma0
         invs = 1.0 / (self.a - 1j * s)          # 1 / sigma
-        t2 = x[0] ** 2
-        r2 = x[1] ** 2 + x[2] ** 2 + x[3] ** 2
-        value = np.sqrt(inv0) * invs * np.sqrt(invs) \
-            * np.exp(-0.5 * (t2 * inv0 + r2 * invs))
-        # d_mu log phi = -x_mu inv_mu with 1 / sigma per axis in inv
-        inv = np.stack(np.broadcast_arrays(inv0, invs, invs, invs))
-        x_inv = x * inv
-        grad = np.moveaxis(-x_inv * value, 0, -1)
-        ds = 0.5j * (t2 * inv0 ** 2 - inv0 + 3.0 * invs - r2 * invs ** 2) * value
+        inv = (inv0, invs, invs, invs)
+        # phi = prod_mu sqrt(inv_mu) e^{-x_mu^2 inv_mu / 2}, d_mu log phi = -x_mu inv_mu,
+        # and d_s inv_mu = -i g_mu inv_mu^2 makes d_s log phi a sum over the axes
+        x2 = [xm * xm for xm in c]
+        value = math.prod(np.sqrt(im) * np.exp(-0.5 * x2m * im) for x2m, im in zip(x2, inv))
+        x_inv = [xm * im for xm, im in zip(c, inv)]
+        grad = np.empty((4,) + value.shape, dtype=complex)
+        for out, xm in zip(grad, x_inv):
+            np.multiply(-xm, value, out=out)
+        ds = sum(0.5j * g * im * (x2m * im - 1.0) for x2m, im, g in zip(x2, inv, _METRIC_DIAG))
+        ds *= value
         if order == 1:
             return WaveJet(value, grad, ds)
-        # d_s inv_mu = -i inv_mu^2 on the time axis and +i inv_mu^2 in space
-        ds_grad = x_inv * (1j * _first(_METRIC_DIAG, x) * inv * value - ds)
-        return WaveJet(value, grad, ds, np.moveaxis(ds_grad, 0, -1))
+        # d_s d_mu phi = x_mu inv_mu (i g_mu inv_mu phi - d_s phi), one inv_mu in space
+        rest = [(1j * g * im) * value - ds for g, im in ((1.0, inv0), (-1.0, invs))]
+        ds_grad = np.empty_like(grad)
+        for mu, (out, xm) in enumerate(zip(ds_grad, x_inv)):
+            np.multiply(xm, rest[mu > 0], out=out)
+        return WaveJet(value, grad, ds, ds_grad)
 
 
 class ConjugatedPhi(JetPhiField):
     """Charge conjugation phi(x, s) -> phi*(x, -s)."""
 
-    def __init__(self, base: PhiField):
+    def __init__(self, base: JetPhiField):
         self.base = base
 
-    def jet(self, x, s, order: int = 1) -> WaveJet:
-        j = self.base.jet(x, -np.asarray(s, dtype=float), order)
+    def _jet_axes(self, c, s, order):
+        j = self.base._jet_axes(c, -s, order)
         return WaveJet(np.conj(j.value), np.conj(j.grad), -np.conj(j.ds),
                        None if j.ds_grad is None else -np.conj(j.ds_grad))
 
@@ -231,18 +270,18 @@ class ConjugatedPhi(JetPhiField):
 class GaugeShiftedPhi(JetPhiField):
     """phi -> phi e^{i q alpha(x)} for a linear alpha(x) = k.x (Minkowski)."""
 
-    def __init__(self, base: PhiField, k, q):
+    def __init__(self, base: JetPhiField, k, q):
         self.base = base
         self.k = as_four(k)
         self.q = float(q)
 
-    def jet(self, x, s, order: int = 1) -> WaveJet:
-        j = self.base.jet(x, s, order)
+    def _jet_axes(self, c, s, order):
+        j = self.base._jet_axes(c, s, order)
         k_lower = self.k * _METRIC_DIAG
-        fac = np.exp(1j * self.q * np.einsum("...m,m->...", x, k_lower))
+        fac = math.prod(np.exp(1j * self.q * km * xm) for km, xm in zip(k_lower, c))
 
         def shifted(f, df):         # e^{i q k.x} (df + i q k_mu f)
-            return fac[..., None] * (df + 1j * self.q * k_lower * f[..., None])
+            return fac * (df + 1j * self.q * _first(k_lower, df) * f)
 
         return WaveJet(fac * j.value, shifted(j.value, j.grad), fac * j.ds,
                        None if j.ds_grad is None else shifted(j.ds, j.ds_grad))
@@ -304,19 +343,19 @@ def _covariant_parts(d_lower, f, A_c, q: float):
     return re, im
 
 
-def _jet_chunks(phi: PhiField, pts, s_nodes, s_weights, A: Optional[Callable],
+def _jet_chunks(phi: PhiField, grid: EventGrid, s_nodes, s_weights, A: Optional[Callable],
                 q: float, order: int = 1):
-    """(s, w, jet, D) per chunk of s-nodes on points (P, 4), in node order.
+    """(s, w, jet, D) per chunk of s-nodes on the grid's P events, in node order.
 
     D is (Re, Im) of D phi at order 1 and of d_s D phi at order 2.  Fixed
     chunks in a fixed order keep every kernel's sums reproducible.
     """
     s_nodes = np.asarray(s_nodes, dtype=float)
     s_weights = np.asarray(s_weights, dtype=float)
-    A_c = _potential(A, pts[None], q)       # (4, 1, P): against the s-axis
+    A_c = _potential(A, grid.points().reshape(1, -1, 4), q)    # (4, 1, P): against the s-axis
     for k in range(0, s_nodes.size, _S_CHUNK):
         s = s_nodes[k:k + _S_CHUNK]
-        jet = phi.jet(pts, s, order)
+        jet = phi.grid_jet(grid, s, order)
         D = (_covariant_parts(jet.grad, jet.value, A_c, q) if order == 1
              else _covariant_parts(jet.ds_grad, jet.ds, A_c, q))
         yield s, s_weights[k:k + _S_CHUNK], jet, D
@@ -337,10 +376,9 @@ def _on_grid(grid: EventGrid, values_c):
 def ecd_electric_current(phi: PhiField, A: Optional[Callable], grid: EventGrid,
                          s_nodes, s_weights, q: float) -> CurrentField:
     """j^mu(x) = int ds q Im[phi* D^mu phi] sampled on the grid."""
-    pts = grid.points().reshape(-1, 4)
-    values = np.zeros((4, pts.shape[0]))
+    values = np.zeros((4, math.prod(grid.extents)))
     if q != 0.0:
-        for _, w, jet, D in _jet_chunks(phi, pts, s_nodes, s_weights, A, q):
+        for _, w, jet, D in _jet_chunks(phi, grid, s_nodes, s_weights, A, q):
             values += _conj_dot(q * w, jet.value, D, imag=True)
     return CurrentField(grid, _on_grid(grid, values))
 
@@ -351,9 +389,8 @@ def mass_current_b(phi: PhiField, A: Optional[Callable], grid: EventGrid,
                    calibration: Optional[EpsilonCalibration] = None) -> CurrentField:
     """b = bbar + bbreve: the bulk term Re[d_s phi* D^mu phi] integrated over s,
     plus, given trajectory and calibration, the (2/N)|phi|^2 gamma_dot deposit."""
-    pts = grid.points().reshape(-1, 4)
-    values = np.zeros((4, pts.shape[0]))
-    for _, w, jet, D in _jet_chunks(phi, pts, s_nodes, s_weights, A, q):
+    values = np.zeros((4, math.prod(grid.extents)))
+    for _, w, jet, D in _jet_chunks(phi, grid, s_nodes, s_weights, A, q):
         values += _conj_dot(w, jet.ds, D, imag=False)
     values = _on_grid(grid, values)
     if trajectory is not None and calibration is not None:
@@ -363,34 +400,33 @@ def mass_current_b(phi: PhiField, A: Optional[Callable], grid: EventGrid,
     return CurrentField(grid, values)
 
 
-def _lagrangian(jet: WaveJet, D):
-    """L_m of a jet whose D phi has the components-first parts D = (re, im)."""
-    re, im = D
-    kinetic = 0.5 * np.sum((re * re + im * im) * _first(_METRIC_DIAG, re), axis=0)
-    v, dv = jet.value, jet.ds
-    return -(v.real * dv.imag - v.imag * dv.real) - kinetic
-
-
 def ecd_energy_momentum(phis: Sequence[PhiField], A: Optional[Callable],
                         grid: EventGrid, s_nodes, s_weights, qs) -> TensorField:
     """p^{nu mu} = sum_k m_k^{nu mu}, the waves' part (no field stress Theta), symmetric.
 
-    m^{nu mu} = int ds [g^{nu mu} L_m + Re(D^nu phi (D^mu phi)*)], where the
-    bilinear is a^nu a^mu + b^nu b^mu for D phi = a + i b.
+    m^{nu mu} = int ds [g^{nu mu} L_m + B^{nu mu}] with the bilinear
+    B^{nu mu} = Re(D^nu phi (D^mu phi)*) = a^nu a^mu + b^nu b^mu for
+    D phi = a + i b, and L_m = -Im(phi* d_s phi) - (1/2) g_mu B^{mu mu}.
     """
-    pts = grid.points().reshape(-1, 4)
-    bilinear = np.zeros((4, 4, pts.shape[0]))
-    lagrangian = np.zeros(pts.shape[0])
+    n_pts = math.prod(grid.extents)
+    nu, mu = np.triu_indices(4)         # the ten pairs nu <= mu of a symmetric tensor
+    bilinear = np.zeros((nu.size, n_pts))
+    phase = np.zeros(n_pts)         # int ds -Im(phi* d_s phi)
     for phi, q in zip(phis, qs):
-        for _, w, jet, D in _jet_chunks(phi, pts, s_nodes, s_weights, A, q):
-            lagrangian += np.einsum("n,np->p", w, _lagrangian(jet, D))
+        for _, w, jet, D in _jet_chunks(phi, grid, s_nodes, s_weights, A, q):
+            ds = jet.ds[None]           # one component: Im(phi* d_s phi)
+            phase -= _conj_dot(w, jet.value, (ds.real, ds.imag), imag=True)[0]
             for part in D:
-                bilinear += np.einsum("inp,jnp->ijp", w[:, None] * part, part)
+                w_part = w[:, None] * part
+                for k in range(nu.size):
+                    bilinear[k] += np.einsum("np,np->p", w_part[nu[k]], part[mu[k]])
     # the sign of the bilinear relative to g L is fixed by requiring
     # d_nu m^{nu mu} = 0 for exact solutions (checked against a closed-form
     # Gaussian solution of the proper-time equation)
-    values = np.moveaxis(bilinear, -1, 0) + lagrangian[:, None, None] * METRIC
-    values = 0.5 * (values + np.swapaxes(values, -1, -2))
+    values = np.empty((n_pts, 4, 4))
+    values[:, nu, mu] = values[:, mu, nu] = bilinear.T
+    lagrangian = phase - 0.5 * (_METRIC_DIAG @ bilinear[nu == mu])
+    values[:, range(4), range(4)] += lagrangian[:, None] * _METRIC_DIAG
     return TensorField(grid, values.reshape(grid.extents + (4, 4)), symmetric=True)
 
 
@@ -408,10 +444,9 @@ def ecd_dilatation_current(p: TensorField, phis: Sequence[PhiField],
     from .em_sources import geometric_dilatation_term
 
     grid = p.grid
-    pts = grid.points().reshape(-1, 4)
-    bulk = np.zeros((4, pts.shape[0]))
+    bulk = np.zeros((4, math.prod(grid.extents)))
     for phi, q in zip(phis, qs):
-        for s, w, jet, D in _jet_chunks(phi, pts, s_nodes, s_weights, A, q, 2):
+        for s, w, jet, D in _jet_chunks(phi, grid, s_nodes, s_weights, A, q, 2):
             bulk -= _conj_dot(2.0 * w * s, jet.value, D, imag=False)
     xi = geometric_dilatation_term(p).values + _on_grid(grid, bulk)
     return CurrentField(grid, xi)

@@ -445,6 +445,8 @@ def _prepare_free_ecd(p):
 
 def _prepare_classical_limit_sweep(p):
     _at("step", step_count, (0.0, _SWEEP_SPAN), p["step"])
+    _check(any(p["u0"]), "u0", "is all zero: a worldline that never moves has no "
+           "velocity for the phase gradient to recover")
     f = p["factors"]
     # the runner's residual ratios compare each factor with a stronger one
     _check(all(a > b for a, b in zip(f, f[1:])), "factors",

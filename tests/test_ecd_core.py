@@ -182,3 +182,20 @@ def test_scale_transform_preserves_consistency():
     # dilatation maps solutions to solutions: the relative residual carries over
     assert consistency_residual(scaled, [0.3 * 1.5 ** 2]) == pytest.approx(
         base, rel=1e-3)
+
+
+def test_phase_gradient_check_raises_on_non_finite_figures(monkeypatch):
+    """A worldline at rest makes the velocity recovery 0/0 and a vanishing
+    wave the residual; the check raises instead of letting max() keep an
+    earlier figure over the NaN.  phi_eval is replaced by closed forms."""
+    from ecdlab import ecd_core
+
+    pair = EcdPair.free((0.0, 0.0, 0.0, 0.0), calibrate(0.1))
+    F = np.zeros((4, 4))
+    monkeypatch.setattr(ecd_core, "phi_eval", lambda pair, x, s, tol: np.exp(0.3j * x[1]))
+    assert np.isfinite(ecd_core.classical_phase_gradient_check(pair, F, 1.0, [0.0, 0.5]))
+    with pytest.raises(FloatingPointError):
+        ecd_core.classical_phase_gradient_check(pair, F, 1.0, [0.0, 0.5], with_recovery=True)
+    monkeypatch.setattr(ecd_core, "phi_eval", lambda pair, x, s, tol: 0j)
+    with pytest.raises(FloatingPointError):
+        ecd_core.classical_phase_gradient_check(pair, F, 1.0, [0.0])

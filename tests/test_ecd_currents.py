@@ -23,7 +23,7 @@ from ecdlab.ecd_currents import (ConjugatedPhi, FreePhi, GaugeShiftedPhi,
                                  mass_profile_shape, mass_truncation_tail,
                                  s_continuity_residual, s_panels,
                                  subtract_divergent, subtracted_profile_slope,
-                                 unitarity_lemma_residual)
+                                 unitarity_lemma_residual, WaveJet)
 from ecdlab.em_sources import deposit_electric_current
 from ecdlab.grids import (CurrentField, DepositKernel, EventGrid,
                           deposit_line_current, grid_divergence, interior_max)
@@ -246,21 +246,41 @@ def test_jet_matches_frozen_per_method_values(name):
             assert np.array_equal(getattr(first, part), got)
 
 
+class _ValueOnly(PhiField):
+    """A wave that defines only its value; its jets come from PhiField."""
+
+    def value(self, x, s):
+        return GaussianSolutionPhi(0.8).value(x, s)
+
+
 def test_finite_difference_jet_matches_closed_form():
     """A wave that defines only its value gets its jet from the base class's
     central differences, stacked over the s-nodes."""
-    exact = GaussianSolutionPhi(0.8)
-
-    class ValueOnly(PhiField):
-        def value(self, x, s):
-            return exact.value(x, s)
-
     x = np.array([[0.3, 0.25, -0.1, 0.2], [-0.2, 0.1, 0.4, -0.3]])
     s = np.array([-0.6, 0.4])
-    fd, want = ValueOnly().jet(x, s, order=2), exact.jet(x, s, order=2)
+    fd, want = _ValueOnly().jet(x, s, order=2), GaussianSolutionPhi(0.8).jet(x, s, order=2)
     for part, tol in (("value", 0.0), ("grad", 1e-7), ("ds", 1e-7), ("ds_grad", 1e-6)):
         assert getattr(fd, part).shape == getattr(want, part).shape
         assert np.abs(getattr(fd, part) - getattr(want, part)).max() <= tol, part
+
+
+@pytest.mark.parametrize("s", [0.37, np.array([-1.1, 0.2, 0.75])], ids=["scalar", "array"])
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("name", ["free", "gaussian", "conjugated", "gauge_shifted",
+                                  "value_only"])
+def test_grid_jet_matches_pointwise_jet(name, order, s):
+    """grid_jet evaluates per-axis factors on the grid's open mesh; it must
+    give the jet at the grid's events, flattened in C order."""
+    wave = dict(jet_reference_waves(), value_only=_ValueOnly())[name]
+    grid = EventGrid(origin=(0.13, -0.41, 0.27, -0.09), spacings=(0.11, 0.13, 0.17, 0.19),
+                     extents=(3, 4, 2, 5))
+    got = wave.grid_jet(grid, s, order)
+    want = wave.jet(grid.points().reshape(-1, 4), s, order)
+    assert (got.ds_grad is None) == (order == 1)
+    for part in WaveJet._fields[:4 if order == 2 else 3]:
+        g, w = getattr(got, part), getattr(want, part)
+        assert g.shape == w.shape == np.shape(s) + (120,) + ((4,) if "grad" in part else ())
+        assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max(), part
 
 
 def test_jet_rejects_bad_order_and_s_shape():
@@ -382,6 +402,33 @@ def test_energy_momentum_divergence_free_for_exact_solution():
     div = grid_divergence(col)
     scale = np.abs(p.values[..., 0, 0]).max()
     assert interior_max(div) < 5e-4 * max(scale, 1.0)
+
+
+def test_energy_momentum_matches_sixteen_pair_reference():
+    """p from the ten nu <= mu bilinear pairs, with the kinetic part of L_m
+    read off the bilinear's diagonal, against the full 16-pair bilinear plus
+    g L_m, symmetrized, summed here from pointwise jets."""
+    phis = [GaussianSolutionPhi(0.9), FreePhi((1.1, 0.3, -0.2, 0.1), 0.8 + 0.3j, EPS)]
+    qs = [0.0, 1.3]
+    A = lambda pts: 0.2 * pts[..., ::-1] + np.array([0.1, -0.3, 0.05, 0.2])
+    grid = EventGrid(origin=(0.13, -0.41, 0.27, -0.09), spacings=(0.11, 0.13, 0.17, 0.19),
+                     extents=(3, 4, 2, 5))
+    sn = np.linspace(-2.0, 2.0, 19)        # two full s-chunks and a partial one
+    w = np.full(sn.size, sn[1] - sn[0])
+    p = ecd_energy_momentum(phis, A, grid, sn, w, qs)
+
+    pts = grid.points().reshape(-1, 4)
+    want = np.zeros((pts.shape[0], 4, 4))
+    for phi, q in zip(phis, qs):
+        jet = phi.jet(pts, sn)
+        D = MD * jet.grad - 1j * q * A(pts) * jet.value[..., None]     # D^mu phi
+        kinetic = 0.5 * np.einsum("npi,npi,i->np", D, np.conj(D), MD).real
+        lagrangian = -np.imag(np.conj(jet.value) * jet.ds) - kinetic
+        want += np.einsum("n,npi,npj->pij", w, D, np.conj(D)).real
+        want += (w @ lagrangian)[:, None, None] * np.diag(MD)
+    want = 0.5 * (want + np.swapaxes(want, -1, -2)).reshape(grid.extents + (4, 4))
+    assert np.abs(p.values - want).max() <= 1e-13 * np.abs(want).max()
+    assert np.array_equal(p.values, np.swapaxes(p.values, -1, -2))
 
 
 def test_dilatation_divergence_free_for_exact_solution():

@@ -306,6 +306,21 @@ def test_classical_limit_sweep_factors_must_decrease(factors, tmp_path, capsys):
     assert "parameters.factors" in capsys.readouterr().err
 
 
+def test_classical_limit_sweep_rejects_a_worldline_at_rest(tmp_path, capsys):
+    """u0 = 0 gives a worldline that never moves: its velocity recovery is
+    0/0, and the run used to exit 0 with nothing checked."""
+    doc = {"schema_version": "1", "kind": "classical-limit-sweep",
+           "parameters": {"electric": [0.05, 0.0, 0.0], "factors": [1.0, 0.5],
+                          "ratio_bound": 1.0, "u0": [0.0, 0.0, 0.0, 0.0]}}
+    assert [d.split(":")[0] for d in validate_config(doc)] == ["parameters.u0"]
+    cfg = write(tmp_path, doc)
+    assert main(["validate", cfg]) == EXIT_VALIDATION
+    assert "parameters.u0" in capsys.readouterr().err
+    assert main(["run", cfg, "--out", str(tmp_path / "o"),
+                 "--workers", "1"]) == EXIT_VALIDATION
+    assert "parameters.u0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name, value", [("tail_window_x", [0.5, 60.0]),
                                          ("c0", 0.0), ("charge", 0.0),
                                          ("c0", 1e-170), ("c0", 1e160),
@@ -868,6 +883,9 @@ def sweep_configs(draw):
 
 
 @given(doc=sweep_configs())
+@example(doc={"schema_version": "1", "kind": "classical-limit-sweep",
+              "parameters": {"electric": [0.05, 0.0, 0.0], "factors": [1.0, 0.5],
+                             "ratio_bound": 1.0, "u0": [0.0, 0.0, 0.0, 0.0]}})
 @settings(max_examples=10, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_classical_limit_sweep_exit_codes_fuzz(doc, capsys):
