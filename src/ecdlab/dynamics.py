@@ -1,9 +1,9 @@
-"""Worldline dynamics of a classical point charge in a prescribed field.
+"""Worldline dynamics of a classical point charge in a constant external field.
 
 The worldline gamma(s) is parametrized by a Lorentz scalar s (not proper time)
 and obeys the covariant equation of motion
 
-    d^2 gamma^mu / ds^2 = q F^mu_nu(gamma) dgamma^nu/ds ,
+    d^2 gamma^mu / ds^2 = q F^mu_nu dgamma^nu/ds ,
 
 whose s-evolution conserves gamma_dot^2.  The square root of that constant is
 the effective mass of the solution; negative values (tachyonic worldlines) are
@@ -13,7 +13,6 @@ legitimate solutions and are classified, not rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -28,27 +27,6 @@ class IntegrationBlowup(ArithmeticError):
     def __init__(self, s):
         super().__init__(f"non-finite state while integrating, at s = {s:g}")
         self.s = s
-
-
-@dataclass(frozen=True)
-class FieldProvider:
-    """External field F(x)."""
-
-    tensor_at: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, x) -> np.ndarray:
-        F = np.asarray(self.tensor_at(np.asarray(x, dtype=float)), dtype=float)
-        return F
-
-    @staticmethod
-    def constant(F) -> "FieldProvider":
-        Fc = np.asarray(AntisymTensor(np.asarray(F, dtype=float)))
-        return FieldProvider(lambda x: Fc)
-
-    @staticmethod
-    def zero() -> "FieldProvider":
-        Z = np.zeros((4, 4))
-        return FieldProvider(lambda x: Z)
 
 
 @dataclass(frozen=True)
@@ -119,9 +97,8 @@ class Trajectory:
         return Trajectory(s, gammas, gamma_dots, q=q)
 
 
-def lorentz_rhs(gamma, gamma_dot, fieldp: FieldProvider, q: float) -> np.ndarray:
+def lorentz_rhs(gamma_dot, F, q: float) -> np.ndarray:
     """q F^mu_nu gamma_dot^nu = q (F g gamma_dot)^mu; orthogonal to gamma_dot."""
-    F = fieldp(gamma)
     return q * (F @ (METRIC @ as_four(gamma_dot)))
 
 
@@ -149,15 +126,17 @@ def step_count(s_span, step: float) -> int:
     return n_steps
 
 
-def integrate_worldline(initial, fieldp: FieldProvider, q: float, s_span,
+def integrate_worldline(initial, F, q: float, s_span,
                         cfg: IntegratorConfig) -> Trajectory:
-    """Fixed-step RK4 integration of the Lorentz-force worldline equation."""
+    """Fixed-step RK4 integration of the Lorentz-force worldline equation in
+    the constant field F^{mu nu} (4x4, both indices up)."""
+    F = np.asarray(AntisymTensor(np.asarray(F, dtype=float)))
     gamma0, gamma_dot0 = (as_four(initial[0]), as_four(initial[1]))
     s0, s1 = float(s_span[0]), float(s_span[1])
     n_steps = step_count(s_span, cfg.step)
 
     def rhs(y):
-        return np.concatenate([y[4:], lorentz_rhs(y[:4], y[4:], fieldp, q)])
+        return np.concatenate([y[4:], lorentz_rhs(y[4:], F, q)])
 
     h = cfg.step
     y = np.concatenate([gamma0, gamma_dot0])
@@ -211,17 +190,17 @@ def charge_conjugate(traj: Trajectory) -> Trajectory:
                       -traj.gamma_dots[::-1], q=traj.q)
 
 
-def eom_residual(traj: Trajectory, fieldp: FieldProvider) -> float:
+def eom_residual(traj: Trajectory, F) -> float:
     """Max norm of d(gamma_dot)/ds - q F g gamma_dot over interior samples, q = traj.q.
 
     The derivative is taken by central differences on the stored samples, so
     this is a direct check that a (possibly transformed) trajectory still
-    solves the worldline equation in the supplied field.
+    solves the worldline equation in the constant field F.
     """
     ds = np.diff(traj.s)
     if not np.allclose(ds, ds[0], rtol=1e-8):
         raise ValueError("eom_residual needs uniformly sampled s")
     d_gd = (traj.gamma_dots[2:] - traj.gamma_dots[:-2]) / (2.0 * ds[0])
-    rhs = np.array([lorentz_rhs(traj.gammas[i], traj.gamma_dots[i], fieldp, traj.q)
-                    for i in range(1, traj.s.size - 1)])
+    F = np.asarray(F, dtype=float)
+    rhs = np.array([lorentz_rhs(gd, F, traj.q) for gd in traj.gamma_dots[1:-1]])
     return float(np.abs(d_gd - rhs).max())

@@ -258,15 +258,14 @@ def constant_field_pair(F, u0, calibration: EpsilonCalibration, q: float = 1.0,
     """ECD pair whose propagator is the (exact) semiclassical constant-field form
     and whose ansatz carries the classical action phase along the worldline,
     which passes the origin at s = 0 with velocity u0."""
-    from .dynamics import FieldProvider, IntegratorConfig, integrate_worldline
+    from .dynamics import IntegratorConfig, integrate_worldline
 
     provider = constant_field_action_provider(F, q)
     eigs = np.linalg.eigvals(q * (np.asarray(F, dtype=float) @ METRIC))
     span = max(abs(s_span[0]), abs(s_span[1]), 2 * calibration.s_max)
-    fieldp = FieldProvider.constant(F)
     cfg = IntegratorConfig(step=step, tolerance=1e-6)
-    fwd = integrate_worldline((np.zeros(4), u0), fieldp, q, (0.0, span), cfg)
-    bwd = integrate_worldline((np.zeros(4), -np.asarray(u0, dtype=float)), fieldp, q,
+    fwd = integrate_worldline((np.zeros(4), u0), F, q, (0.0, span), cfg)
+    bwd = integrate_worldline((np.zeros(4), -np.asarray(u0, dtype=float)), F, q,
                               (0.0, span), cfg)
     s = np.concatenate([-bwd.s[::-1][:-1], fwd.s])
     gammas = np.concatenate([bwd.gammas[::-1][:-1], fwd.gammas])

@@ -77,62 +77,26 @@ def _first(v, a):
 
 
 class PhiField:
-    """Vectorized wave evaluator: value/gradient/s-derivative over event arrays.
-
-    Subclasses may override the derivatives with closed forms; the default is
-    central differences with step fd_step.  Gradients carry a lower index.
-    """
-
-    fd_step = 1e-4
-
-    def value(self, x, s):
-        raise NotImplementedError
-
-    def grad(self, x, s):
-        return np.moveaxis(fd_grad(lambda y: self.value(y, s), x, self.fd_step), 0, -1)
-
-    def ds(self, x, s):
-        return (self.value(x, s + self.fd_step) - self.value(x, s - self.fd_step)) \
-            / (2 * self.fd_step)
-
-    def ds_grad(self, x, s):
-        """d_s d_mu phi (lower index), by central differences of grad in s."""
-        return (self.grad(x, s + self.fd_step) - self.grad(x, s - self.fd_step)) \
-            / (2 * self.fd_step)
-
-    def jet(self, x, s, order: int = 1) -> WaveJet:
-        """Value, gradient, d_s and at order 2 d_s grad, one s-node at a time."""
-        _jet_s(s, order, 0)
-        if np.ndim(s):
-            parts = zip(*(self.jet(x, sv, order) for sv in s))
-            return WaveJet(*(None if p[0] is None else np.stack(p) for p in parts))
-        return WaveJet(self.value(x, s), self.grad(x, s), self.ds(x, s),
-                       self.ds_grad(x, s) if order == 2 else None)
-
-    def grid_jet(self, grid: EventGrid, s, order: int = 1) -> WaveJet:
-        """The jet at the grid's events in C order: jet(grid.points() as (P, 4))."""
-        return self.jet(grid.points().reshape(-1, 4), s, order)
-
-    def abs2(self, x, s):
-        v = self.value(x, s)
-        return (v * np.conj(v)).real
-
-
-class JetPhiField(PhiField):
-    """A wave that computes its jet in one pass; single parts read the jet.
+    """A wave phi(x, s) that computes its jet in one pass; single parts read the jet.
 
     Subclasses implement _jet_axes(c, s, order): c holds four coordinate
     arrays that broadcast against each other and against s (a scalar, or
     nodes shaped (n, 1, ..., 1)); the parts come back full-size, gradients
-    components first.  jet passes its events' columns, grid_jet the grid's
-    open mesh, so a factor of one coordinate is made once per grid line.
+    components first and with a lower index.  jet passes its events' columns,
+    grid_jet the grid's open mesh, so a factor of one coordinate is made once
+    per grid line.
     """
 
+    def _jet_axes(self, c, s, order) -> WaveJet:
+        raise NotImplementedError
+
     def jet(self, x, s, order: int = 1) -> WaveJet:
+        """Value, gradient, d_s and at order 2 d_s grad at the events x (..., 4)."""
         x = np.asarray(x, dtype=float)
         return self._jet_on(tuple(x.reshape(-1, 4).T), s, order, x.shape[:-1])
 
     def grid_jet(self, grid: EventGrid, s, order: int = 1) -> WaveJet:
+        """The jet at the grid's events in C order: jet(grid.points() as (P, 4))."""
         mesh = np.meshgrid(*(grid.axis(mu) for mu in range(4)), indexing="ij", sparse=True)
         return self._jet_on(mesh, s, order, (math.prod(grid.extents),))
 
@@ -158,8 +122,12 @@ class JetPhiField(PhiField):
     def ds_grad(self, x, s):
         return self.jet(x, s, 2).ds_grad
 
+    def abs2(self, x, s):
+        v = self.value(x, s)
+        return (v * np.conj(v)).real
 
-class FreePhi(JetPhiField):
+
+class FreePhi(PhiField):
     """The exact calibrated free wave C e^{i(u.xi + u^2 s/2)} sinc(xi^2 / 2 eps).
 
     All derivatives are analytic, which keeps the current quadratures free of
@@ -215,7 +183,7 @@ class FreePhi(JetPhiField):
         return WaveJet(value, grad, ds, ds_grad)
 
 
-class GaussianSolutionPhi(JetPhiField):
+class GaussianSolutionPhi(PhiField):
     """Closed-form exact solution of i d_s phi = -(1/2) box phi.
 
     A product of one-dimensional Gaussians, sigma0 = a + i s on the time axis
@@ -255,10 +223,10 @@ class GaussianSolutionPhi(JetPhiField):
         return WaveJet(value, grad, ds, ds_grad)
 
 
-class ConjugatedPhi(JetPhiField):
+class ConjugatedPhi(PhiField):
     """Charge conjugation phi(x, s) -> phi*(x, -s)."""
 
-    def __init__(self, base: JetPhiField):
+    def __init__(self, base: PhiField):
         self.base = base
 
     def _jet_axes(self, c, s, order):
@@ -267,10 +235,10 @@ class ConjugatedPhi(JetPhiField):
                        None if j.ds_grad is None else -np.conj(j.ds_grad))
 
 
-class GaugeShiftedPhi(JetPhiField):
+class GaugeShiftedPhi(PhiField):
     """phi -> phi e^{i q alpha(x)} for a linear alpha(x) = k.x (Minkowski)."""
 
-    def __init__(self, base: JetPhiField, k, q):
+    def __init__(self, base: PhiField, k, q):
         self.base = base
         self.k = as_four(k)
         self.q = float(q)
@@ -352,7 +320,8 @@ def _jet_chunks(phi: PhiField, grid: EventGrid, s_nodes, s_weights, A: Optional[
     """
     s_nodes = np.asarray(s_nodes, dtype=float)
     s_weights = np.asarray(s_weights, dtype=float)
-    A_c = _potential(A, grid.points().reshape(1, -1, 4), q)    # (4, 1, P): against the s-axis
+    # A^mu (4, 1, P) against the s-axis; the events are built only for a given A
+    A_c = None if A is None else _potential(A, grid.points().reshape(1, -1, 4), q)
     for k in range(0, s_nodes.size, _S_CHUNK):
         s = s_nodes[k:k + _S_CHUNK]
         jet = phi.grid_jet(grid, s, order)

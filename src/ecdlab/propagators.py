@@ -26,11 +26,9 @@ import numpy as np
 from scipy.linalg import expm
 
 from .minkowski import METRIC, as_four, minkowski_dot
-from .dynamics import FieldProvider
-from .grids import fd_grad, fd_hessian
+from .grids import fd_hessian
 
 
-_GRAD_STEP = 1e-5          # central-difference step of ActionProvider.gradient
 _HESSIAN_STEP = 1e-3       # coarse step of the Richardson mixed Hessian
 _HJ_S_STEP = 1e-4          # s-step of the Hamilton-Jacobi d_s I
 _BVP_STEPS = 400           # RK4 steps along a shooting path
@@ -75,19 +73,13 @@ class ClassicalPath:
 class ActionProvider:
     """Evaluators for the classical two-point action I(x, x'; s).
 
-    grad_x returns the lower-index endpoint momentum p_mu = dI/dx^mu; when a
-    closed form is not supplied both derivatives fall back to central
-    differences of `action`.
+    grad_x returns the lower-index endpoint momentum p_mu = dI/dx^mu; without
+    a mixed_hessian, hessian_x_xp takes central differences of `action`.
     """
 
     action: Callable[[np.ndarray, np.ndarray, float], float]
-    grad_x: Callable = None
+    grad_x: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
     mixed_hessian: Callable = None
-
-    def gradient(self, x, xp, s) -> np.ndarray:
-        if self.grad_x is not None:
-            return np.asarray(self.grad_x(x, xp, s), dtype=float)
-        return fd_grad(lambda y: self.action(y, xp, s), as_four(x), _GRAD_STEP)
 
     def hessian_x_xp(self, x, xp, s) -> np.ndarray:
         """Mixed second derivative d^2 I / dx^mu dx'^nu (both indices down)."""
@@ -245,18 +237,20 @@ def hamilton_jacobi_residual(action: ActionProvider, A: Callable, x, xp, s: floa
     x = as_four(x)
     hs = _HJ_S_STEP
     dIds = (action.action(x, xp, s + hs) - action.action(x, xp, s - hs)) / (2 * hs)
-    p = action.gradient(x, xp, s)
+    p = np.asarray(action.grad_x(x, xp, s), dtype=float)
     kin = p - q * (METRIC @ np.asarray(A(x), dtype=float))
     kin_up = METRIC @ kin
     return float(abs(dIds + 0.5 * float(kin @ kin_up)))
 
 
-def classical_path_bvp(fieldp: FieldProvider, xp, x, s: float, q: float) -> ClassicalPath:
-    """Single-shooting solution of the worldline boundary-value problem.
+def classical_path_bvp(F, xp, x, s: float, q: float) -> ClassicalPath:
+    """Single-shooting solution of the worldline boundary-value problem in the
+    constant field F^{mu nu}.
 
     Newton iteration on the initial velocity with a finite-difference Jacobian,
     from the free straight-line velocity.  The action is accumulated along the
-    converged path with Simpson weights.
+    converged path with Simpson weights, in the linear gauge
+    A^mu(x) = g^{mu nu} (-1/2 F_{nu lambda} x^lambda).
     """
     from .dynamics import IntegratorConfig, integrate_worldline
 
@@ -266,7 +260,7 @@ def classical_path_bvp(fieldp: FieldProvider, xp, x, s: float, q: float) -> Clas
     cfg = IntegratorConfig(step=s / _BVP_STEPS, tolerance=np.inf)
 
     def endpoint(v0):
-        traj = integrate_worldline((xp, v0), fieldp, q, (0.0, s), cfg)
+        traj = integrate_worldline((xp, v0), F, q, (0.0, s), cfg)
         return traj, traj.gammas[-1] - x
 
     traj, miss = endpoint(v)
@@ -291,23 +285,14 @@ def classical_path_bvp(fieldp: FieldProvider, xp, x, s: float, q: float) -> Clas
     # action by Simpson quadrature of the Lagrangian along the path
     taus = traj.s
     lag = np.empty(taus.size)
-    A_of = _potential_of(fieldp)
+    F_lower = METRIC @ np.asarray(F, dtype=float) @ METRIC
     for i in range(taus.size):
         xdot = traj.gamma_dots[i]
-        lag[i] = 0.5 * minkowski_dot(xdot, xdot) + q * minkowski_dot(A_of(traj.gammas[i]), xdot)
+        A = METRIC @ (-0.5 * F_lower @ traj.gammas[i])
+        lag[i] = 0.5 * minkowski_dot(xdot, xdot) + q * minkowski_dot(A, xdot)
     from scipy.integrate import simpson
     I = float(simpson(lag, x=taus))
     return ClassicalPath(action=I, van_vleck=np.nan,
                          initial_velocity=traj.gamma_dots[0].copy(),
                          final_velocity=traj.gamma_dots[-1].copy())
 
-
-def _potential_of(fieldp: FieldProvider) -> Callable:
-    """Linear-gauge potential A^mu(x) for a constant field provider."""
-    F = np.asarray(fieldp(np.zeros(4)), dtype=float)
-    F_lower = METRIC @ F @ METRIC
-
-    def A(x):
-        return METRIC @ (-0.5 * F_lower @ as_four(x))
-
-    return A

@@ -23,8 +23,7 @@ import jsonschema
 
 from . import __version__
 from .minkowski import AntisymTensor, as_four
-from .dynamics import (FieldProvider, IntegratorConfig, Trajectory,
-                       integrate_worldline, step_count)
+from .dynamics import IntegratorConfig, Trajectory, integrate_worldline, step_count
 from .grids import DepositError, DepositKernel, EventGrid, grid_charge
 from .em_sources import deposit_electric_current, lw_fields
 from .ecd_core import (EcdPair, calibrate, classical_phase_gradient_check,
@@ -495,8 +494,8 @@ _PREPARERS = {
 
 def _run_classical_orbit(p, out: Path):
     """trajectory.csv columns: s, gamma0..3, gamma_dot0..3, norm2_drift."""
-    traj = integrate_worldline((p["x0"], p["u0"]), FieldProvider.constant(p["F"]),
-                               p["charge"], tuple(p["s_span"]), p["cfg"])
+    traj = integrate_worldline((p["x0"], p["u0"]), p["F"], p["charge"], tuple(p["s_span"]),
+                               p["cfg"])
     n2 = traj.norm2_samples()
     drift = np.abs(n2 - n2[0])
     rows = [[traj.s[i], *traj.gammas[i], *traj.gamma_dots[i], drift[i]]

@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from ecdlab.dynamics import (FieldProvider, IntegratorConfig, Trajectory,
+from ecdlab.dynamics import (IntegratorConfig, Trajectory,
                              apply_scaling, charge_conjugate, effective_mass,
                              integrate_worldline)
 from ecdlab.ecd_core import (EcdPair, EpsilonCalibration, calibrate,
@@ -112,7 +112,7 @@ def test_criterion_05_conservation_audits(capsys):
     # (a) gamma_dot^2 drift in a constant field
     F = np.asarray(AntisymTensor.from_fields((0.3, 0.0, 0.0)))
     traj = integrate_worldline(((0, 0, 0, 0), (1, 0, 0, 0)),
-                               FieldProvider.constant(F), 1.0, (0.0, 10.0),
+                               F, 1.0, (0.0, 10.0),
                                IntegratorConfig(step=1e-3, tolerance=1e-9))
     n2 = traj.norm2_samples()
     drift = float(np.abs(n2 - n2[0]).max())
@@ -196,12 +196,12 @@ def test_criterion_07_scale_covariance(capsys):
     F = np.asarray(AntisymTensor.from_fields((0.3, 0.0, 0.1)))
     cfg = IntegratorConfig(step=1e-2, tolerance=1e-6)
     traj = integrate_worldline(((0, 0, 0, 0), (1, 0, 0, 0)),
-                               FieldProvider.constant(F), 1.0, (0.0, 2.0), cfg)
+                               F, 1.0, (0.0, 2.0), cfg)
     worst_cl = 0.0
     for lam in (0.5, 2.0, 10.0):
         cfg2 = IntegratorConfig(step=lam ** 2 * 1e-2, tolerance=np.inf)
         direct = integrate_worldline(((0, 0, 0, 0), (1.0 / lam, 0, 0, 0)),
-                                     FieldProvider.constant(F / lam ** 2), 1.0,
+                                     F / lam ** 2, 1.0,
                                      (0.0, lam ** 2 * 2.0), cfg2)
         scaled = apply_scaling(traj, lam)
         worst_cl = max(worst_cl, float(np.abs(direct.gammas
@@ -267,7 +267,7 @@ def test_criterion_08_charge_conjugation(capsys):
     # worldline point set and effective mass preserved exactly
     F = np.asarray(AntisymTensor.from_fields((0.4, 0.0, 0.0)))
     traj = integrate_worldline(((0, 0, 0, 0), (1, 0, 0, 0)),
-                               FieldProvider.constant(F), 1.0, (0.0, 1.0),
+                               F, 1.0, (0.0, 1.0),
                                IntegratorConfig(step=1e-2, tolerance=1e-6))
     conj = charge_conjugate(traj)
     points_ok = np.array_equal(np.sort(conj.gammas, axis=0),
@@ -316,15 +316,14 @@ def test_criterion_09_propagators(capsys):
     delta_ok = dres[0] > dres[1] > dres[2]
 
     F2 = np.asarray(AntisymTensor.from_fields((0.3, 0.0, 0.1)))
-    fieldp = FieldProvider.constant(F2)
     F2_lower = METRIC @ F2 @ METRIC
     A = lambda y: METRIC @ (-0.5 * F2_lower @ np.asarray(y, float))
 
     def bvp_action(x_, xp_, s_):
-        return classical_path_bvp(fieldp, xp_, x_, s_, 1.0).action
+        return classical_path_bvp(F2, xp_, x_, s_, 1.0).action
 
     def bvp_grad(x_, xp_, s_):
-        p = classical_path_bvp(fieldp, xp_, x_, s_, 1.0)
+        p = classical_path_bvp(F2, xp_, x_, s_, 1.0)
         return METRIC @ p.final_velocity + METRIC @ A(np.asarray(x_, float))
 
     from ecdlab.propagators import hamilton_jacobi_residual

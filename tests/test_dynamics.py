@@ -3,46 +3,65 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecdlab.dynamics import (FieldProvider, IntegrationBlowup, IntegratorConfig,
+from ecdlab.dynamics import (IntegrationBlowup, IntegratorConfig,
                              Trajectory, apply_scaling, charge_conjugate,
                              effective_mass, eom_residual, integrate_worldline,
                              lorentz_rhs)
 from ecdlab.minkowski import AntisymTensor, minkowski_dot
 
 
-def constant_e_provider(E=(0.3, 0.0, 0.0)):
-    return FieldProvider.constant(np.asarray(AntisymTensor.from_fields(E)))
+def constant_e_field(E=(0.3, 0.0, 0.0)):
+    return np.asarray(AntisymTensor.from_fields(E))
 
 
 def test_lorentz_rhs_orthogonal_to_velocity():
-    fieldp = constant_e_provider((0.2, -0.4, 0.1))
+    F = constant_e_field((0.2, -0.4, 0.1))
     gd = np.array([1.2, 0.3, -0.5, 0.2])
-    rhs = lorentz_rhs(np.zeros(4), gd, fieldp, q=0.7)
+    rhs = lorentz_rhs(gd, F, q=0.7)
     assert abs(minkowski_dot(rhs, gd)) < 1e-12
 
 
 def test_constant_field_norm2_conserved():
-    fieldp = constant_e_provider()
+    F = constant_e_field()
     cfg = IntegratorConfig(step=1e-3, tolerance=1e-9)
-    traj = integrate_worldline(((0, 0, 0, 0), (1, 0, 0, 0)), fieldp, 1.0,
+    traj = integrate_worldline(((0, 0, 0, 0), (1, 0, 0, 0)), F, 1.0,
                                (0.0, 10.0), cfg)
     n2 = traj.norm2_samples()
     assert np.abs(n2 - n2[0]).max() < 1e-10
 
 
 def test_integrator_step_must_divide_span():
-    fieldp = FieldProvider.zero()
+    F = np.zeros((4, 4))
     cfg = IntegratorConfig(step=0.3)
     with pytest.raises(ValueError):
-        integrate_worldline(((0, 0, 0, 0), (1, 0, 0, 0)), fieldp, 0.0,
+        integrate_worldline(((0, 0, 0, 0), (1, 0, 0, 0)), F, 0.0,
                             (0.0, 1.0), cfg)
 
 
+def test_integrator_rejects_a_field_that_is_not_antisymmetric():
+    cfg = IntegratorConfig(step=0.25)
+    for F in (np.eye(4), np.zeros((3, 3))):
+        with pytest.raises(ValueError):
+            integrate_worldline(((0, 0, 0, 0), (1, 0, 0, 0)), F, 1.0, (0.0, 1.0), cfg)
+
+
+def test_integrator_drops_a_rounding_level_symmetric_part():
+    """F is checked once through AntisymTensor: a symmetric residue at the
+    rounding level is removed before the first step, not integrated."""
+    F = constant_e_field((0.3, -0.1, 0.2))
+    noise = 1e-14 * np.arange(16.0).reshape(4, 4)
+    cfg = IntegratorConfig(step=1e-2, tolerance=1e-6)
+    u = (1, 0.2, 0, 0)
+    clean = integrate_worldline(((0, 0, 0, 0), u), F, 1.0, (0.0, 1.0), cfg)
+    noisy = integrate_worldline(((0, 0, 0, 0), u), F + (noise + noise.T), 1.0, (0.0, 1.0), cfg)
+    assert np.abs(noisy.gammas - clean.gammas).max() < 1e-15
+
+
 def test_drift_beyond_tolerance_raises():
-    fieldp = constant_e_provider((1.0, 0.0, 0.0))
+    F = constant_e_field((1.0, 0.0, 0.0))
     cfg = IntegratorConfig(step=0.25, tolerance=1e-16)  # coarse step, tiny budget
     with pytest.raises(IntegrationBlowup):
-        integrate_worldline(((0, 0, 0, 0), (1, 0, 0, 0)), fieldp, 1.0,
+        integrate_worldline(((0, 0, 0, 0), (1, 0, 0, 0)), F, 1.0,
                             (0.0, 5.0), cfg)
 
 
@@ -60,20 +79,19 @@ def test_effective_mass_classification():
 @settings(max_examples=20, deadline=None)
 def test_scaling_preserves_worldline_equation(lam):
     """gamma -> lam gamma(s/lam^2) solves the EOM in the scaled field F/lam^2."""
-    fieldp = constant_e_provider((0.3, 0.0, 0.1))
+    F = constant_e_field((0.3, 0.0, 0.1))
     cfg = IntegratorConfig(step=5e-3, tolerance=1e-6)
-    traj = integrate_worldline(((0, 0, 0, 0), (1, 0, 0, 0)), fieldp, 1.0,
+    traj = integrate_worldline(((0, 0, 0, 0), (1, 0, 0, 0)), F, 1.0,
                                (0.0, 2.0), cfg)
     scaled = apply_scaling(traj, lam)
-    F_scaled = np.asarray(fieldp(np.zeros(4))) / lam ** 2
-    res = eom_residual(scaled, FieldProvider.constant(F_scaled))
+    res = eom_residual(scaled, F / lam ** 2)
     assert res < 5e-4  # central-difference floor of the sampled worldline
 
 
 def test_scaling_mass_law():
-    fieldp = constant_e_provider()
+    F = constant_e_field()
     cfg = IntegratorConfig(step=1e-2, tolerance=1e-6)
-    traj = integrate_worldline(((0, 0, 0, 0), (1, 0, 0, 0)), fieldp, 1.0,
+    traj = integrate_worldline(((0, 0, 0, 0), (1, 0, 0, 0)), F, 1.0,
                                (0.0, 1.0), cfg)
     lam = 3.0
     m2, _ = effective_mass(traj)
@@ -82,9 +100,9 @@ def test_scaling_mass_law():
 
 
 def test_charge_conjugate_traces_same_point_set():
-    fieldp = constant_e_provider()
+    F = constant_e_field()
     cfg = IntegratorConfig(step=1e-2, tolerance=1e-6)
-    traj = integrate_worldline(((0, 0, 0, 0), (1, 0, 0, 0)), fieldp, 1.0,
+    traj = integrate_worldline(((0, 0, 0, 0), (1, 0, 0, 0)), F, 1.0,
                                (0.0, 1.0), cfg)
     conj = charge_conjugate(traj)
     assert np.array_equal(np.sort(conj.gammas, axis=0), np.sort(traj.gammas, axis=0))
@@ -97,13 +115,12 @@ def test_charge_conjugate_traces_same_point_set():
 
 
 def test_conjugate_solves_eom_in_flipped_field():
-    fieldp = constant_e_provider((0.4, 0.0, 0.0))
+    F = constant_e_field((0.4, 0.0, 0.0))
     cfg = IntegratorConfig(step=5e-3, tolerance=1e-6)
-    traj = integrate_worldline(((0, 0, 0, 0), (1, 0, 0, 0)), fieldp, 1.0,
+    traj = integrate_worldline(((0, 0, 0, 0), (1, 0, 0, 0)), F, 1.0,
                                (0.0, 2.0), cfg)
     conj = charge_conjugate(traj)
-    flipped = FieldProvider.constant(-np.asarray(fieldp(np.zeros(4))))
-    assert eom_residual(conj, flipped) < 5e-4
+    assert eom_residual(conj, -F) < 5e-4
 
 
 def test_trajectory_rejects_bad_samples():

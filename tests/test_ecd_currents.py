@@ -12,7 +12,7 @@ from scipy.integrate import IntegrationWarning, quad
 from ecdlab.dynamics import Trajectory
 from ecdlab.ecd_core import calibrate
 from ecdlab.ecd_currents import (ConjugatedPhi, FreePhi, GaugeShiftedPhi,
-                                 GaussianSolutionPhi, PhiField,
+                                 GaussianSolutionPhi,
                                  charge_profile_shape,
                                  charge_tail, continuity_residual,
                                  covariant_derivative, divergent_coefficient,
@@ -26,7 +26,7 @@ from ecdlab.ecd_currents import (ConjugatedPhi, FreePhi, GaugeShiftedPhi,
                                  unitarity_lemma_residual, WaveJet)
 from ecdlab.em_sources import deposit_electric_current
 from ecdlab.grids import (CurrentField, DepositKernel, EventGrid,
-                          deposit_line_current, grid_divergence, interior_max)
+                          deposit_line_current, fd_grad, grid_divergence, interior_max)
 
 EPS = 0.05
 MD = np.array([1.0, -1.0, -1.0, -1.0])
@@ -99,14 +99,14 @@ def test_profile_shapes_do_not_depend_on_thread_count():
             assert np.array_equal(g, want)
 
 
-def test_charge_profile_fourier_vs_quad():
+def test_charge_profile_closed_form_vs_quad():
     """free_charge_j0 against a direct adaptive quadrature of its defining
     s-integral, q |C|^2 int ds sinc^2((s^2 - r^2) / (2 eps)), plus the
     analytic tail 4 eps^2 / (3 T^3) of the half-line cut at T."""
     cal = calibrate(EPS)
     rs = np.array([0.3, 0.7, 1.2])
     C, q = 0.8, 1.3
-    fou = free_charge_j0(rs, (1, 0, 0, 0), C, cal, q=q)
+    closed = free_charge_j0(rs, (1, 0, 0, 0), C, cal, q=q)
     direct = np.empty(rs.size)
     for i, rv in enumerate(rs):
         T = max(60.0 * rv, 60.0 * np.sqrt(EPS))
@@ -116,7 +116,7 @@ def test_charge_profile_fourier_vs_quad():
             val, _ = quad(lambda s: np.sinc((s ** 2 - rv ** 2) / (2 * EPS) / np.pi) ** 2,
                           0, T, limit=2000, points=[rv], epsabs=1e-12, epsrel=1e-10)
         direct[i] = q * C ** 2 * (2.0 * val + 4.0 * EPS ** 2 / (3.0 * T ** 3))
-    assert np.abs(fou / direct - 1.0).max() < 1e-6
+    assert np.abs(closed / direct - 1.0).max() < 1e-6
 
 
 def test_profile_kernel_keeps_the_callers_errstate():
@@ -246,32 +246,13 @@ def test_jet_matches_frozen_per_method_values(name):
             assert np.array_equal(getattr(first, part), got)
 
 
-class _ValueOnly(PhiField):
-    """A wave that defines only its value; its jets come from PhiField."""
-
-    def value(self, x, s):
-        return GaussianSolutionPhi(0.8).value(x, s)
-
-
-def test_finite_difference_jet_matches_closed_form():
-    """A wave that defines only its value gets its jet from the base class's
-    central differences, stacked over the s-nodes."""
-    x = np.array([[0.3, 0.25, -0.1, 0.2], [-0.2, 0.1, 0.4, -0.3]])
-    s = np.array([-0.6, 0.4])
-    fd, want = _ValueOnly().jet(x, s, order=2), GaussianSolutionPhi(0.8).jet(x, s, order=2)
-    for part, tol in (("value", 0.0), ("grad", 1e-7), ("ds", 1e-7), ("ds_grad", 1e-6)):
-        assert getattr(fd, part).shape == getattr(want, part).shape
-        assert np.abs(getattr(fd, part) - getattr(want, part)).max() <= tol, part
-
-
 @pytest.mark.parametrize("s", [0.37, np.array([-1.1, 0.2, 0.75])], ids=["scalar", "array"])
 @pytest.mark.parametrize("order", [1, 2])
-@pytest.mark.parametrize("name", ["free", "gaussian", "conjugated", "gauge_shifted",
-                                  "value_only"])
+@pytest.mark.parametrize("name", ["free", "gaussian", "conjugated", "gauge_shifted"])
 def test_grid_jet_matches_pointwise_jet(name, order, s):
     """grid_jet evaluates per-axis factors on the grid's open mesh; it must
     give the jet at the grid's events, flattened in C order."""
-    wave = dict(jet_reference_waves(), value_only=_ValueOnly())[name]
+    wave = jet_reference_waves()[name]
     grid = EventGrid(origin=(0.13, -0.41, 0.27, -0.09), spacings=(0.11, 0.13, 0.17, 0.19),
                      extents=(3, 4, 2, 5))
     got = wave.grid_jet(grid, s, order)
@@ -314,6 +295,25 @@ def test_electric_current_gauge_invariance(k):
     j0 = ecd_electric_current(phi, None, grid, sn, w, q)
     j1 = ecd_electric_current(shifted, A, grid, sn, w, q)
     assert np.abs(j1.values - j0.values).max() < 1e-13
+
+
+def test_grid_currents_build_no_events_without_a_potential(monkeypatch):
+    """With A = None the kernels read only the grid's axes: EventGrid.points,
+    the (P, 4) array of events, is never built."""
+    phi = GaussianSolutionPhi(0.8)
+    grid = EventGrid(origin=(0.0, 0.2, -0.1, 0.0), spacings=(0.3, 0.3, 0.3, 0.3),
+                     extents=(2, 3, 2, 2))
+    sn, w = np.array([-0.7, 0.2, 0.9]), np.ones(3)
+    kernels = (lambda: ecd_electric_current(phi, None, grid, sn, w, 1.0).values,
+               lambda: mass_current_b(phi, None, grid, sn, w, 1.0).values,
+               lambda: ecd_energy_momentum([phi], None, grid, sn, w, [1.0]).values)
+    want = [k() for k in kernels]
+
+    def no_points(self):
+        raise AssertionError("EventGrid.points built without a potential")
+    monkeypatch.setattr(EventGrid, "points", no_points)
+    for k, v in zip(kernels, want):
+        assert np.array_equal(k(), v)
 
 
 def test_conjugation_flips_electric_current():
@@ -374,13 +374,15 @@ def test_gaussian_wave_solves_proper_time_equation():
 
 
 def test_gaussian_analytic_derivatives_match_differences():
-    from ecdlab.ecd_currents import PhiField
-
     g = GaussianSolutionPhi(0.8)
-    x = np.array([0.3, 0.25, -0.1, 0.2])
-    assert np.abs(g.grad(x, 0.4) - PhiField.grad(g, x, 0.4)).max() < 1e-7
-    assert abs(g.ds(x, 0.4) - PhiField.ds(g, x, 0.4)) < 1e-7
-    assert np.abs(g.ds_grad(x, 0.4) - PhiField.ds_grad(g, x, 0.4)).max() < 1e-6
+    z = np.array([0.3, 0.25, -0.1, 0.2, 0.4])       # the event x, then s
+    x, s = z[:4], z[4]
+    # central differences in (x, s): the last row is the s-derivative
+    d_value = fd_grad(lambda w: g.value(w[:4], w[4]), z, 1e-4)
+    d_grad = fd_grad(lambda w: g.grad(w[:4], w[4]), z, 1e-4)
+    assert np.abs(g.grad(x, s) - d_value[:4]).max() < 1e-7
+    assert abs(g.ds(x, s) - d_value[4]) < 1e-7
+    assert np.abs(g.ds_grad(x, s) - d_grad[4]).max() < 1e-6
 
 
 def gaussian_grid_and_quadrature():

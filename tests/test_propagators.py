@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecdlab.dynamics import FieldProvider
 from ecdlab.minkowski import METRIC, AntisymTensor
-from ecdlab.propagators import (ClassicalPath, NoPathError,
+from ecdlab.propagators import (ActionProvider, ClassicalPath, NoPathError,
                                 classical_path_bvp, constant_field_action_provider,
                                 constant_field_van_vleck, delta_potential_propagator,
                                 free_action_provider, free_propagator,
@@ -98,6 +97,12 @@ def test_delta_potential_singularities():
                                    np.array([0.0, 0.5, 0, 0]), 1.0)
 
 
+def test_action_provider_needs_its_endpoint_momentum():
+    """grad_x has no finite-difference fallback: a provider without it is refused."""
+    with pytest.raises(TypeError):
+        ActionProvider(free_action_provider().action)
+
+
 def test_hamilton_jacobi_residual_free():
     prov = free_action_provider()
     A0 = lambda y: np.zeros(4)
@@ -119,16 +124,15 @@ def test_hamilton_jacobi_residual_constant_field():
 def test_bvp_matches_closed_form_action():
     F = np.asarray(AntisymTensor.from_fields((0.3, 0.0, 0.0)))
     prov = constant_field_action_provider(F, q=1.0)
-    fieldp = FieldProvider.constant(F)
     xp = np.zeros(4)
     s = 1.0
     # pick the endpoint of an actual orbit so the BVP is well-posed
     v0 = np.array([1.0, 0.2, 0.0, 0.0])
     from ecdlab.dynamics import IntegratorConfig, integrate_worldline
-    traj = integrate_worldline((xp, v0), fieldp, 1.0, (0.0, s),
+    traj = integrate_worldline((xp, v0), F, 1.0, (0.0, s),
                                IntegratorConfig(step=1e-3, tolerance=1e-8))
     x = traj.gammas[-1]
-    path = classical_path_bvp(fieldp, xp, x, s, q=1.0)
+    path = classical_path_bvp(F, xp, x, s, q=1.0)
     assert path.action == pytest.approx(prov.action(x, xp, s), rel=1e-6)
     assert np.abs(path.initial_velocity - v0).max() < 1e-6
 
@@ -149,14 +153,13 @@ def test_constant_field_action_matches_shooting(fields):
     F = np.asarray(AntisymTensor.from_fields(*fields))
     q = 1.3
     prov = constant_field_action_provider(F, q=q)
-    fieldp = FieldProvider.constant(F)
     xp = np.array([0.2, -0.1, 0.3, 0.0])
     s = 1.2
     v0 = np.array([1.1, 0.2, -0.3, 0.1])
-    traj = integrate_worldline((xp, v0), fieldp, q, (0.0, s),
+    traj = integrate_worldline((xp, v0), F, q, (0.0, s),
                                IntegratorConfig(step=1e-3, tolerance=1e-8))
     x = traj.gammas[-1]
-    path = classical_path_bvp(fieldp, xp, x, s, q=q)
+    path = classical_path_bvp(F, xp, x, s, q=q)
     F_lower = METRIC @ F @ METRIC
     p_end = METRIC @ path.final_velocity - 0.5 * q * (F_lower @ x)
     assert prov.action(x, xp, s) == pytest.approx(path.action, rel=1e-10)

@@ -617,14 +617,20 @@ def test_guiding_run_bytes_are_pinned(tmp_path, capsys):
     ("classical-limit-sweep", {"electric": [0.1, 0.0, 0.0], "factors": [1.0, 0.5],
                                "ratio_bound": 1.0}, "sweep.csv",
      ("a7fd47fe62f91a5fc7e4fef7f1d67aaba8a0cfba8590efc3df4f046f7509e25c", 154)),
-], ids=["free-ecd", "current-regularization", "classical-limit-sweep"])
+    ("classical-orbit", {"electric": [0.3, 0, 0], "magnetic": [0, 0, 0.2], "charge": 1,
+                         "x0": [0, 0, 0, 0], "u0": [1, 0, 0, 0], "s_span": [0, 2],
+                         "step": 0.01, "tolerance": 1e-9}, "trajectory.csv",
+     ("7fd76948ed333ee01acea848dfa8bac33e3a8ea50394463c414f25d041adf8ed", 31935)),
+], ids=["free-ecd", "current-regularization", "classical-limit-sweep", "classical-orbit"])
 def test_scenario_bytes_are_pinned(kind, parameters, name, digest, tmp_path, capsys):
     """consistency.csv and sweep.csv digests were taken while hbar was still a
     parameter of the propagators, currents and pairs.  The profile.csv digest
     was retaken when closed-form Fresnel moments replaced the 60,000-node
     Fourier sum of the static profiles: the r and tail columns kept their
     bytes, and j0 and remainder moved closer to a 50-digit evaluation of the
-    profile (worst relative error 6.5e-15 -> 1.3e-15 and 5.0e-9 -> 3.9e-10)."""
+    profile (worst relative error 6.5e-15 -> 1.3e-15 and 5.0e-9 -> 3.9e-10).
+    The trajectory.csv digest was taken while the RK4 right-hand side still
+    asked a field provider for F at every stage."""
     doc = {"schema_version": "1", "kind": kind, "parameters": parameters}
     cfg = write(tmp_path, doc)
     assert main(["run", cfg, "--out", str(tmp_path / "o"), "--workers", "1"]) == EXIT_OK
