@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad_vec
 
 from .minkowski import METRIC, as_four, minkowski_dot
 from .dynamics import Trajectory
@@ -127,6 +126,7 @@ def phi_eval(pair: EcdPair, x, s: float, tol: float = 1e-9,
                       * cal.window(sig))
         return total / t ** 2
 
+    from scipy.integrate import quad_vec
     # the default epsabs (1e-200) ends an exactly zero integrand at once;
     # full_output keeps quad_vec silent, as accuracy is checked below
     integral, err, info = quad_vec(f, 1.0 / s_max, 1.0 / eps, epsrel=tol, limit=300,

@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.special import modfresnelm
 
 from .minkowski import as_four, minkowski_dot
 from .dynamics import Trajectory
@@ -459,6 +457,7 @@ def _fresnel_moments(beta, n_max: int):
         acc += term / (2 * n + 2 * m + 1)
         term = term * z / (m + 1)
     out[:, small] = 2.0 ** (n + 0.5) * acc
+    from scipy.special import modfresnelm
     b = beta[~small]
     phase = np.exp(-2j * b)
     moment = (np.sqrt(np.pi / b) * np.exp(-0.25j * np.pi)
@@ -560,6 +559,7 @@ def mass_truncation_tail(C, s_range) -> float:
 
 def radial_smear(fn, r0, width):
     """Average fn over [r0 - width/2, r0 + width/2] (Simpson)."""
+    from scipy.integrate import simpson
     rs = np.linspace(r0 - width / 2.0, r0 + width / 2.0, _SMEAR_POINTS)
     return float(simpson(np.asarray(fn(rs), dtype=float).ravel(), x=rs)) / width
 

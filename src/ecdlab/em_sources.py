@@ -34,10 +34,10 @@ class WorldlineSingularity(ZeroDivisionError):
     """Evaluation point lies on the worldline (or its light-cone caustic)."""
 
 
-# Events per bracketing chunk: the sign-change search holds a few
-# (events x samples) float temporaries, so this bounds its memory.  With a
-# 1001-sample worldline each temporary is then ~128 kB and stays in cache;
-# 16 ran faster than 32 or 64 on the lw-map workload (2-core x86-64).
+# Events per bracketing chunk: the sign-change search fills a few
+# (events x samples) buffers, allocated once per call, so this bounds its
+# memory.  With a 1001-sample worldline each float buffer is then ~128 kB;
+# on the lw-map stencil 16, 32 and 64 ran alike, 8 slower (2-core x86-64).
 _BRACKET_CHUNK = 16
 
 
@@ -53,82 +53,77 @@ def _brackets(X, traj: Trajectory):
     n = traj.s.size
     last = np.zeros(len(X), dtype=np.intp)
     found = np.zeros(len(X), dtype=bool)
-    if n < 2:
+    if n < 2 or len(X) == 0:
         return last, found
     g = traj.gammas.T
-    for c in range(0, len(X), _BRACKET_CHUNK):
-        x = X[c:c + _BRACKET_CHUNK, :, None]
-        dt = x[:, 0] - g[0]
+    rows = min(_BRACKET_CHUNK, len(X))
+    dt, f, tmp = np.empty((3, rows, n))
+    past, cross = np.empty((rows, n), dtype=bool), np.empty((rows, n - 1), dtype=bool)
+    for c in range(0, len(X), rows):
+        x = X[c:c + rows, :, None]
+        dt_, f_, tmp_, past_, cross_ = (b[:len(x)] for b in (dt, f, tmp, past, cross))
         # dt^2 - ((dx^2 + dy^2) + dz^2): this order fixes the rounding, and so
         # the sign of f next to the light cone, to that of np.sum
-        f = dt ** 2 - (((x[:, 1] - g[1]) ** 2 + (x[:, 2] - g[2]) ** 2)
-                       + (x[:, 3] - g[3]) ** 2)
-        past = dt > 0
-        cross = past[:, :-1] & past[:, 1:] & (f[:, :-1] * f[:, 1:] <= 0)
-        last[c:c + _BRACKET_CHUNK] = n - 2 - np.argmax(cross[:, ::-1], axis=1)
-        found[c:c + _BRACKET_CHUNK] = cross.any(axis=1)
+        np.subtract(x[:, 1], g[1], out=f_)
+        np.square(f_, out=f_)
+        for mu in (2, 3):
+            np.subtract(x[:, mu], g[mu], out=tmp_)
+            np.square(tmp_, out=tmp_)
+            f_ += tmp_
+        np.subtract(x[:, 0], g[0], out=dt_)
+        np.greater(dt_, 0, out=past_)
+        np.square(dt_, out=dt_)
+        np.subtract(dt_, f_, out=f_)
+        np.multiply(f_[:, :-1], f_[:, 1:], out=tmp_[:, :-1])
+        np.less_equal(tmp_[:, :-1], 0, out=cross_)
+        cross_ &= past_[:, :-1]
+        cross_ &= past_[:, 1:]
+        last[c:c + rows] = n - 2 - np.argmax(cross_[:, ::-1], axis=1)
+        found[c:c + rows] = cross_.any(axis=1)
     return last, found
 
 
 def retarded_roots(X, traj: Trajectory):
     """Solve (x - gamma_s)^2 = 0 with x^0 > gamma^0(s) for a stack X (m, 4).
 
-    Returns (s_star (m,), found (m,)); s_star is NaN where the samples do not
-    bracket a root.  Each event runs up to 60 bisection steps and 8 Newton
-    steps and stops on its own condition: the steps are masked array updates
-    over the events still running, so an event's root does not depend on
-    the other events in the stack.
+    Returns (found (m,), i, tau): found marks the events whose samples bracket
+    a root, and for those, in order, i is the bracketing interval [s_i, s_i+1]
+    and tau = s* - s_i.  There gamma = gamma_i + v tau is linear, so with
+    d = x - gamma_i, (x - gamma)^2 = a tau^2 - 2 b tau + c (a = v.v, b = v.d,
+    c = d.d) is an exact quadratic, linear where a = 0.  tau is its smallest
+    root in [0, s_i+1 - s_i], from the cancellation-free pair w / a, c / w
+    with w = b + sign(b) sqrt(b^2 - a c).
     """
-    X = np.asarray(X, dtype=float).reshape(-1, 4)
     i, found = _brackets(X, traj)
-    s_star = np.full(len(X), np.nan)
-    ev = np.flatnonzero(found)
-    Xf = X[ev]
-    lo, hi = traj.s[i[ev]], traj.s[i[ev] + 1]
-
-    def fval(k, s):
-        d = Xf[k] - traj.state_at(s)[0]
-        return _mdot(d, d)
-
-    flo = fval(slice(None), lo)
-    run = np.arange(ev.size)
-    for _ in range(60):
-        if run.size == 0:
-            break
-        mid = 0.5 * (lo[run] + hi[run])
-        fm = fval(run, mid)
-        left = flo[run] * fm <= 0
-        hi[run[left]] = mid[left]
-        right = run[~left]
-        lo[right], flo[right] = mid[~left], fm[~left]
-        run = run[~(hi[run] - lo[run] < 1e-9 * np.maximum(1.0, np.abs(hi[run])))]
-    s = 0.5 * (lo + hi)
-    run = np.arange(ev.size)
-    for _ in range(8):          # Newton polish: f'(s) = -2 gamma_dot.(x - gamma)
-        if run.size == 0:
-            break
-        gamma, gdot = traj.state_at(s[run])
-        d = Xf[run] - gamma
-        fv = _mdot(d, d)
-        fp = -2.0 * _mdot(gdot, d)
-        step = fp != 0.0
-        s[run[step]] -= fv[step] / fp[step]
-        run = run[step & ~(np.abs(fv) < 1e-12)]
-    s_star[ev] = s
-    return s_star, found
+    i = i[found]
+    d = X[found] - traj.gammas[i]
+    v = traj._slopes[i, :4]
+    a, b, c = _mdot(v, v), _mdot(v, d), _mdot(d, d)
+    w = b + np.copysign(np.sqrt(np.maximum(b * b - a * c, 0.0)), b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r1, r2 = w / a, c / w           # inf or NaN where a or w is 0
+    lo, hi = np.fmin(r1, r2), np.fmax(r1, r2)
+    h = traj.s[i + 1] - traj.s[i]
+    # the smaller root unless the larger one lies nearer [0, h], as it does
+    # when only the larger one lies inside; NaN (f = 0 throughout) gives 0
+    gap = lambda r: np.fmax(np.fmax(-r, r - h), 0.0)
+    tau = np.where(gap(lo) <= gap(hi), lo, hi)
+    return found, i, np.fmin(np.fmax(tau, 0.0), h)
 
 
 def _potentials(X, traj: Trajectory):
     """(A (m, 4), bracketed (m,), regular (m,)); A is NaN where not both."""
     X = np.asarray(X, dtype=float).reshape(-1, 4)
-    s_star, bracketed = retarded_roots(X, traj)
-    A = np.full(X.shape, np.nan)
+    bracketed, i, tau = retarded_roots(X, traj)
     ev = np.flatnonzero(bracketed)
-    gamma, gdot = traj.state_at(s_star[ev])
-    denom = np.abs(_mdot(gdot, X[ev] - gamma))
+    # x - gamma and gamma_dot from tau itself: rounding s_i + tau would move them
+    sep = (X[ev] - traj.gammas[i]) - traj._slopes[i, :4] * tau[:, None]
+    gdot = traj.gamma_dots[i] + traj._slopes[i, 4:] * tau[:, None]
+    denom = np.abs(_mdot(gdot, sep))
     ok = ~(denom < 1e-14)
     regular = np.zeros(len(X), dtype=bool)
     regular[ev] = ok
+    A = np.full(X.shape, np.nan)
     A[ev[ok]] = LW_KAPPA * traj.q * gdot[ok] / (2.0 * denom[ok, None])
     return A, bracketed, regular
 

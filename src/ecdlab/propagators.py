@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .minkowski import METRIC, as_four, minkowski_dot
 from .grids import fd_hessian
@@ -178,6 +177,12 @@ def delta_potential_propagator(x, xp, s: float) -> complex:
     phase = ((x[0] - xp[0]) ** 2 - (r + rp) ** 2) / (2.0 * s)
     bounce = np.sign(s) * np.exp(1j * phase) / ((2 * np.pi) ** 2 * r * rp * s)
     return free_propagator(x, xp, s) + bounce
+
+
+def expm(a):
+    """scipy.linalg.expm, imported on the first call."""
+    from scipy.linalg import expm
+    return expm(a)
 
 
 def constant_field_action_provider(F, q: float = 1.0) -> ActionProvider:

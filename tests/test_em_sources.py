@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
-from ecdlab.dynamics import Trajectory, charge_conjugate
-from ecdlab.em_sources import (CoverageError, WorldlineSingularity,
+from ecdlab.dynamics import (IntegratorConfig, Trajectory, charge_conjugate,
+                             integrate_worldline)
+from ecdlab.em_sources import (CoverageError, WorldlineSingularity, _brackets,
                                classical_dilatation_charge,
                                deposit_electric_current, dilatation_current,
                                dilatation_shift_check, geometric_dilatation_term,
-                               lw_field, lw_fields, lw_potential, stress_tensor)
+                               lw_field, lw_fields, lw_potential, retarded_roots,
+                               stress_tensor)
 from ecdlab.grids import DepositKernel, EventGrid, grid_charge
 from ecdlab.minkowski import METRIC, AntisymTensor, lorentz_boost_matrix
 
@@ -71,6 +74,101 @@ def test_batched_coverage_matches_one_event_calls():
         assert ok == (expected is not None)
         if ok:
             assert np.array_equal(a, expected[0]) and np.array_equal(f, expected[1])
+
+
+def _f(traj, x, s):
+    """(x - gamma(s))^2 on the interpolated worldline, at one s."""
+    d = x - traj.state_at(s)[0]
+    return d[0] ** 2 - d[1] ** 2 - d[2] ** 2 - d[3] ** 2
+
+
+def _smallest_root(traj, x, i, pieces=64):
+    """Smallest root of the interpolated f on [s_i, s_i+1]: scipy's brentq on
+    the first of `pieces` equal sub-intervals that brackets one."""
+    edges = np.linspace(traj.s[i], traj.s[i + 1], pieces + 1)
+    fs = [_f(traj, x, e) for e in edges]
+    for lo, hi, flo, fhi in zip(edges[:-1], edges[1:], fs[:-1], fs[1:]):
+        if flo == 0.0:
+            return lo
+        if flo * fhi < 0.0:
+            return brentq(lambda s: _f(traj, x, s), lo, hi, xtol=1e-15)
+    return edges[-1] if fs[-1] == 0.0 else None
+
+
+def _cone_events(traj, rng, m):
+    """m events on the future light cone of random points of the worldline."""
+    p = traj.state_at(rng.uniform(traj.s[0] + 0.5, traj.s[-1] - 0.5, m))[0]
+    n = rng.normal(size=(m, 3))
+    r = rng.uniform(0.1, 2.0, m)[:, None]
+    return p + np.hstack([r, r * n / np.linalg.norm(n, axis=1, keepdims=True)])
+
+
+def _kinked_worldline():
+    """Dyadic samples, s unevenly spaced: timelike, null, spacelike, timelike."""
+    s = np.array([0.0, 1.0, 2.0, 3.0, 3.5])
+    gammas = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 0.5, 0.0, 0.0], [2.0, 1.5, 0.0, 0.0],
+                       [2.25, 2.5, 0.0, 0.0], [2.75, 2.5, 0.0, 0.0]])
+    return Trajectory(s, gammas, np.zeros_like(gammas), q=1.0)
+
+
+def test_retarded_roots_match_a_brentq_oracle():
+    F = np.asarray(AntisymTensor.from_fields([0.3, 0.0, 0.1], [0.0, 0.2, 0.4]))
+    curved = integrate_worldline(((0.0, 0.0, 0.0, 0.0), (1.0, 0.3, 0.0, 0.0)), F, 1.0,
+                                 (-4.0, 4.0), IntegratorConfig(step=0.1, tolerance=1e-6))
+    rng = np.random.default_rng(5)
+    X = np.vstack([_cone_events(curved, rng, 40),
+                   np.column_stack([rng.uniform(-1, 5, 40), rng.uniform(-2, 2, (40, 3))])])
+    kinked = _kinked_worldline()
+    # inside the null segment; and on the light cone of the knot s = 2, where
+    # the spacelike segment after it crosses the same cone again at s = 2.9333
+    K = np.array([[2.5, 1.0, 0.6, 0.8], [3.25, 2.25, 1.0, 0.0]])
+    for traj, events in ((curved, X), (kinked, K)):
+        found, i, tau = retarded_roots(events, traj)
+        assert found.sum() >= len(events) // 2
+        for x, k, t in zip(events[found], i, tau):
+            s_star = traj.s[k] + t
+            assert traj.s[k] <= s_star <= traj.s[k + 1]
+            want = _smallest_root(traj, x, k)
+            assert abs(s_star - want) <= 1e-12 * max(1.0, abs(want))
+            d = x - traj.gammas[k]
+            assert abs(_f(traj, x, s_star)) <= 1e-12 * max(1.0, d @ d)
+    found, i, tau = retarded_roots(K, kinked)
+    assert found.all() and list(i) == [1, 2]
+    assert kinked._slopes[1, :4] @ METRIC @ kinked._slopes[1, :4] == 0.0
+    assert tau[0] == 0.5 and tau[1] == 0.0
+    assert abs(_f(kinked, K[1], 2.0 + 14 / 15)) < 1e-15     # the root not taken
+
+
+def _brackets_oracle(X, traj):
+    """_brackets before its buffers: one numpy expression over the stack."""
+    n, g, x = traj.s.size, traj.gammas.T, X[:, :, None]
+    dt = x[:, 0] - g[0]
+    f = dt ** 2 - (((x[:, 1] - g[1]) ** 2 + (x[:, 2] - g[2]) ** 2) + (x[:, 3] - g[3]) ** 2)
+    past = dt > 0
+    cross = past[:, :-1] & past[:, 1:] & (f[:, :-1] * f[:, 1:] <= 0)
+    return n - 2 - np.argmax(cross[:, ::-1], axis=1), cross.any(axis=1)
+
+
+@pytest.mark.parametrize("m", [0, 5, 16, 37, 200])
+def test_brackets_are_bit_equal_to_the_unbuffered_search(m):
+    # dyadic samples: a sample plus 0, (5, 3, 4, 0)/4 or (0, 1, 0, 0) sits
+    # exactly on its light cone or time slice; a sample plus r (1, n) with a
+    # random unit n sits on it up to rounding, where the summation order decides
+    traj = Trajectory.uniform((1.0, 0.5, 0.0, 0.0), s_span=(-50, 50), n=201)
+    rng = np.random.default_rng(m)
+    at = traj.gammas[rng.integers(0, 201, m)]
+    exact = np.array([[0.0, 0.0, 0.0, 0.0], [1.25, 0.75, 1.0, 0.0], [1.25, 0.0, -0.75, 1.0],
+                      [0.0, 1.0, 0.0, 0.0]])[rng.integers(0, 4, m)]
+    n = rng.normal(size=(m, 3))
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    rounded = rng.uniform(0.1, 3, (m, 1)) * np.hstack([np.ones((m, 1)), n])
+    kind = rng.choice(3, (m, 1), p=[0.25, 0.5, 0.25])
+    X = np.where(kind == 0, at + exact, np.where(kind == 1, at + rounded,
+                                                  rng.uniform(-20, 20, (m, 4))))
+    last, found = _brackets(X, traj)
+    want_last, want_found = _brackets_oracle(X, traj)
+    assert np.array_equal(found, want_found) and np.array_equal(last, want_last)
+    assert last.dtype == want_last.dtype and found.dtype == bool
 
 
 def test_worldline_singularity_is_uncovered():

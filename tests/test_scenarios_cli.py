@@ -2,6 +2,8 @@ import csv
 import hashlib
 import json
 import math
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -427,6 +429,39 @@ def valid_config(kind):
     if kind in configs:
         return configs[kind]()
     return {"schema_version": "1", "kind": kind, "parameters": params[kind]}
+
+
+_SCIPY_PARTS = ("scipy.integrate", "scipy.linalg", "scipy.special")
+
+_SCIPY_PROBE = """
+import json, sys
+from ecdlab.cli import main
+cfgs, out, kinds = json.loads(sys.argv[1]), sys.argv[2], json.loads(sys.argv[3])
+loaded = lambda: [m for m in %r if m in sys.modules]
+for cfg in cfgs.values():
+    assert main(["validate", cfg]) == 0
+for kind in kinds:
+    assert main(["run", cfgs[kind], "--out", out + "/" + kind, "--workers", "1"]) == 0
+print("scipy:", json.dumps(loaded()))
+assert main(["run", cfgs["free-ecd"], "--out", out + "/free-ecd", "--workers", "1"]) == 0
+print("scipy:", json.dumps(loaded()))
+""" % (_SCIPY_PARTS,)
+
+
+def test_kinds_that_call_no_scipy_do_not_import_it(tmp_path):
+    """Start-up, validate of every kind and a run of each kind that calls no
+    scipy function load none of scipy's subpackages; a free-ecd run does,
+    so the check can fail."""
+    cfgs = {kind: write(tmp_path, valid_config(kind), f"{kind}.json") for kind in SCENARIO_KINDS}
+    kinds = ["lw-field-map", "conservation-audit", "classical-orbit", "guiding-run"]
+    src = str(Path(scenarios.__file__).resolve().parents[1])
+    probe = f"import sys; sys.path.insert(0, {src!r})\n" + _SCIPY_PROBE
+    proc = subprocess.run([sys.executable, "-c", probe, json.dumps(cfgs), str(tmp_path / "o"),
+                           json.dumps(kinds)], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    before, after = (json.loads(line[len("scipy:"):]) for line in proc.stdout.splitlines()
+                     if line.startswith("scipy:"))
+    assert before == [] and after == list(_SCIPY_PARTS)
 
 
 class Computed(Exception):
