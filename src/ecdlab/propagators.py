@@ -30,9 +30,9 @@ from .grids import fd_hessian
 
 _HESSIAN_STEP = 1e-3       # coarse step of the Richardson mixed Hessian
 _HJ_S_STEP = 1e-4          # s-step of the Hamilton-Jacobi d_s I
-_BVP_STEPS = 400           # RK4 steps along a shooting path
+_BVP_STEPS = 400           # worldline samples (less one) along a shooting path
 _BVP_MAX_ITER = 40         # Newton iterations before the shooting gives up
-_BVP_TOL = 1e-10           # endpoint miss that ends the Newton iteration
+_BVP_TOL = 1e-12           # endpoint miss that ends the Newton iteration
 
 
 class NoPathError(ArithmeticError):

@@ -304,7 +304,7 @@ def validate_config(doc) -> list:
 def _prepare(kind, params) -> dict:
     """The set-up of a run: params checked against kind's schema, completed
     from _DEFAULTS, then given the objects kind's runner takes.  It runs no
-    RK4, quadrature, field solve or profile, so validation stays cheap.
+    worldline, quadrature, field solve or profile, so validation stays cheap.
 
     Raises ScenarioValidationError with every schema diagnostic, or else with
     the first value the set-up rejects."""
@@ -498,8 +498,7 @@ def _run_classical_orbit(p, out: Path):
                                p["cfg"])
     n2 = traj.norm2_samples()
     drift = np.abs(n2 - n2[0])
-    rows = [[traj.s[i], *traj.gammas[i], *traj.gamma_dots[i], drift[i]]
-            for i in range(traj.s.size)]
+    rows = np.column_stack([traj.s, traj.gammas, traj.gamma_dots, drift]).tolist()
     _write_csv(out / "trajectory.csv",
                ["s"] + [f"gamma{m}" for m in range(4)]
                + [f"gamma_dot{m}" for m in range(4)] + ["norm2_drift"], rows)

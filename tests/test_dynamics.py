@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,6 +66,47 @@ def test_drift_beyond_tolerance_raises():
     with pytest.raises(IntegrationBlowup):
         integrate_worldline(((0, 0, 0, 0), (1, 0, 0, 0)), F, 1.0,
                             (0.0, 5.0), cfg)
+
+
+WORLDLINE_REFERENCE = json.loads(
+    (Path(__file__).parent / "data" / "worldline_reference.json").read_text())
+
+
+@pytest.mark.parametrize("name", WORLDLINE_REFERENCE["cases"])
+def test_worldline_matches_frozen_reference(name):
+    """40-digit mpmath states of three fields (tests/data/worldline_reference.json
+    records the recipe).  Measured: worst error 2.0e-16 to 4.3e-16 of the
+    sample's largest component and gamma_dot^2 drift 1.2e-14 to 3.6e-14 over
+    the 10,001 samples; fixed-step RK4 gave 3.5e-15 to 5.1e-14 and 5.0e-14 to
+    9.6e-13."""
+    ref = WORLDLINE_REFERENCE
+    case = ref["cases"][name]
+    F = np.asarray(AntisymTensor.from_fields(case["electric"], case["magnetic"]))
+    traj = integrate_worldline((case["x0"], case["u0"]), F, case["q"], ref["s_span"],
+                               IntegratorConfig(step=ref["step"], tolerance=1e-9))
+    for k, state in case["states"].items():
+        state = np.array(state)
+        got = np.concatenate([traj.gammas[int(k)], traj.gamma_dots[int(k)]])
+        assert np.abs(got - state).max() <= 2e-15 * np.abs(state).max()
+    n2 = traj.norm2_samples()
+    assert np.abs(n2 - n2[0]).max() <= 1e-13
+
+
+def test_overflow_raises_blowup_at_first_non_finite_sample():
+    """q E = 100 and step 1: gamma_dot^0 = cosh(100 k) at sample k, which is
+    about 5e303 at k = 7 and beyond the float range from k = 8."""
+    F = constant_e_field((100.0, 0.0, 0.0))
+    cfg = IntegratorConfig(step=1.0, tolerance=np.inf)
+    with pytest.raises(IntegrationBlowup) as err:
+        integrate_worldline(((0, 0, 0, 0), (1, 0, 0, 0)), F, 1.0, (0.5, 20.5), cfg)
+    assert np.isfinite(err.value.s) and err.value.s == 0.5 + 8
+    # every sample up to k = 7 is finite, but gamma_dot^2 overflows from
+    # k = 4 (cosh(400)^2): the drift is NaN, which no tolerance accepts
+    with pytest.raises(IntegrationBlowup) as err:
+        integrate_worldline(((0, 0, 0, 0), (1, 0, 0, 0)), F, 1.0, (0.5, 7.5), cfg)
+    assert err.value.s == 7.5
+    traj = integrate_worldline(((0, 0, 0, 0), (1, 0, 0, 0)), F, 1.0, (0.5, 3.5), cfg)
+    assert traj.gamma_dots[3, 0] == pytest.approx(np.cosh(300.0), rel=1e-12)
 
 
 def test_effective_mass_classification():

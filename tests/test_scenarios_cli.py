@@ -172,7 +172,7 @@ def test_cli_run_invalid_config(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_run_numeric_failure(tmp_path, capsys):
-    # a field strong enough to blow up the RK4 worldline passes validation
+    # a field strong enough to overflow the worldline passes validation
     doc = orbit_config()
     doc["parameters"]["electric"] = [1e10, 0.0, 0.0]
     cfg = write(tmp_path, doc)
@@ -525,7 +525,7 @@ def test_manifest_echoes_the_config_as_written(kind, params, tolerance, value, t
 
 
 def test_step_count_is_bounded(tmp_path, capsys):
-    """A step that divides a huge span would ask for 10^15 RK4 samples."""
+    """A step that divides a huge span would ask for 10^15 worldline samples."""
     doc = orbit_config()
     doc["parameters"].update(s_span=[0.0, 1e12], step=1e-3)
     assert [d.split(":")[0] for d in validate_config(doc)] == ["parameters.step"]
@@ -651,21 +651,27 @@ def test_guiding_run_bytes_are_pinned(tmp_path, capsys):
      ("2dfa28ea493af5178a73e6cf8b4443feeddb084a3dfb989a7e79847fe813002f", 1536)),
     ("classical-limit-sweep", {"electric": [0.1, 0.0, 0.0], "factors": [1.0, 0.5],
                                "ratio_bound": 1.0}, "sweep.csv",
-     ("a7fd47fe62f91a5fc7e4fef7f1d67aaba8a0cfba8590efc3df4f046f7509e25c", 154)),
+     ("1f850fe62308de826d61c15c0e64c97b1c33592e9e0aa42a3835cd6a4355ada8", 153)),
     ("classical-orbit", {"electric": [0.3, 0, 0], "magnetic": [0, 0, 0.2], "charge": 1,
                          "x0": [0, 0, 0, 0], "u0": [1, 0, 0, 0], "s_span": [0, 2],
                          "step": 0.01, "tolerance": 1e-9}, "trajectory.csv",
-     ("7fd76948ed333ee01acea848dfa8bac33e3a8ea50394463c414f25d041adf8ed", 31935)),
+     ("4ff4c947c169257668c1562d88763f0c9841c6ecc0f57ff83b49c1078d22449b", 30965)),
 ], ids=["free-ecd", "current-regularization", "classical-limit-sweep", "classical-orbit"])
 def test_scenario_bytes_are_pinned(kind, parameters, name, digest, tmp_path, capsys):
-    """consistency.csv and sweep.csv digests were taken while hbar was still a
-    parameter of the propagators, currents and pairs.  The profile.csv digest
-    was retaken when closed-form Fresnel moments replaced the 60,000-node
-    Fourier sum of the static profiles: the r and tail columns kept their
-    bytes, and j0 and remainder moved closer to a 50-digit evaluation of the
-    profile (worst relative error 6.5e-15 -> 1.3e-15 and 5.0e-9 -> 3.9e-10).
-    The trajectory.csv digest was taken while the RK4 right-hand side still
-    asked a field provider for F at every stage."""
+    """The consistency.csv digest was taken while hbar was still a parameter of
+    the propagators, currents and pairs.  The profile.csv digest was retaken
+    when closed-form Fresnel moments replaced the 60,000-node Fourier sum of
+    the static profiles: the r and tail columns kept their bytes, and j0 and
+    remainder moved closer to a 50-digit evaluation of the profile (worst
+    relative error 6.5e-15 -> 1.3e-15 and 5.0e-9 -> 3.9e-10).
+    The trajectory.csv and sweep.csv digests were retaken when the closed-form
+    constant-field flow e^{K s} replaced RK4 worldline integration.  In
+    trajectory.csv the s column and the zero gamma3 and gamma_dot3 columns
+    kept their bytes; gamma and gamma_dot moved onto a 40-digit evaluation of
+    the flow (worst error 8.3e-13 -> 4.4e-16, RK4's truncation at step 0.01)
+    and norm2_drift fell from 3.2e-15 to 1.7e-15 at most.  In sweep.csv the
+    factor column kept its bytes, and the phase-gradient residual and velocity
+    recovery, taken along the pair's worldline, moved by at most 2.6e-14."""
     doc = {"schema_version": "1", "kind": kind, "parameters": parameters}
     cfg = write(tmp_path, doc)
     assert main(["run", cfg, "--out", str(tmp_path / "o"), "--workers", "1"]) == EXIT_OK
