@@ -23,10 +23,11 @@ _TAYLOR_DEGREE = 18     # series degree of the worldline flow once |M t|_1 <= 1
 
 
 class IntegrationBlowup(ArithmeticError):
-    """Numeric failure during worldline integration; carries the offending s."""
+    """Numeric failure during worldline integration; carries the offending s
+    and names what went wrong there."""
 
-    def __init__(self, s):
-        super().__init__(f"non-finite state while integrating, at s = {s:g}")
+    def __init__(self, s, reason="non-finite state while integrating"):
+        super().__init__(f"{reason}, at s = {s:g}")
         self.s = s
 
 
@@ -192,8 +193,9 @@ def integrate_worldline(initial, F, q: float, s_span,
     with np.errstate(over="ignore", invalid="ignore"):
         drift = np.abs(traj.norm2_samples() - traj.norm2_samples()[0]).max()
     if not drift <= cfg.tolerance:      # NaN where gamma_dot^2 overflows
-        raise IntegrationBlowup(s1) from ValueError(
-            f"gamma_dot^2 drift {drift:g} exceeds tolerance {cfg.tolerance:g}")
+        reason = (f"gamma_dot^2 drift {drift:g} exceeds tolerance {cfg.tolerance:g}"
+                  if np.isfinite(drift) else "gamma_dot^2 leaves the float range")
+        raise IntegrationBlowup(s1, reason)
     return traj
 
 

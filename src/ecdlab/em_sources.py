@@ -37,7 +37,7 @@ class WorldlineSingularity(ZeroDivisionError):
 # Events per bracketing chunk: the sign-change search fills a few
 # (events x samples) buffers, allocated once per call, so this bounds its
 # memory.  With a 1001-sample worldline each float buffer is then ~128 kB;
-# on the lw-map stencil 16, 32 and 64 ran alike, 8 slower (2-core x86-64).
+# on lw-map's 432 events (one root each) 8, 16, 32 and 64 ran alike (2-core x86-64).
 _BRACKET_CHUNK = 16
 
 
@@ -111,73 +111,69 @@ def retarded_roots(X, traj: Trajectory):
     return found, i, np.fmin(np.fmax(tau, 0.0), h)
 
 
-def _potentials(X, traj: Trajectory):
-    """(A (m, 4), bracketed (m,), regular (m,)); A is NaN where not both."""
+def _lienard_wiechert(X, traj: Trajectory):
+    """(A (m, 4), F (m, 4, 4), bracketed (m,), regular (m,)) from one retarded
+    root per event; regular implies bracketed, and A and F are NaN where not.
+
+    gamma and gamma_dot are linear on the bracketing interval, with slopes v
+    and a, so F is exact there: with R = x - gamma(s*) and D = gamma_dot . R,
+    d^mu s* = R^mu / (v . R) and d^mu D = (a . R - gamma_dot . v) d^mu s* +
+    gamma_dot^mu.  D ~ 0, v . R = 0 or a non-finite F is the light-cone
+    caustic of the worldline, and not regular.
+    """
     X = np.asarray(X, dtype=float).reshape(-1, 4)
     bracketed, i, tau = retarded_roots(X, traj)
-    ev = np.flatnonzero(bracketed)
+    v, acc = traj._slopes[i, :4], traj._slopes[i, 4:]
     # x - gamma and gamma_dot from tau itself: rounding s_i + tau would move them
-    sep = (X[ev] - traj.gammas[i]) - traj._slopes[i, :4] * tau[:, None]
-    gdot = traj.gamma_dots[i] + traj._slopes[i, 4:] * tau[:, None]
-    denom = np.abs(_mdot(gdot, sep))
-    ok = ~(denom < 1e-14)
+    sep = (X[bracketed] - traj.gammas[i]) - v * tau[:, None]
+    gdot = traj.gamma_dots[i] + acc * tau[:, None]
+    D, vR = _mdot(gdot, sep), _mdot(v, sep)
+    ok = ~(np.abs(D) < 1e-14) & (vR != 0)
+    sep, gdot, v, acc, D, vR = (y[ok] for y in (sep, gdot, v, acc, D, vR))
+    A = LW_KAPPA * traj.q * gdot / (2.0 * np.abs(D)[:, None])
+    A_s = LW_KAPPA * traj.q * acc / (2.0 * np.abs(D)[:, None])  # d A / d s* at fixed D
+    with np.errstate(over="ignore", invalid="ignore"):         # caught by the finite test
+        ds = sep / vR[:, None]                                          # d^mu s*
+        dD = (_mdot(acc, sep) - _mdot(gdot, v))[:, None] * ds + gdot    # d^mu D
+        dA = ds[:, :, None] * A_s[:, None, :] - (dD / D[:, None])[:, :, None] * A[:, None, :]
+        F = dA - np.swapaxes(dA, 1, 2)                                  # d^mu A^nu - d^nu A^mu
+        fine = np.isfinite(F).all(axis=(1, 2))
     regular = np.zeros(len(X), dtype=bool)
-    regular[ev] = ok
-    A = np.full(X.shape, np.nan)
-    A[ev[ok]] = LW_KAPPA * traj.q * gdot[ok] / (2.0 * denom[ok, None])
-    return A, bracketed, regular
+    regular[np.flatnonzero(bracketed)[ok]] = fine
+    A_out, F_out = np.full(X.shape, np.nan), np.full((len(X), 4, 4), np.nan)
+    A_out[regular], F_out[regular] = A[fine], F[fine]
+    return A_out, F_out, bracketed, regular
 
 
-def _raise_uncovered(bracketed, regular):
-    """Raise for the first event, in order, without a regular retarded root."""
-    for b, r in zip(bracketed, regular):
-        if not b:
-            raise CoverageError("retarded root not bracketed by the trajectory samples")
-        if not r:
-            raise WorldlineSingularity("evaluation point on the worldline light-cone vertex")
+def _lienard_wiechert_at(x, traj: Trajectory):
+    """(A, F) at one event; raises where its retarded root is not bracketed or not regular."""
+    A, F, bracketed, regular = _lienard_wiechert(as_four(x)[None], traj)
+    if not bracketed[0]:
+        raise CoverageError("retarded root not bracketed by the trajectory samples")
+    if not regular[0]:
+        raise WorldlineSingularity("evaluation point on the worldline light-cone vertex")
+    return A[0], F[0]
 
 
 def lw_potential(x, traj: Trajectory) -> np.ndarray:
     """Retarded potential A^mu(x) of the charge q carried by the trajectory."""
-    A, bracketed, regular = _potentials(as_four(x)[None], traj)
-    _raise_uncovered(bracketed, regular)
-    return A[0]
+    return _lienard_wiechert_at(x, traj)[0]
 
 
-def _stencil(X, traj: Trajectory, h: float):
-    """Potentials on the 9-point stencil x, x + h e_0, x - h e_0, x + h e_1, ...
-
-    Returns (A (m, 9, 4), bracketed (m, 9), regular (m, 9), F (m, 4, 4)) with
-    F^{mu nu} = d^mu A^nu - d^nu A^mu by central differences.
-    """
-    X = np.asarray(X, dtype=float).reshape(-1, 4)
-    P = np.repeat(X[:, None, :], 9, axis=1)
-    P[:, 1::2] += h * np.eye(4)
-    P[:, 2::2] -= h * np.eye(4)
-    A, bracketed, regular = _potentials(P.reshape(-1, 4), traj)
-    A = A.reshape(len(X), 9, 4)
-    dA = (A[:, 1::2] - A[:, 2::2]) / (2 * h)     # dA[:, mu, nu] = d_mu A^nu
-    dA_up = METRIC @ dA                           # d^mu A^nu
-    F = dA_up - np.swapaxes(dA_up, -1, -2)
-    return A, bracketed.reshape(-1, 9), regular.reshape(-1, 9), F
-
-
-def lw_fields(X, traj: Trajectory, h: float = 1e-4):
+def lw_fields(X, traj: Trajectory):
     """Retarded potentials and fields at a stack of events X (m, 4), one pass.
 
-    Returns (A (m, 4), F (m, 4, 4), covered (m,)): A at the events, F^{mu nu}
-    by central differences of step h, and covered False where any of the nine
-    stencil evaluations lacks a regular retarded root.
+    Returns (A (m, 4), F (m, 4, 4), covered (m,)): F^{mu nu} exact on the
+    interval that brackets each event's retarded root, and covered False, with
+    A and F NaN, where that root is not bracketed or not regular.
     """
-    A, bracketed, regular, F = _stencil(X, traj, h)
-    return A[:, 0], F, np.all(bracketed & regular, axis=1)
+    A, F, _, regular = _lienard_wiechert(X, traj)
+    return A, F, regular
 
 
-def lw_field(x, traj: Trajectory, h: float = 1e-4) -> AntisymTensor:
-    """F^{mu nu} = d^mu A^nu - d^nu A^mu at x by central differences of step h."""
-    _, bracketed, regular, F = _stencil(as_four(x)[None], traj, h)
-    _raise_uncovered(bracketed[0, 1:], regular[0, 1:])
-    return AntisymTensor(F[0])
+def lw_field(x, traj: Trajectory) -> AntisymTensor:
+    """F^{mu nu} = d^mu A^nu - d^nu A^mu at x, exact on the bracketing interval."""
+    return AntisymTensor(_lienard_wiechert_at(x, traj)[1])
 
 
 def stress_tensor(F) -> np.ndarray:

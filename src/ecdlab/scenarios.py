@@ -69,6 +69,8 @@ class AccuracyFailure(AssertionError):
 
 
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+# no value meets it: as additionalProperties it fails each unknown key at its own path
+_CLOSED = {"not": {}}
 
 
 def _arr(n, item=None):
@@ -78,7 +80,7 @@ def _arr(n, item=None):
 
 _GRID_SCHEMA = {
     "type": "object",
-    "additionalProperties": False,
+    "additionalProperties": _CLOSED,
     "required": ["origin", "spacings", "extents"],
     "properties": {
         "origin": _arr(4),
@@ -89,7 +91,7 @@ _GRID_SCHEMA = {
 
 _WORLDLINE_SCHEMA = {
     "type": "object",
-    "additionalProperties": False,
+    "additionalProperties": _CLOSED,
     "required": ["u"],
     "properties": {
         "u": _arr(4),
@@ -103,7 +105,7 @@ _WORLDLINE_SCHEMA = {
 _PARAM_SCHEMAS = {
     "classical-orbit": {
         "type": "object",
-        "additionalProperties": False,
+        "additionalProperties": _CLOSED,
         "required": ["electric", "magnetic", "charge", "x0", "u0", "s_span",
                      "step", "tolerance"],
         "properties": {
@@ -119,17 +121,16 @@ _PARAM_SCHEMAS = {
     },
     "lw-field-map": {
         "type": "object",
-        "additionalProperties": False,
+        "additionalProperties": _CLOSED,
         "required": ["worldline", "grid"],
         "properties": {
             "worldline": _WORLDLINE_SCHEMA,
             "grid": _GRID_SCHEMA,
-            "fd_step": _POSITIVE,
         },
     },
     "conservation-audit": {
         "type": "object",
-        "additionalProperties": False,
+        "additionalProperties": _CLOSED,
         "required": ["worldlines", "grid", "tolerance"],
         "properties": {
             "worldlines": {"type": "array", "items": _WORLDLINE_SCHEMA,
@@ -141,7 +142,7 @@ _PARAM_SCHEMAS = {
     },
     "free-ecd": {
         "type": "object",
-        "additionalProperties": False,
+        "additionalProperties": _CLOSED,
         "required": ["epsilons", "tolerance_factor"],
         "properties": {
             "epsilons": {"type": "array", "items": _POSITIVE,
@@ -154,12 +155,12 @@ _PARAM_SCHEMAS = {
     },
     "guiding-run": {
         "type": "object",
-        "additionalProperties": False,
+        "additionalProperties": _CLOSED,
         "required": ["packet", "s_span", "steps", "tolerance"],
         "properties": {
             "packet": {
                 "type": "object",
-                "additionalProperties": False,
+                "additionalProperties": _CLOSED,
                 "required": ["M_diag", "x0", "u"],
                 "properties": {
                     "M_diag": _arr(4, _POSITIVE),
@@ -177,7 +178,7 @@ _PARAM_SCHEMAS = {
     },
     "classical-limit-sweep": {
         "type": "object",
-        "additionalProperties": False,
+        "additionalProperties": _CLOSED,
         "required": ["electric", "factors", "ratio_bound"],
         "properties": {
             "electric": _arr(3),
@@ -193,7 +194,7 @@ _PARAM_SCHEMAS = {
     },
     "current-regularization": {
         "type": "object",
-        "additionalProperties": False,
+        "additionalProperties": _CLOSED,
         "required": ["epsilon", "c0", "charge"],
         "properties": {
             "epsilon": _POSITIVE,
@@ -215,7 +216,7 @@ _WORLDLINE_DEFAULTS = {"x0": (0.0, 0.0, 0.0, 0.0), "s_span": (-10.0, 10.0), "n":
 # fills the object under its key, or each object of the array under it.
 _DEFAULTS = {
     "classical-orbit": {},
-    "lw-field-map": {"worldline": _WORLDLINE_DEFAULTS, "fd_step": 1e-4},
+    "lw-field-map": {"worldline": _WORLDLINE_DEFAULTS},
     "conservation-audit": {"worldlines": _WORLDLINE_DEFAULTS, "kernel": "trilinear"},
     "free-ecd": {"s_max": 50.0, "u": (1.0, 0.0, 0.0, 0.0), "c0": 1.0},
     "guiding-run": {"packet": {"wobble_amp": (0.0, 0.0, 0.0, 0.0), "wobble_freq": 1.0},
@@ -228,7 +229,7 @@ _DEFAULTS = {
 
 _TOP_SCHEMA = {
     "type": "object",
-    "additionalProperties": False,
+    "additionalProperties": _CLOSED,
     "required": ["schema_version", "kind", "parameters"],
     "properties": {
         "schema_version": {"type": "string", "enum": [SCHEMA_VERSION]},
@@ -320,7 +321,8 @@ def _prepare(kind, params) -> dict:
 def _schema_errors(schema, instance, *prefix) -> list:
     """(path, message) of each schema error of instance, in path order."""
     errors = jsonschema.Draft202012Validator(schema).iter_errors(instance)
-    return [(".".join(map(str, (*prefix, *err.absolute_path))) or "<root>", err.message)
+    return [(".".join(map(str, (*prefix, *err.absolute_path))) or "<root>",
+             "not a known key" if err.schema is _CLOSED else err.message)
             for err in sorted(errors, key=lambda e: list(e.absolute_path))]
 
 
@@ -509,10 +511,11 @@ def _run_classical_orbit(p, out: Path):
 
 
 def _run_lw_field_map(p, out: Path):
-    """fields.csv columns: t,x,y,z, A0..3, E1..3, B1..3 (NaN where uncovered)."""
+    """fields.csv columns: t,x,y,z, A0..3, E1..3, B1..3 (NaN where uncovered);
+    E and B are exact on the interval that brackets the event's retarded root."""
     grid, wl = p["grid"], p["worldline"]
     pts = grid.points().reshape(-1, 4)
-    A, F, covered = lw_fields(pts, p["traj"], p["fd_step"])
+    A, F, covered = lw_fields(pts, p["traj"])
     E = F[:, 1:, 0]
     B = -F[:, [2, 3, 1], [3, 1, 2]]
     vals = np.hstack([A, E, B])
@@ -529,7 +532,7 @@ def _run_lw_field_map(p, out: Path):
             coulomb = wl["q"] / (4 * np.pi * r[far])
             residuals["coulomb_max_rel_error"] = float(
                 (np.abs(A[far, 0] - coulomb) / np.abs(coulomb)).max())
-    return residuals, {"fd_step": p["fd_step"]}, ["fields.csv"]
+    return residuals, {}, ["fields.csv"]
 
 
 def _run_conservation_audit(p, out: Path):

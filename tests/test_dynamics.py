@@ -63,9 +63,10 @@ def test_integrator_drops_a_rounding_level_symmetric_part():
 def test_drift_beyond_tolerance_raises():
     F = constant_e_field((1.0, 0.0, 0.0))
     cfg = IntegratorConfig(step=0.25, tolerance=1e-16)  # coarse step, tiny budget
-    with pytest.raises(IntegrationBlowup):
+    with pytest.raises(IntegrationBlowup, match="drift .* exceeds tolerance 1e-16") as err:
         integrate_worldline(((0, 0, 0, 0), (1, 0, 0, 0)), F, 1.0,
                             (0.0, 5.0), cfg)
+    assert err.value.s == 5.0
 
 
 WORLDLINE_REFERENCE = json.loads(
@@ -97,12 +98,12 @@ def test_overflow_raises_blowup_at_first_non_finite_sample():
     about 5e303 at k = 7 and beyond the float range from k = 8."""
     F = constant_e_field((100.0, 0.0, 0.0))
     cfg = IntegratorConfig(step=1.0, tolerance=np.inf)
-    with pytest.raises(IntegrationBlowup) as err:
+    with pytest.raises(IntegrationBlowup, match="non-finite state") as err:
         integrate_worldline(((0, 0, 0, 0), (1, 0, 0, 0)), F, 1.0, (0.5, 20.5), cfg)
     assert np.isfinite(err.value.s) and err.value.s == 0.5 + 8
     # every sample up to k = 7 is finite, but gamma_dot^2 overflows from
     # k = 4 (cosh(400)^2): the drift is NaN, which no tolerance accepts
-    with pytest.raises(IntegrationBlowup) as err:
+    with pytest.raises(IntegrationBlowup, match="leaves the float range") as err:
         integrate_worldline(((0, 0, 0, 0), (1, 0, 0, 0)), F, 1.0, (0.5, 7.5), cfg)
     assert err.value.s == 7.5
     traj = integrate_worldline(((0, 0, 0, 0), (1, 0, 0, 0)), F, 1.0, (0.5, 3.5), cfg)

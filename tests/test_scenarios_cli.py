@@ -107,10 +107,12 @@ def test_bad_parameter_reports_path():
 
 
 def test_unknown_key_is_rejected():
+    """Each unknown key is reported at its own path, a nested one too."""
     doc = audit_config()
     doc["parameters"]["typo"] = 1
-    diags = validate_config(doc)
-    assert any("typo" in d for d in diags)
+    doc["parameters"]["worldlines"][0]["mass"] = 2
+    assert validate_config(doc) == ["parameters.typo: not a known key",
+                                    "parameters.worldlines.0.mass: not a known key"]
 
 
 def test_parse_failure_reports_line_and_column(tmp_path):
@@ -168,6 +170,21 @@ def test_cli_run_invalid_config(tmp_path, capsys):
     cfg = write(tmp_path, doc)
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
     assert "tolerance" in capsys.readouterr().err
+
+
+def test_cli_run_drift_failure_names_the_drift(tmp_path, capsys):
+    """Every sample is finite and gamma_dot^2 drifts by ~1e-12, beyond the
+    tolerance 1e-16: the message names the drift, not an overflow."""
+    doc = orbit_config()
+    doc["parameters"].update(electric=[1.0, 0.0, 0.0], magnetic=[0.0, 0.0, 0.0],
+                             s_span=[0.0, 5.0], step=0.25, tolerance=1e-16)
+    cfg = write(tmp_path, doc)
+    assert main(["run", cfg, "--out", str(tmp_path / "o"),
+                 "--workers", "1"]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "numeric failure: gamma_dot^2 drift " in err
+    assert "exceeds tolerance 1e-16, at s = 5" in err
+    assert "non-finite" not in err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -506,22 +523,24 @@ def test_defaults_table_matches_the_schemas():
         check(schema, scenarios._DEFAULTS[kind], kind)
 
 
-@pytest.mark.parametrize("kind, params, tolerance, value", [
-    ("free-ecd", {"epsilons": [0.1], "tolerance_factor": 1.0}, "s_max", 50.0),
-    ("lw-field-map", lw_config()["parameters"], "fd_step", 1e-4)],
+@pytest.mark.parametrize("kind, params, tolerances", [
+    ("free-ecd", {"epsilons": [0.1], "tolerance_factor": 1.0},
+     {"tolerance_factor": 1.0, "s_max": 50.0}),
+    ("lw-field-map", lw_config()["parameters"], {})],
     ids=["free-ecd", "lw-field-map"])
-def test_manifest_echoes_the_config_as_written(kind, params, tolerance, value, tmp_path):
+def test_manifest_echoes_the_config_as_written(kind, params, tolerances, tmp_path):
     """The manifest's scenario is the config with no default filled in (the
     lw-field-map worldline has no x0), the run leaves its parameters as they
-    were, and the tolerances carry the filled defaults with their types."""
+    were, and the tolerances carry the filled defaults with their types
+    (lw-field-map has none)."""
     written = json.loads(json.dumps(params))
     scenarios.run_scenario(scenarios.Scenario(kind, params), tmp_path)
     assert params == written
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["scenario"] == {"kind": kind, "parameters": written,
                                     "schema_version": "1"}
-    assert manifest["tolerances"][tolerance] == value
-    assert type(manifest["tolerances"][tolerance]) is float
+    assert manifest["tolerances"] == tolerances
+    assert all(type(v) is float for v in manifest["tolerances"].values())
 
 
 def test_step_count_is_bounded(tmp_path, capsys):
@@ -620,14 +639,17 @@ def read_fields(path):
 
 
 def test_lw_field_map_bytes_are_pinned(tmp_path, capsys):
-    # criterion 12's config; the digest was taken from the per-event scalar
-    # implementation that the batched map replaced
+    """Criterion 12's config.  The digest was retaken when the exact field on
+    the bracketing interval replaced the 9-point central difference of step
+    1e-4 (30a82442..., 2966 B): the t,x,y,z and A0..A3 columns kept their
+    bytes, and E moved onto Coulomb's law (worst relative error 4.0e-8 ->
+    4.9e-16); B stayed zero."""
     cfg = write(tmp_path, lw_config())
     assert main(["run", cfg, "--out", str(tmp_path / "o"), "--workers", "1"]) == EXIT_OK
     capsys.readouterr()
     data = (tmp_path / "o" / "fields.csv").read_bytes()
     assert (hashlib.sha256(data).hexdigest(), len(data)) == (
-        "30a82442b0dfe0379af7d5006571bb53e2a8876dfc64177ff1ab061e22ffad38", 2966)
+        "586eaaf98b588109ba77ef026ba082ed6b5959a3c6dcb982b93440e0ce6f54f1", 2942)
 
 
 def test_guiding_run_bytes_are_pinned(tmp_path, capsys):
@@ -717,25 +739,17 @@ def test_lw_field_map_event_on_worldline_is_nan_row(tmp_path, capsys):
     assert manifest["residuals"]["covered_points"] == 26
 
 
-def test_lw_field_map_fd_step_moves_fields_not_potentials(tmp_path, capsys):
+def test_lw_field_map_rejects_fd_step(tmp_path, capsys):
+    """The field is exact on the bracketing interval, so lw-field-map has no
+    finite-difference step; a config that still sets one is invalid."""
     doc = lw_config()
-    outs = {}
-    for step in (None, 1e-3):
-        if step is not None:
-            doc["parameters"]["fd_step"] = step
-        out = tmp_path / f"h{step}"
-        assert main(["run", write(tmp_path, doc), "--out", str(out),
-                     "--workers", "1"]) == EXIT_OK
-        outs[step] = read_fields(out / "fields.csv")
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["tolerances"]["fd_step"] == (step or 1e-4)
-    capsys.readouterr()
-    default, coarse = outs[None], outs[1e-3]
-    covered = [i for i, row in enumerate(default) if not math.isnan(row[4])]
-    assert covered
-    for i in covered:
-        assert default[i][:8] == coarse[i][:8]          # t, x, y, z, A0..A3
-    assert any(default[i][8:] != coarse[i][8:] for i in covered)   # E, B
+    doc["parameters"]["fd_step"] = 1e-4
+    assert [d.split(":")[0] for d in validate_config(doc)] == ["parameters.fd_step"]
+    cfg = write(tmp_path, doc)
+    assert main(["run", cfg, "--out", str(tmp_path / "o"),
+                 "--workers", "1"]) == EXIT_VALIDATION
+    assert "parameters.fd_step" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "fields.csv").exists()
 
 
 def _finite(lo, hi):
@@ -763,8 +777,6 @@ def lw_configs(draw):
                  "spacings": draw(st.lists(_finite(0.05, 1), min_size=4, max_size=4)),
                  "extents": draw(st.lists(st.integers(1, 3), min_size=4, max_size=4))},
     }
-    if draw(st.booleans()):
-        params["fd_step"] = draw(_finite(1e-6, 0.5))
     return {"schema_version": "1", "kind": "lw-field-map", "parameters": params}
 
 
