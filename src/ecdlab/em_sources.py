@@ -41,12 +41,6 @@ class WorldlineSingularity(ZeroDivisionError):
 _BRACKET_CHUNK = 16
 
 
-def _mdot(u, v):
-    """u.v over the last axis, in minkowski_dot's order of operations."""
-    return u[..., 0] * v[..., 0] - u[..., 1] * v[..., 1] - u[..., 2] * v[..., 2] \
-        - u[..., 3] * v[..., 3]
-
-
 def _brackets(X, traj: Trajectory):
     """Index i of the latest past-branch sign change of (x - gamma_s)^2 in
     [s_i, s_i+1] for each event, and whether one exists."""
@@ -98,7 +92,7 @@ def retarded_roots(X, traj: Trajectory):
     i = i[found]
     d = X[found] - traj.gammas[i]
     v = traj._slopes[i, :4]
-    a, b, c = _mdot(v, v), _mdot(v, d), _mdot(d, d)
+    a, b, c = minkowski_dot(v, v), minkowski_dot(v, d), minkowski_dot(d, d)
     w = b + np.copysign(np.sqrt(np.maximum(b * b - a * c, 0.0)), b)
     with np.errstate(divide="ignore", invalid="ignore"):
         r1, r2 = w / a, c / w           # inf or NaN where a or w is 0
@@ -127,14 +121,14 @@ def _lienard_wiechert(X, traj: Trajectory):
     # x - gamma and gamma_dot from tau itself: rounding s_i + tau would move them
     sep = (X[bracketed] - traj.gammas[i]) - v * tau[:, None]
     gdot = traj.gamma_dots[i] + acc * tau[:, None]
-    D, vR = _mdot(gdot, sep), _mdot(v, sep)
+    D, vR = minkowski_dot(gdot, sep), minkowski_dot(v, sep)
     ok = ~(np.abs(D) < 1e-14) & (vR != 0)
     sep, gdot, v, acc, D, vR = (y[ok] for y in (sep, gdot, v, acc, D, vR))
     A = LW_KAPPA * traj.q * gdot / (2.0 * np.abs(D)[:, None])
     A_s = LW_KAPPA * traj.q * acc / (2.0 * np.abs(D)[:, None])  # d A / d s* at fixed D
     with np.errstate(over="ignore", invalid="ignore"):         # caught by the finite test
         ds = sep / vR[:, None]                                          # d^mu s*
-        dD = (_mdot(acc, sep) - _mdot(gdot, v))[:, None] * ds + gdot    # d^mu D
+        dD = (minkowski_dot(acc, sep) - minkowski_dot(gdot, v))[:, None] * ds + gdot  # d^mu D
         dA = ds[:, :, None] * A_s[:, None, :] - (dD / D[:, None])[:, :, None] * A[:, None, :]
         F = dA - np.swapaxes(dA, 1, 2)                                  # d^mu A^nu - d^nu A^mu
         fine = np.isfinite(F).all(axis=(1, 2))

@@ -143,14 +143,6 @@ def grid_divergence(j: CurrentField) -> np.ndarray:
     return div
 
 
-def interior_max(values: np.ndarray) -> float:
-    """Max |value| over the non-NaN interior."""
-    finite = values[np.isfinite(values)]
-    if finite.size == 0:
-        return math.nan
-    return float(np.abs(finite).max())
-
-
 def _fixed_order_sum(a: np.ndarray) -> float:
     """Compensated sum in C order -- deterministic regardless of worker count."""
     return math.fsum(a.ravel(order="C").tolist())

@@ -5,7 +5,8 @@ Conventions used throughout the package:
 * metric signature (+, -, -, -), index 0 is time, units with hbar = c = 1
   (hbar only sets the unit of the proper time s and of q / hbar, see
   propagators, so a classical limit weakens the field instead);
-* all four-component objects are plain float arrays of shape (4,);
+* all four-component objects are plain float arrays of shape (4,), and a
+  stack of events is an array of shape (..., 4);
 * field-strength tensors F are stored with both indices up, F[mu, nu] = F^{mu nu}.
 """
 
@@ -29,11 +30,23 @@ def as_four(v) -> np.ndarray:
     return a
 
 
-def minkowski_dot(u, v) -> float:
-    """g_{mu nu} u^mu v^nu = u0*v0 - u1*v1 - u2*v2 - u3*v3."""
+def as_events(v) -> np.ndarray:
+    """Coerce v to a float array of events, shape (..., 4)."""
+    a = np.asarray(v, dtype=float)
+    if a.shape[-1:] != (4,):
+        raise ValueError(f"expected events of shape (..., 4), got shape {a.shape}")
+    return a
+
+
+def minkowski_dot(u, v):
+    """g_{mu nu} u^mu v^nu = u0*v0 - u1*v1 - u2*v2 - u3*v3 over the last axis:
+    a float for two four-vectors, an array for stacks of them."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    return float(u[0] * v[0] - u[1] * v[1] - u[2] * v[2] - u[3] * v[3])
+    if u.ndim == v.ndim == 1:       # scalar indexing, at a third of the cost of 0-d arrays
+        return float(u[0] * v[0] - u[1] * v[1] - u[2] * v[2] - u[3] * v[3])
+    return u[..., 0] * v[..., 0] - u[..., 1] * v[..., 1] - u[..., 2] * v[..., 2] \
+        - u[..., 3] * v[..., 3]
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .minkowski import METRIC, as_four, minkowski_dot
+from .minkowski import METRIC, as_events, as_four, minkowski_dot
 from .grids import fd_hessian
 
 
@@ -43,11 +43,12 @@ def _pref(s: float) -> complex:
     return 1j * np.sign(s) / (2.0 * np.pi) ** 2
 
 
-def free_propagator(x, xp, s: float) -> complex:
-    """G_f = i sign(s) e^{i (x-x')^2 / (2 s)} / ((2 pi)^2 s^2)."""
+def free_propagator(x, xp, s: float):
+    """G_f = i sign(s) e^{i (x-x')^2 / (2 s)} / ((2 pi)^2 s^2), elementwise over
+    the leading axes of the events x (a complex scalar for one event)."""
     if s == 0:
         raise ZeroDivisionError("free propagator is singular at s = 0")
-    d = as_four(x) - as_four(xp)
+    d = as_events(x) - as_four(xp)
     phase = minkowski_dot(d, d) / (2.0 * s)
     return _pref(s) * np.exp(1j * phase) / s ** 2
 
@@ -94,10 +95,11 @@ class ActionProvider:
 
 
 def free_action_provider() -> ActionProvider:
-    """I = (x - x')^2 / (2s) for the straight free path."""
+    """I = (x - x')^2 / (2s) for the straight free path; the action is
+    elementwise over the leading axes of x."""
 
     def action(x, xp, s):
-        d = as_four(x) - as_four(xp)
+        d = as_events(x) - as_four(xp)
         return minkowski_dot(d, d) / (2.0 * s)
 
     def grad(x, xp, s):
@@ -185,6 +187,18 @@ def expm(a):
     return expm(a)
 
 
+def _mv(a, v):
+    """a @ v for every vector of the stack v (..., n).  numpy rounds each
+    product of the batch as it rounds the one-vector a @ v, where a single
+    matrix product over the stack would round differently."""
+    return (a @ v[..., None])[..., 0]
+
+
+def _dot(u, v):
+    """u @ v over the last axis, each rounded as the one-vector u @ v."""
+    return (u[..., None, :] @ v[..., None])[..., 0, 0]
+
+
 def constant_field_action_provider(F, q: float = 1.0) -> ActionProvider:
     """Closed-form boundary-value action for a constant field in the linear gauge.
 
@@ -200,33 +214,40 @@ def constant_field_action_provider(F, q: float = 1.0) -> ActionProvider:
         I = 1/4 (x - x').g.(e^{M s} + I) v0 - q/2 x^T F_low x',
 
     and grad_x is the endpoint canonical momentum g e^{M s} v0 + q A(x).
+    The action takes a stack of events x (..., 4) for one x' and s: the
+    exponential depends on s alone, so the stack costs one exponential and
+    one broadcast solve with a right-hand side per event.  Every product is
+    batched per event (see _mv), so each event of a stack gets the bits of
+    its one-event call.
     """
     F = np.asarray(F, dtype=float)
     M0 = q * (F @ METRIC)                 # mixed tensor acting on velocities
     F_lower = METRIC @ F @ METRIC
 
-    def solve(x, xp, s):
-        """(e^{M s}, v0) of the classical path from x' to x in proper time s."""
+    def solve(d, s):
+        """(e^{M s}, v0) of the classical paths with x - x' = d (..., 4) in
+        proper time s; v0 has the shape of d."""
         block = np.zeros((8, 8))
         block[:4, :4] = M0 * s
         block[:4, 4:] = np.eye(4)
         E = expm(block)
         try:
-            v0 = np.linalg.solve(s * E[:4, 4:], x - xp)
+            v0 = np.linalg.solve(s * E[:4, 4:], d[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
             raise NoPathError("singular boundary-value map (caustic)") from exc
         return E[:4, :4], v0
 
     def action(x, xp, s):
-        x = as_four(x)
+        x = as_events(x)
         xp = as_four(xp)
-        eMs, v0 = solve(x, xp, s)
-        return (0.25 * float((x - xp) @ METRIC @ (eMs @ v0 + v0))
-                - 0.5 * q * float(x @ F_lower @ xp))
+        d = x - xp
+        eMs, v0 = solve(d, s)
+        return (0.25 * _dot(d @ METRIC, _mv(eMs, v0) + v0)
+                - 0.5 * q * _dot(_mv(F_lower.T, x), xp))
 
     def grad(x, xp, s):
         x = as_four(x)
-        eMs, v0 = solve(x, as_four(xp), s)
+        eMs, v0 = solve(x - as_four(xp), s)
         return METRIC @ (eMs @ v0) - 0.5 * q * (F_lower @ x)
 
     return ActionProvider(action, grad)

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ecdlab.ecd_core import (EcdPair, EpsilonCalibration, calibrate,
+from ecdlab.ecd_core import (EcdPair, EpsilonCalibration, QuadratureBudgetError, calibrate,
                              consistency_residual, constant_field_pair,
                              free_phi_closed_form, guiding_velocity,
                              integrate_guiding, phi_eval, plane_phase,
@@ -99,6 +99,50 @@ def test_phi_eval_zero_wave_is_zero_and_cheap():
     assert diag["evaluations"] <= 200
 
 
+def _stack_pair(kind):
+    if kind == "free":
+        return EcdPair.free((1.0, 0.0, 0.0, 0.0), calibrate(0.05, s_max=5.0))
+    F = np.asarray(AntisymTensor.from_fields((0.1, 0.0, 0.0), (0.0, 0.0, 0.0)))
+    return constant_field_pair(F, (1.0, 0.0, 0.0, 0.0), calibrate(0.1, s_max=1.0),
+                               s_span=(-5.0, 5.0))
+
+
+@pytest.mark.parametrize("kind", ["free", "constant_field"])
+def test_stacked_phi_eval_equals_one_event_calls(kind):
+    """The centre and central-difference stencil of the classical-limit check,
+    as a (3, 3) stack.  Events this close share the adaptive subdivision, so
+    one s'-quadrature gives each event its one-event value to rounding."""
+    pair, s = _stack_pair(kind), -1.0
+    gamma, _ = pair.trajectory.state_at(s)
+    steps = 1e-3 * np.eye(4)
+    X = np.vstack([gamma, gamma + steps, gamma - steps]).reshape(3, 3, 4)
+    got = phi_eval(pair, X, s, tol=1e-8)
+    want = [[phi_eval(pair, x, s, tol=1e-8) for x in row] for row in X]
+    assert got.shape == (3, 3)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("kind", ["free", "constant_field"])
+def test_stacked_phi_eval_meets_the_budget_for_each_event(kind):
+    """Each stacked value is within the budget of a one-event value at a
+    far tighter tolerance, for events off the worldline and apart."""
+    pair, s, tol = _stack_pair(kind), 0.3, 1e-6
+    gamma, _ = pair.trajectory.state_at(s)
+    X = gamma + 0.05 * np.random.default_rng(3).uniform(-1.0, 1.0, size=(3, 4))
+    got, diag = phi_eval(pair, X, s, tol=tol, full_output=True)
+    assert diag["quad_error"] <= 100 * tol * np.abs(got).min()
+    for x, value in zip(X, got):
+        want = phi_eval(pair, x, s, tol=1e-8)
+        assert abs(value - want) <= 100 * tol * abs(want)
+
+
+def test_phi_eval_stack_with_a_nan_event_raises():
+    pair = _stack_pair("free")
+    X = np.array([[0.1, 0.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0], [0.2, 0.1, 0.0, 0.0]])
+    with pytest.raises(QuadratureBudgetError):
+        phi_eval(pair, X, 0.3)
+
+
 def test_closed_form_matches_wave_evaluator():
     eps = 0.05
     u = np.array([1.2, 0.3, -0.1, 0.0])
@@ -187,15 +231,17 @@ def test_scale_transform_preserves_consistency():
 def test_phase_gradient_check_raises_on_non_finite_figures(monkeypatch):
     """A worldline at rest makes the velocity recovery 0/0 and a vanishing
     wave the residual; the check raises instead of letting max() keep an
-    earlier figure over the NaN.  phi_eval is replaced by closed forms."""
+    earlier figure over the NaN.  phi_eval is replaced by closed forms that
+    take a stack of events, as phi_eval does."""
     from ecdlab import ecd_core
 
     pair = EcdPair.free((0.0, 0.0, 0.0, 0.0), calibrate(0.1))
     F = np.zeros((4, 4))
-    monkeypatch.setattr(ecd_core, "phi_eval", lambda pair, x, s, tol: np.exp(0.3j * x[1]))
+    monkeypatch.setattr(ecd_core, "phi_eval", lambda pair, x, s, tol: np.exp(0.3j * x[..., 1]))
     assert np.isfinite(ecd_core.classical_phase_gradient_check(pair, F, 1.0, [0.0, 0.5]))
     with pytest.raises(FloatingPointError):
         ecd_core.classical_phase_gradient_check(pair, F, 1.0, [0.0, 0.5], with_recovery=True)
-    monkeypatch.setattr(ecd_core, "phi_eval", lambda pair, x, s, tol: 0j)
+    monkeypatch.setattr(ecd_core, "phi_eval",
+                        lambda pair, x, s, tol: np.zeros(x.shape[:-1], complex))
     with pytest.raises(FloatingPointError):
         ecd_core.classical_phase_gradient_check(pair, F, 1.0, [0.0])

@@ -26,7 +26,7 @@ from ecdlab.ecd_currents import (ConjugatedPhi, FreePhi, GaugeShiftedPhi,
                                  unitarity_lemma_residual, WaveJet)
 from ecdlab.em_sources import deposit_electric_current
 from ecdlab.grids import (CurrentField, DepositKernel, EventGrid,
-                          deposit_line_current, fd_grad, grid_divergence, interior_max)
+                          deposit_line_current, fd_grad, grid_divergence)
 
 EPS = 0.05
 MD = np.array([1.0, -1.0, -1.0, -1.0])
@@ -403,7 +403,7 @@ def test_energy_momentum_divergence_free_for_exact_solution():
     col = CurrentField(grid, p.values[..., :, 0])
     div = grid_divergence(col)
     scale = np.abs(p.values[..., 0, 0]).max()
-    assert interior_max(div) < 5e-4 * max(scale, 1.0)
+    assert np.nanmax(np.abs(div)) < 5e-4 * max(scale, 1.0)
 
 
 def test_energy_momentum_matches_sixteen_pair_reference():
@@ -440,7 +440,7 @@ def test_dilatation_divergence_free_for_exact_solution():
     xi = ecd_dilatation_current(p, [g], None, sn, w, [0.0])
     div = grid_divergence(xi)
     scale = np.abs(xi.values).max()
-    assert interior_max(div) < 5e-3 * max(scale, 1.0)
+    assert np.nanmax(np.abs(div)) < 5e-3 * max(scale, 1.0)
 
 
 def test_windowed_free_wave_is_worldline_sourced():

@@ -29,6 +29,21 @@ def test_free_propagator_singular_at_zero_s():
         free_propagator(np.zeros(4), np.ones(4), 0.0)
 
 
+def test_propagators_on_a_stack_equal_their_one_event_calls():
+    """The free kernel and both providers' actions broadcast over the leading
+    axes of x, and each event gets the bits of its own call."""
+    rng = np.random.default_rng(7)
+    X = rng.uniform(-2.0, 2.0, size=(2, 3, 4))
+    xp, s = rng.uniform(-2.0, 2.0, size=4), -0.7
+    F = np.asarray(AntisymTensor.from_fields((0.3, -0.1, 0.2), (0.1, 0.4, 0.0)))
+    for fn in (free_propagator, free_action_provider().action,
+               constant_field_action_provider(F, q=1.3).action):
+        got = fn(X, xp, s)
+        assert got.shape == (2, 3)
+        np.testing.assert_array_equal(got, [[fn(x, xp, s) for x in row] for row in X])
+    assert isinstance(free_propagator(X[0, 0], xp, s), complex)
+
+
 def test_semiclassical_equals_free_for_straight_path():
     x = np.array([1.0, 0.3, -0.2, 0.5])
     xp = np.array([0.0, 0.0, 0.0, 0.0])

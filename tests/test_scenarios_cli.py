@@ -673,7 +673,7 @@ def test_guiding_run_bytes_are_pinned(tmp_path, capsys):
      ("2dfa28ea493af5178a73e6cf8b4443feeddb084a3dfb989a7e79847fe813002f", 1536)),
     ("classical-limit-sweep", {"electric": [0.1, 0.0, 0.0], "factors": [1.0, 0.5],
                                "ratio_bound": 1.0}, "sweep.csv",
-     ("1f850fe62308de826d61c15c0e64c97b1c33592e9e0aa42a3835cd6a4355ada8", 153)),
+     ("33ad74b1a39e22c440bd0b72662bbf51a70b32c5135ac558c7065c963d068b30", 153)),
     ("classical-orbit", {"electric": [0.3, 0, 0], "magnetic": [0, 0, 0.2], "charge": 1,
                          "x0": [0, 0, 0, 0], "u0": [1, 0, 0, 0], "s_span": [0, 2],
                          "step": 0.01, "tolerance": 1e-9}, "trajectory.csv",
@@ -693,7 +693,14 @@ def test_scenario_bytes_are_pinned(kind, parameters, name, digest, tmp_path, cap
     the flow (worst error 8.3e-13 -> 4.4e-16, RK4's truncation at step 0.01)
     and norm2_drift fell from 3.2e-15 to 1.7e-15 at most.  In sweep.csv the
     factor column kept its bytes, and the phase-gradient residual and velocity
-    recovery, taken along the pair's worldline, moved by at most 2.6e-14."""
+    recovery, taken along the pair's worldline, moved by at most 2.6e-14.
+    sweep.csv was retaken again (from 1f850fe6..., 153 B) when the centre and
+    stencil of each phase-gradient sample moved into one stacked
+    s'-quadrature: the centre's value is summed in the stack's order of
+    subdivision and moved by 1.1e-16 relative.  The factor-0.5 row kept its
+    bytes; at factor 1 the residual moved by 9.6e-16 relative and the velocity
+    recovery by 5.5e-17 absolute (1.3e-13 relative), one rounding of the
+    recovered O(1) velocity."""
     doc = {"schema_version": "1", "kind": kind, "parameters": parameters}
     cfg = write(tmp_path, doc)
     assert main(["run", cfg, "--out", str(tmp_path / "o"), "--workers", "1"]) == EXIT_OK
