@@ -82,11 +82,18 @@ class PhiField:
     nodes shaped (n, 1, ..., 1)); the parts come back full-size, gradients
     components first and with a lower index.  jet passes its events' columns,
     grid_jet the grid's open mesh, so a factor of one coordinate is made once
-    per grid line.
+    per grid line.  _flow_axes(c, s) gives the two bilinears of the electric
+    current on the same axes; a wave with a closed form for them overrides it.
     """
 
     def _jet_axes(self, c, s, order) -> WaveJet:
         raise NotImplementedError
+
+    def _flow_axes(self, c, s):
+        """rho = |phi|^2 and J_mu = Im(phi* d_mu phi), full-size, J components first."""
+        jet = self._jet_axes(c, s, 1)
+        v, g = jet.value, jet.grad
+        return v.real * v.real + v.imag * v.imag, v.real * g.imag - v.imag * g.real
 
     def jet(self, x, s, order: int = 1) -> WaveJet:
         """Value, gradient, d_s and at order 2 d_s grad at the events x (..., 4)."""
@@ -95,8 +102,7 @@ class PhiField:
 
     def grid_jet(self, grid: EventGrid, s, order: int = 1) -> WaveJet:
         """The jet at the grid's events in C order: jet(grid.points() as (P, 4))."""
-        mesh = np.meshgrid(*(grid.axis(mu) for mu in range(4)), indexing="ij", sparse=True)
-        return self._jet_on(mesh, s, order, (math.prod(grid.extents),))
+        return self._jet_on(_open_mesh(grid), s, order, (math.prod(grid.extents),))
 
     def _jet_on(self, c, s, order, shape) -> WaveJet:
         """_jet_axes at c, reshaped to s's shape + shape with gradients' components last."""
@@ -121,8 +127,15 @@ class PhiField:
         return self.jet(x, s, 2).ds_grad
 
     def abs2(self, x, s):
-        v = self.value(x, s)
-        return (v * np.conj(v)).real
+        """|phi|^2 at the events x (..., 4)."""
+        x = np.asarray(x, dtype=float)
+        rho, _ = self._flow_axes(tuple(x.reshape(-1, 4).T), _jet_s(s, 1, 1))
+        return rho.reshape(np.shape(s) + x.shape[:-1])
+
+
+def _open_mesh(grid: EventGrid):
+    """The grid's four axes as an open mesh, broadcasting to its events in C order."""
+    return np.meshgrid(*(grid.axis(mu) for mu in range(4)), indexing="ij", sparse=True)
 
 
 class FreePhi(PhiField):
@@ -139,25 +152,41 @@ class FreePhi(PhiField):
         self.x0 = as_four(x0)
         self.u2 = minkowski_dot(self.u, self.u)
 
-    def _jet_axes(self, c, s, order):
-        eps, u2 = self.epsilon, self.u2
-        u_low = self.u * _METRIC_DIAG
-        # per axis: y = x - x0, xi = y - u s, the phase u.xi + u^2 s/2 = u.y - u^2 s/2,
-        # a = xi^2 / 2 eps, d_mu a = xi_mu / eps and d_s a = -u.xi / eps
+    def _sinc_axes(self, c, s):
+        """y = x - x0 and xi = y - u s per axis, and sinc a for a = xi^2 / 2 eps.
+
+        Also the mask |a| < 1e-4 and a under it, where the jet's derivatives
+        of sinc take their Taylor series (exact to rounding there), a with 1
+        in its place (safe to divide by) and sin of that.
+        """
         y = [cm - x0m for cm, x0m in zip(c, self.x0)]
         xi = [ym - um * s for ym, um in zip(y, self.u)]
-        a = sum(xm * (xm * (g / (2.0 * eps))) for xm, g in zip(xi, _METRIC_DIAG))
-        ds_a = sum(xm * (-ul / eps) for xm, ul in zip(xi, u_low))
-        core = math.prod((np.exp(1j * ul * ym) for ym, ul in zip(y, u_low)),
-                         start=self.C * np.exp(-0.5j * u2 * s))
-        # S = sin a / a, S' = (cos a - S) / a and S'' = -(sin a + 2 S') / a from one
-        # sin and one cos; below |a| = 1e-4 their Taylor series are exact to rounding
+        a = sum(xm * (xm * (g / (2.0 * self.epsilon))) for xm, g in zip(xi, _METRIC_DIAG))
         small = np.abs(a) < 1e-4
-        a_small = a[small]
         safe = np.where(small, 1.0, a)
         sin_a = np.sin(safe)
         sinc = sin_a / safe
+        a_small = a[small]
         sinc[small] = 1.0 - a_small * a_small / 6.0
+        return y, xi, small, a_small, safe, sin_a, sinc
+
+    def _flow_axes(self, c, s):
+        # the prefactor has constant modulus |C| and sinc is real, so
+        # Im(phi* d_mu phi) is the phase gradient u_mu times |phi|^2
+        sinc = self._sinc_axes(c, s)[-1]
+        rho = (abs(self.C) ** 2 * sinc) * sinc
+        return rho, np.multiply.outer(self.u * _METRIC_DIAG, rho)
+
+    def _jet_axes(self, c, s, order):
+        eps, u2 = self.epsilon, self.u2
+        u_low = self.u * _METRIC_DIAG
+        # the phase u.xi + u^2 s/2 = u.y - u^2 s/2, d_mu a = xi_mu / eps and
+        # d_s a = -u.xi / eps
+        y, xi, small, a_small, safe, sin_a, sinc = self._sinc_axes(c, s)
+        ds_a = sum(xm * (-ul / eps) for xm, ul in zip(xi, u_low))
+        core = math.prod((np.exp(1j * ul * ym) for ym, ul in zip(y, u_low)),
+                         start=self.C * np.exp(-0.5j * u2 * s))
+        # S' = (cos a - S) / a and S'' = -(sin a + 2 S') / a from sin a and one cos
         dS = (np.cos(safe) - sinc) / safe
         dS[small] = a_small * (a_small * a_small / 30.0 - 1.0 / 3.0)
         value = core * sinc
@@ -342,11 +371,30 @@ def _on_grid(grid: EventGrid, values_c):
 
 def ecd_electric_current(phi: PhiField, A: Optional[Callable], grid: EventGrid,
                          s_nodes, s_weights, q: float) -> CurrentField:
-    """j^mu(x) = int ds q Im[phi* D^mu phi] sampled on the grid."""
-    values = np.zeros((4, math.prod(grid.extents)))
-    if q != 0.0:
-        for _, w, jet, D in _jet_chunks(phi, grid, s_nodes, s_weights, A, q):
-            values += _conj_dot(q * w, jet.value, D, imag=True)
+    """j^mu(x) = int ds q Im[phi* D^mu phi] sampled on the grid.
+
+    Im[phi* D^mu phi] = g^{mu mu} J_mu - q A^mu rho for the wave's bilinears
+    rho = |phi|^2 and J_mu = Im(phi* d_mu phi), so the kernel sums those two
+    over the s-nodes; only a wave without closed-form bilinears builds its jet
+    for them.  For the free wave J_mu = u_mu rho and rho = |C|^2 sinc^2(xi^2 /
+    2 eps): j^mu = q |C|^2 u^mu int ds sinc^2 when A = 0.
+    """
+    n_pts = math.prod(grid.extents)
+    if q == 0.0:
+        return CurrentField(grid, np.zeros(grid.extents + (4,)))
+    s_nodes = np.asarray(s_nodes, dtype=float)
+    s_weights = np.asarray(s_weights, dtype=float)
+    mesh = _open_mesh(grid)
+    flow = np.zeros((4, n_pts))         # int ds J_mu
+    charge = np.zeros(n_pts)            # int ds rho
+    for k in range(0, s_nodes.size, _S_CHUNK):
+        s, w = s_nodes[k:k + _S_CHUNK], s_weights[k:k + _S_CHUNK]
+        rho, J = phi._flow_axes(mesh, _jet_s(s, 1, 4))
+        charge += w @ rho.reshape(s.size, n_pts)
+        flow += np.einsum("n,mnp->mp", w, J.reshape(4, s.size, n_pts))
+    values = q * _first(_METRIC_DIAG, flow) * flow
+    if A is not None:       # the events are built only for a given A
+        values -= (q * q) * _potential(A, grid.points().reshape(-1, 4), q) * charge
     return CurrentField(grid, _on_grid(grid, values))
 
 

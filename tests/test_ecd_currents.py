@@ -12,7 +12,8 @@ from scipy.integrate import IntegrationWarning, quad
 from ecdlab.dynamics import Trajectory
 from ecdlab.ecd_core import calibrate
 from ecdlab.ecd_currents import (ConjugatedPhi, FreePhi, GaugeShiftedPhi,
-                                 GaussianSolutionPhi,
+                                 GaussianSolutionPhi, PhiField,
+                                 _conj_dot, _covariant_parts,
                                  charge_profile_shape,
                                  charge_tail, continuity_residual,
                                  covariant_derivative, divergent_coefficient,
@@ -264,6 +265,60 @@ def test_grid_jet_matches_pointwise_jet(name, order, s):
         assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max(), part
 
 
+def free_flow_events():
+    """The reference free wave, events near its worldline x0 + u s_k and s-nodes
+    that include the s_k, so that some a = xi^2 / 2 eps fall below 1e-4."""
+    wave = jet_reference_waves()["free"]
+    rng = np.random.default_rng(7)
+    s_k = np.array([-0.6, 0.15, 0.8])
+    near = wave.x0 + np.outer(s_k, wave.u) + rng.uniform(-1e-3, 1e-3, (3, 4))
+    x = np.concatenate([near, rng.uniform(-1.0, 1.0, (9, 4))])
+    s = np.concatenate([s_k, [-1.3, -0.2, 0.0, 0.45, 1.7]])[:, None]
+    xi = x - wave.x0 - s[..., None] * wave.u
+    a = (xi * xi) @ MD / (2.0 * wave.epsilon)
+    return wave, tuple(x.T), s, a
+
+
+def test_free_flow_matches_the_jet_derived_default():
+    """FreePhi's closed-form rho = |C|^2 sinc^2 a and J_mu = u_mu rho agree with
+    the bilinears PhiField derives from the jet, the series branch included."""
+    wave, c, s, a = free_flow_events()
+    assert (np.abs(a) < 1e-4).sum() >= 3 and (np.abs(a) > 1.0).any()
+    rho, J = wave._flow_axes(c, s)
+    rho_jet, J_jet = PhiField._flow_axes(wave, c, s)
+    assert rho.shape == rho_jet.shape == a.shape and J.shape == J_jet.shape == (4,) + a.shape
+    assert np.abs(rho - rho_jet).max() <= 1e-13 * np.abs(rho_jet).max()
+    assert np.abs(J - J_jet).max() <= 1e-13 * np.abs(J_jet).max()
+    u_low = wave.u * MD
+    assert np.array_equal(J, u_low[:, None, None] * rho)
+    assert np.array_equal(wave.abs2(np.stack(c, axis=-1), s[:, 0]), rho)
+
+
+def jet_path_current(phi, A, grid, sn, w, q):
+    """The electric current from the order-1 jet: sum_n q w_n Im(phi* D phi)."""
+    n_pts = int(np.prod(grid.extents))
+    A_c = None if A is None else np.moveaxis(A(grid.points().reshape(1, -1, 4)), -1, 0)
+    values = np.zeros((4, n_pts))
+    for k in range(0, sn.size, 8):
+        jet = phi.grid_jet(grid, sn[k:k + 8])
+        D = _covariant_parts(jet.grad, jet.value, A_c, q)
+        values += _conj_dot(q * w[k:k + 8], jet.value, D, imag=True)
+    return values.T.reshape(grid.extents + (4,))
+
+
+@pytest.mark.parametrize("with_potential", [False, True], ids=["A=0", "linear-A"])
+def test_free_electric_current_matches_the_jet_path(with_potential):
+    wave = jet_reference_waves()["free"]
+    grid = EventGrid(origin=(-0.2, -0.3, -0.25, -0.1), spacings=(0.2, 0.15, 0.15, 0.2),
+                     extents=(3, 4, 4, 2))
+    sn, w = s_panels((-2.0, 2.0), EPS)
+    M = np.random.default_rng(3).uniform(-0.4, 0.4, (4, 4))
+    A = (lambda pts: pts @ M.T + np.array([0.3, -0.1, 0.2, 0.05])) if with_potential else None
+    got = ecd_electric_current(wave, A, grid, sn, w, q=1.3).values
+    want = jet_path_current(wave, A, grid, sn, w, 1.3)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_jet_rejects_bad_order_and_s_shape():
     phi = FreePhi((1, 0, 0, 0), 1.0, EPS)
     x = np.zeros(4)
@@ -300,13 +355,14 @@ def test_electric_current_gauge_invariance(k):
 def test_grid_currents_build_no_events_without_a_potential(monkeypatch):
     """With A = None the kernels read only the grid's axes: EventGrid.points,
     the (P, 4) array of events, is never built."""
-    phi = GaussianSolutionPhi(0.8)
     grid = EventGrid(origin=(0.0, 0.2, -0.1, 0.0), spacings=(0.3, 0.3, 0.3, 0.3),
                      extents=(2, 3, 2, 2))
     sn, w = np.array([-0.7, 0.2, 0.9]), np.ones(3)
-    kernels = (lambda: ecd_electric_current(phi, None, grid, sn, w, 1.0).values,
-               lambda: mass_current_b(phi, None, grid, sn, w, 1.0).values,
-               lambda: ecd_energy_momentum([phi], None, grid, sn, w, [1.0]).values)
+    kernels = [kernel for phi in (GaussianSolutionPhi(0.8), jet_reference_waves()["free"])
+               for kernel in (
+                   lambda phi=phi: ecd_electric_current(phi, None, grid, sn, w, 1.0).values,
+                   lambda phi=phi: mass_current_b(phi, None, grid, sn, w, 1.0).values,
+                   lambda phi=phi: ecd_energy_momentum([phi], None, grid, sn, w, [1.0]).values)]
     want = [k() for k in kernels]
 
     def no_points(self):

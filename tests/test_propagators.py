@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecdlab.minkowski import METRIC, AntisymTensor
@@ -192,6 +192,8 @@ field_components = st.tuples(*[st.floats(min_value=-0.5, max_value=0.5)] * 6)
 
 @given(eb=field_components, x=events, xp=events,
        s=st.floats(min_value=0.3, max_value=2.0), sign=st.sampled_from([-1.0, 1.0]))
+@example(eb=(0.0,) * 6, x=np.array([0.0, 2.0, 0.0, 0.0]), xp=np.array([0.0, -2.0, 0.0, 2.0]),
+         s=0.3125, sign=-1.0)     # a long interval at small |s|
 @settings(max_examples=30, deadline=None)
 def test_hamilton_jacobi_residual_random_constant_fields(eb, x, xp, s, sign):
     """d_s I + 1/2 (dI - qA)^2 = 0 for any constant field and either sign of s."""
