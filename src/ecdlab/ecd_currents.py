@@ -74,6 +74,20 @@ def _first(v, a):
     return np.asarray(v).reshape((4,) + (1,) * (a.ndim - 1))
 
 
+# The potential-free bilinears whose s-sums the grid kernels read
+# (PhiField._s_sums), with the shape of one point's value.  Im(d_s phi* phi),
+# which b needs, is -Im(phi* d_s phi), so "ds" serves it too.
+_BILINEARS = {
+    "rho": (),          # |phi|^2
+    "J": (4,),          # Im(phi* d_mu phi)
+    "R": (10,),         # Re(d_nu phi d_mu phi*), the ten pairs nu <= mu of _PAIRS
+    "ds": (),           # Im(phi* d_s phi)
+    "ds_grad": (4,),    # Re(phi* d_s d_mu phi)
+    "b": (4,),          # Re(d_s phi* d_mu phi)
+}
+_PAIRS = np.triu_indices(4)
+
+
 class PhiField:
     """A wave phi(x, s) that computes its jet in one pass; single parts read the jet.
 
@@ -82,18 +96,48 @@ class PhiField:
     nodes shaped (n, 1, ..., 1)); the parts come back full-size, gradients
     components first and with a lower index.  jet passes its events' columns,
     grid_jet the grid's open mesh, so a factor of one coordinate is made once
-    per grid line.  _flow_axes(c, s) gives the two bilinears of the electric
-    current on the same axes; a wave with a closed form for them overrides it.
+    per grid line.
+
+    The grid kernels read only _s_sums(grid, s_nodes, s_weights, names): for
+    each name of _BILINEARS, sum_n w_n of that bilinear at s_n on the grid's
+    events in C order, lower indices and components first.  The potential
+    A(x) leaves every s-integral, so the kernels apply it to these sums once
+    per point.  The default sums the jet over chunks of s-nodes; a wave with
+    a closed form or a separable structure overrides it.
     """
 
     def _jet_axes(self, c, s, order) -> WaveJet:
         raise NotImplementedError
 
-    def _flow_axes(self, c, s):
-        """rho = |phi|^2 and J_mu = Im(phi* d_mu phi), full-size, J components first."""
-        jet = self._jet_axes(c, s, 1)
-        v, g = jet.value, jet.grad
-        return v.real * v.real + v.imag * v.imag, v.real * g.imag - v.imag * g.real
+    def _s_sums(self, grid: EventGrid, s_nodes, s_weights, names) -> dict:
+        """The named bilinears' s-sums on the grid, from the jet _S_CHUNK nodes at a time."""
+        n_pts = math.prod(grid.extents)
+        sums = {name: np.zeros(_BILINEARS[name] + (n_pts,)) for name in names}
+        if not sums:
+            return sums
+        mesh = _open_mesh(grid)
+        order = 2 if "ds_grad" in sums else 1
+        nu, mu = _PAIRS
+        for k in range(0, s_nodes.size, _S_CHUNK):
+            s, w = s_nodes[k:k + _S_CHUNK], s_weights[k:k + _S_CHUNK]
+            jet = self._jet_axes(mesh, _jet_s(s, order, 4), order)
+            v, ds = jet.value.reshape(s.size, n_pts), jet.ds.reshape(s.size, n_pts)
+            grad = jet.grad.reshape(4, s.size, n_pts)
+            for name, out in sums.items():
+                if name == "rho":
+                    out += _re_sum(w, v, v)
+                elif name == "J":
+                    out += _re_sum(w, v, grad, imag=True)
+                elif name == "R":
+                    for k_pair in range(nu.size):
+                        out[k_pair] += _re_sum(w, grad[mu[k_pair]], grad[nu[k_pair]])
+                elif name == "ds":
+                    out += _re_sum(w, v, ds, imag=True)
+                elif name == "ds_grad":
+                    out += _re_sum(w, v, jet.ds_grad.reshape(4, s.size, n_pts))
+                else:       # "b"
+                    out += _re_sum(w, ds, grad)
+        return sums
 
     def jet(self, x, s, order: int = 1) -> WaveJet:
         """Value, gradient, d_s and at order 2 d_s grad at the events x (..., 4)."""
@@ -128,9 +172,16 @@ class PhiField:
 
     def abs2(self, x, s):
         """|phi|^2 at the events x (..., 4)."""
-        x = np.asarray(x, dtype=float)
-        rho, _ = self._flow_axes(tuple(x.reshape(-1, 4).T), _jet_s(s, 1, 1))
-        return rho.reshape(np.shape(s) + x.shape[:-1])
+        v = self.value(x, s)
+        return v.real * v.real + v.imag * v.imag
+
+
+def _re_sum(w, f, h, imag: bool = False):
+    """Re (or Im) of sum_n w_n f_n* h_n over the s-axis that leads f (n, P) and
+    h, each of which may carry a components axis before it."""
+    hr, hi = (h.imag, -h.real) if imag else (h.real, h.imag)     # Im z = Re(-i z)
+    return (np.einsum("n,...np,...np->...p", w, f.real, hr)
+            + np.einsum("n,...np,...np->...p", w, f.imag, hi))
 
 
 def _open_mesh(grid: EventGrid):
@@ -170,12 +221,55 @@ class FreePhi(PhiField):
         sinc[small] = 1.0 - a_small * a_small / 6.0
         return y, xi, small, a_small, safe, sin_a, sinc
 
-    def _flow_axes(self, c, s):
-        # the prefactor has constant modulus |C| and sinc is real, so
-        # Im(phi* d_mu phi) is the phase gradient u_mu times |phi|^2
-        sinc = self._sinc_axes(c, s)[-1]
-        rho = (abs(self.C) ** 2 * sinc) * sinc
-        return rho, np.multiply.outer(self.u * _METRIC_DIAG, rho)
+    def _s_sums(self, grid, s_nodes, s_weights, names):
+        # phi = core S and d_mu phi = core (i u_mu S + S' xi_mu / eps), where
+        # |core| = |C| and S = sinc a is real: so rho = |C|^2 S^2, J_mu = u_mu rho,
+        # Im(phi* d_s phi) = -u^2 rho / 2 and
+        # R_{nu mu} = |C|^2 (u_nu u_mu S^2 + S'^2 xi_nu xi_mu / eps^2).  With
+        # xi = y - u s these need the s-sums of S^2 and s^k S'^2 (k = 0, 1, 2),
+        # which depend on y = x - x0 only through (u.y, y^2): one event per pair
+        closed = [name for name in names if name in ("rho", "J", "R", "ds")]
+        sums = super()._s_sums(grid, s_nodes, s_weights,
+                               [name for name in names if name not in closed])
+        if not closed:
+            return sums
+        c = np.stack(np.broadcast_arrays(*_open_mesh(grid))).reshape(4, -1)
+        y = c - self.x0[:, None]
+        u_low, y_low = self.u * _METRIC_DIAG, _first(_METRIC_DIAG, y) * y
+        _, first, inverse = np.unique(u_low @ y + 1j * np.sum(y_low * y, axis=0),
+                                      return_index=True, return_inverse=True)
+        moments = abs(self.C) ** 2 * self._sinc_moments(c[:, first], s_nodes, s_weights,
+                                                        "R" in closed)[:, inverse]
+        rho = moments[0]
+        for name in closed:
+            if name == "rho":
+                sums[name] = rho
+            elif name == "J":
+                sums[name] = np.multiply.outer(u_low, rho)
+            elif name == "ds":
+                sums[name] = -0.5 * self.u2 * rho
+            else:       # "R"
+                nu, mu = _PAIRS
+                uu = (u_low[nu] * u_low[mu])[:, None]
+                cross = y_low[nu] * u_low[mu][:, None] + u_low[nu][:, None] * y_low[mu]
+                sums[name] = uu * rho + (y_low[nu] * y_low[mu] * moments[1] - cross * moments[2]
+                                         + uu * moments[3]) / self.epsilon ** 2
+        return sums
+
+    def _sinc_moments(self, c, s_nodes, s_weights, with_dS: bool):
+        """sum_n w_n S^2, then with_dS sum_n w_n s_n^k S'^2 for k = 0, 1, 2, at
+        the events c (4, K): shape (4 or 1, K)."""
+        moments = np.zeros((4 if with_dS else 1, c.shape[1]))
+        step = max(1, _SUM_ELEMENTS // c.shape[1])
+        for k in range(0, s_nodes.size, step):
+            s, w = s_nodes[k:k + step], s_weights[k:k + step]
+            _, _, small, a_small, safe, _, sinc = self._sinc_axes(c, s[:, None])
+            moments[0] += w @ (sinc * sinc)
+            if with_dS:
+                dS2 = _dsinc(small, a_small, safe, sinc) ** 2
+                for out, ws in zip(moments[1:], (w, w * s, w * s * s)):
+                    out += ws @ dS2
+        return moments
 
     def _jet_axes(self, c, s, order):
         eps, u2 = self.epsilon, self.u2
@@ -186,9 +280,8 @@ class FreePhi(PhiField):
         ds_a = sum(xm * (-ul / eps) for xm, ul in zip(xi, u_low))
         core = math.prod((np.exp(1j * ul * ym) for ym, ul in zip(y, u_low)),
                          start=self.C * np.exp(-0.5j * u2 * s))
-        # S' = (cos a - S) / a and S'' = -(sin a + 2 S') / a from sin a and one cos
-        dS = (np.cos(safe) - sinc) / safe
-        dS[small] = a_small * (a_small * a_small / 30.0 - 1.0 / 3.0)
+        # S' and S'' = -(sin a + 2 S') / a from sin a and one cos
+        dS = _dsinc(small, a_small, safe, sinc)
         value = core * sinc
         core_dS = core * dS
         # the phase adds i u_mu to d_mu and -i u^2 / 2 to d_s
@@ -208,6 +301,13 @@ class FreePhi(PhiField):
             np.multiply(ds_core_dS, xe, out=out)
             out += 1j * ul * ds - core_dS * (ul / eps)
         return WaveJet(value, grad, ds, ds_grad)
+
+
+def _dsinc(small, a_small, safe, sinc):
+    """S' = (cos a - S) / a for _sinc_axes' parts, by its Taylor series where |a| < 1e-4."""
+    dS = (np.cos(safe) - sinc) / safe
+    dS[small] = a_small * (a_small * a_small / 30.0 - 1.0 / 3.0)
+    return dS
 
 
 class GaussianSolutionPhi(PhiField):
@@ -248,6 +348,95 @@ class GaussianSolutionPhi(PhiField):
         for mu, (out, xm) in enumerate(zip(ds_grad, x_inv)):
             np.multiply(xm, rest[mu > 0], out=out)
         return WaveJet(value, grad, ds, ds_grad)
+
+    def _s_sums(self, grid, s_nodes, s_weights, names):
+        return _separable_sums(self._axis_factors(s_nodes, grid), s_weights, names)
+
+    def _axis_factors(self, s_nodes, grid: EventGrid):
+        """Per axis lambda, the factor f_lambda(x_lambda, s) of phi and its d_x,
+        d_s and d_s d_x, each (n_s, n_lambda): indexed by the flags _DX + _DS."""
+        inv0 = 1.0 / (self.a + 1j * s_nodes[:, None])
+        invs = 1.0 / (self.a - 1j * s_nodes[:, None])
+        factors = []
+        for mu, (im, g) in enumerate(zip((inv0, invs, invs, invs), _METRIC_DIAG)):
+            x = grid.axis(mu)
+            x2 = x * x
+            f = np.sqrt(im) * np.exp(-0.5 * x2 * im)
+            ds = 0.5j * g * im * (x2 * im - 1.0) * f
+            x_inv = x * im
+            factors.append((f, -x_inv * f, ds, x_inv * ((1j * g) * im * f - ds)))
+        return factors
+
+
+# A derivative of a product wave phi = prod_lambda f_lambda is a sum of
+# products of per-axis factors; a term lists, per axis, d_x (flag _DX) and
+# d_s (flag _DS) applied to that axis's factor.
+_DX, _DS = 1, 2
+
+
+def _product_terms(mu=None, ds: bool = False):
+    """The terms of d_s^ds d_mu phi (mu None: no d_mu) for a product wave."""
+    base = [_DX * (lam == mu) for lam in range(4)]
+    if not ds:
+        return [base]
+    return [[k + _DS * (lam == nu) for lam, k in enumerate(base)] for nu in range(4)]
+
+
+def _separable_sums(factors, s_weights, names) -> dict:
+    """PhiField._s_sums of a product wave from its per-axis factors (_axis_factors).
+
+    Each bilinear Re or Im of (d phi)* (d' phi) is a sum over term pairs of
+    sum_n w_n prod_lambda h_lambda[n, x_lambda], with h_lambda the product of
+    two factors of axis lambda, and each such sum is one matrix product
+    (n_t n_x, n_s) @ (n_s, n_y n_z) on the grid's events in C order.
+    """
+    pair_tables = {}
+
+    def table(lam, a, b):          # conj(factor a) factor b on axis lam
+        if (lam, a, b) not in pair_tables:
+            fa, fb = factors[lam][a], factors[lam][b]
+            pair_tables[lam, a, b] = (fa.real * fa.real + fa.imag * fa.imag if a == b
+                                      else np.conj(fa) * fb)
+        return pair_tables[lam, a, b]
+
+    def bilinear(left, right, imag=False):      # Re (or Im) of sum_n w_n left* right
+        return sum(_separable_sum(s_weights, [table(lam, a[lam], b[lam]) for lam in range(4)],
+                                  imag)
+                   for a in left for b in right)
+
+    nu, mu = _PAIRS
+    phi, phi_s = _product_terms(), _product_terms(ds=True)
+    sums = {}
+    for name in names:
+        if name == "rho":
+            sums[name] = bilinear(phi, phi)
+        elif name == "J":
+            sums[name] = np.array([bilinear(phi, _product_terms(m), True) for m in range(4)])
+        elif name == "R":
+            sums[name] = np.array([bilinear(_product_terms(m), _product_terms(n))
+                                   for n, m in zip(nu, mu)])
+        elif name == "ds":
+            sums[name] = bilinear(phi, phi_s, True)
+        elif name == "ds_grad":
+            sums[name] = np.array([bilinear(phi, _product_terms(m, True)) for m in range(4)])
+        else:       # "b"
+            sums[name] = np.array([bilinear(phi_s, _product_terms(m)) for m in range(4)])
+    return sums
+
+
+def _separable_sum(w, h, imag: bool = False):
+    """Re (or Im) of sum_n w_n prod_lambda h[lambda][n, x_lambda], flat in C order."""
+    left = (w[:, None, None] * h[0][:, :, None] * h[1][:, None, :]).reshape(w.size, -1)
+    right = (h[2][:, :, None] * h[3][:, None, :]).reshape(w.size, -1)
+    if imag:                    # Im z = Re(-i z)
+        if np.iscomplexobj(left):
+            left = -1j * left
+        else:
+            right = -1j * right
+    out = left.real.T @ right.real
+    if np.iscomplexobj(left) and np.iscomplexobj(right):
+        out -= left.imag.T @ right.imag
+    return out.ravel()
 
 
 class ConjugatedPhi(PhiField):
@@ -313,8 +502,10 @@ def s_panels(s_range, epsilon: float):
 # ---------------------------------------------------------------------------
 # grid currents
 
-# s-nodes per jet evaluation in the grid kernels
+# s-nodes per jet evaluation in PhiField._s_sums
 _S_CHUNK = 8
+# (s-node x event) elements per block of the free wave's sinc moments
+_SUM_ELEMENTS = 1 << 16
 
 
 def _potential(A: Optional[Callable], x, q: float):
@@ -338,30 +529,12 @@ def _covariant_parts(d_lower, f, A_c, q: float):
     return re, im
 
 
-def _jet_chunks(phi: PhiField, grid: EventGrid, s_nodes, s_weights, A: Optional[Callable],
-                q: float, order: int = 1):
-    """(s, w, jet, D) per chunk of s-nodes on the grid's P events, in node order.
-
-    D is (Re, Im) of D phi at order 1 and of d_s D phi at order 2.  Fixed
-    chunks in a fixed order keep every kernel's sums reproducible.
-    """
-    s_nodes = np.asarray(s_nodes, dtype=float)
-    s_weights = np.asarray(s_weights, dtype=float)
-    # A^mu (4, 1, P) against the s-axis; the events are built only for a given A
-    A_c = None if A is None else _potential(A, grid.points().reshape(1, -1, 4), q)
-    for k in range(0, s_nodes.size, _S_CHUNK):
-        s = s_nodes[k:k + _S_CHUNK]
-        jet = phi.grid_jet(grid, s, order)
-        D = (_covariant_parts(jet.grad, jet.value, A_c, q) if order == 1
-             else _covariant_parts(jet.ds_grad, jet.ds, A_c, q))
-        yield s, s_weights[k:k + _S_CHUNK], jet, D
-
-
-def _conj_dot(w, f, D, imag: bool):
-    """Re (or Im) of sum_n w_n f_n* D_n^mu for D = (Re, Im); shape (4, P)."""
-    re, im = (D[1], -D[0]) if imag else D       # Im(f* D) = Re(f* (-i D))
-    return np.einsum("n,np,mnp->mp", w, f.real, re) \
-        + np.einsum("n,np,mnp->mp", w, f.imag, im)
+def _grid_potential(A: Optional[Callable], grid: EventGrid):
+    """A^mu at the grid's events (4, P), components first; the events are built
+    only for a given A."""
+    if A is None:
+        return None
+    return np.moveaxis(np.asarray(A(grid.points().reshape(-1, 4)), dtype=float), -1, 0)
 
 
 def _on_grid(grid: EventGrid, values_c):
@@ -369,32 +542,27 @@ def _on_grid(grid: EventGrid, values_c):
     return values_c.T.reshape(grid.extents + (4,))
 
 
+def _raised(v):
+    """A lower-index sum (4, P) with its index raised."""
+    return _first(_METRIC_DIAG, v) * v
+
+
 def ecd_electric_current(phi: PhiField, A: Optional[Callable], grid: EventGrid,
                          s_nodes, s_weights, q: float) -> CurrentField:
     """j^mu(x) = int ds q Im[phi* D^mu phi] sampled on the grid.
 
     Im[phi* D^mu phi] = g^{mu mu} J_mu - q A^mu rho for the wave's bilinears
-    rho = |phi|^2 and J_mu = Im(phi* d_mu phi), so the kernel sums those two
-    over the s-nodes; only a wave without closed-form bilinears builds its jet
-    for them.  For the free wave J_mu = u_mu rho and rho = |C|^2 sinc^2(xi^2 /
+    rho = |phi|^2 and J_mu = Im(phi* d_mu phi), so the kernel reads their
+    s-sums.  For the free wave J_mu = u_mu rho and rho = |C|^2 sinc^2(xi^2 /
     2 eps): j^mu = q |C|^2 u^mu int ds sinc^2 when A = 0.
     """
-    n_pts = math.prod(grid.extents)
     if q == 0.0:
         return CurrentField(grid, np.zeros(grid.extents + (4,)))
-    s_nodes = np.asarray(s_nodes, dtype=float)
-    s_weights = np.asarray(s_weights, dtype=float)
-    mesh = _open_mesh(grid)
-    flow = np.zeros((4, n_pts))         # int ds J_mu
-    charge = np.zeros(n_pts)            # int ds rho
-    for k in range(0, s_nodes.size, _S_CHUNK):
-        s, w = s_nodes[k:k + _S_CHUNK], s_weights[k:k + _S_CHUNK]
-        rho, J = phi._flow_axes(mesh, _jet_s(s, 1, 4))
-        charge += w @ rho.reshape(s.size, n_pts)
-        flow += np.einsum("n,mnp->mp", w, J.reshape(4, s.size, n_pts))
-    values = q * _first(_METRIC_DIAG, flow) * flow
-    if A is not None:       # the events are built only for a given A
-        values -= (q * q) * _potential(A, grid.points().reshape(-1, 4), q) * charge
+    sums = phi._s_sums(grid, np.asarray(s_nodes, dtype=float),
+                       np.asarray(s_weights, dtype=float), ("J",) if A is None else ("J", "rho"))
+    values = q * _raised(sums["J"])
+    if A is not None:
+        values -= (q * q) * _grid_potential(A, grid) * sums["rho"]
     return CurrentField(grid, _on_grid(grid, values))
 
 
@@ -403,10 +571,16 @@ def mass_current_b(phi: PhiField, A: Optional[Callable], grid: EventGrid,
                    trajectory: Optional[Trajectory] = None,
                    calibration: Optional[EpsilonCalibration] = None) -> CurrentField:
     """b = bbar + bbreve: the bulk term Re[d_s phi* D^mu phi] integrated over s,
-    plus, given trajectory and calibration, the (2/N)|phi|^2 gamma_dot deposit."""
-    values = np.zeros((4, math.prod(grid.extents)))
-    for _, w, jet, D in _jet_chunks(phi, grid, s_nodes, s_weights, A, q):
-        values += _conj_dot(w, jet.ds, D, imag=False)
+    plus, given trajectory and calibration, the (2/N)|phi|^2 gamma_dot deposit.
+
+    Re[d_s phi* D^mu phi] = g^{mu mu} Re(d_s phi* d_mu phi) - q A^mu Im(phi* d_s phi).
+    """
+    A_c = None if q == 0.0 else _grid_potential(A, grid)
+    sums = phi._s_sums(grid, np.asarray(s_nodes, dtype=float), np.asarray(s_weights, dtype=float),
+                       ("b",) if A_c is None else ("b", "ds"))
+    values = _raised(sums["b"])
+    if A_c is not None:
+        values -= q * A_c * sums["ds"]
     values = _on_grid(grid, values)
     if trajectory is not None and calibration is not None:
         values = values + deposit_line_current(
@@ -420,21 +594,26 @@ def ecd_energy_momentum(phis: Sequence[PhiField], A: Optional[Callable],
     """p^{nu mu} = sum_k m_k^{nu mu}, the waves' part (no field stress Theta), symmetric.
 
     m^{nu mu} = int ds [g^{nu mu} L_m + B^{nu mu}] with the bilinear
-    B^{nu mu} = Re(D^nu phi (D^mu phi)*) = a^nu a^mu + b^nu b^mu for
-    D phi = a + i b, and L_m = -Im(phi* d_s phi) - (1/2) g_mu B^{mu mu}.
+    B^{nu mu} = Re(D^nu phi (D^mu phi)*) = R^{nu mu} - q (A^nu J^mu + A^mu J^nu)
+    + q^2 A^nu A^mu rho and L_m = -Im(phi* d_s phi) - (1/2) g_mu B^{mu mu}.
     """
+    s_nodes = np.asarray(s_nodes, dtype=float)
+    s_weights = np.asarray(s_weights, dtype=float)
     n_pts = math.prod(grid.extents)
-    nu, mu = np.triu_indices(4)         # the ten pairs nu <= mu of a symmetric tensor
+    nu, mu = _PAIRS                     # the ten pairs nu <= mu of a symmetric tensor
+    A_c = _grid_potential(A, grid)
     bilinear = np.zeros((nu.size, n_pts))
-    phase = np.zeros(n_pts)         # int ds -Im(phi* d_s phi)
+    phase = np.zeros(n_pts)             # int ds -Im(phi* d_s phi)
     for phi, q in zip(phis, qs):
-        for _, w, jet, D in _jet_chunks(phi, grid, s_nodes, s_weights, A, q):
-            ds = jet.ds[None]           # one component: Im(phi* d_s phi)
-            phase -= _conj_dot(w, jet.value, (ds.real, ds.imag), imag=True)[0]
-            for part in D:
-                w_part = w[:, None] * part
-                for k in range(nu.size):
-                    bilinear[k] += np.einsum("np,np->p", w_part[nu[k]], part[mu[k]])
+        charged = A_c is not None and q != 0.0
+        sums = phi._s_sums(grid, s_nodes, s_weights,
+                           ("R", "ds") + (("J", "rho") if charged else ()))
+        bilinear += (_METRIC_DIAG[nu] * _METRIC_DIAG[mu])[:, None] * sums["R"]
+        if charged:
+            J = _raised(sums["J"])
+            bilinear -= q * (A_c[nu] * J[mu] + A_c[mu] * J[nu])
+            bilinear += (q * q) * (A_c[nu] * A_c[mu]) * sums["rho"]
+        phase -= sums["ds"]
     # the sign of the bilinear relative to g L is fixed by requiring
     # d_nu m^{nu mu} = 0 for exact solutions (checked against a closed-form
     # Gaussian solution of the proper-time equation)
@@ -454,15 +633,22 @@ def ecd_dilatation_current(p: TensorField, phis: Sequence[PhiField],
     that makes xi divergence-free pointwise for exact solutions; it absorbs
     the d^mu |phi|^2 improvement term coming from the scaling weight of phi
     (the two bulk forms differ by a total s-derivative, so only this one may
-    sit under the s-weight).
+    sit under the s-weight).  Re[phi* d_s D^mu phi] = Re[phi* d_s d^mu phi]
+    + q A^mu Im(phi* d_s phi), summed with the weights 2 w s.
     """
     from .em_sources import geometric_dilatation_term
 
     grid = p.grid
+    s_nodes = np.asarray(s_nodes, dtype=float)
+    s_weights = 2.0 * np.asarray(s_weights, dtype=float) * s_nodes
+    A_c = _grid_potential(A, grid)
     bulk = np.zeros((4, math.prod(grid.extents)))
     for phi, q in zip(phis, qs):
-        for s, w, jet, D in _jet_chunks(phi, grid, s_nodes, s_weights, A, q, 2):
-            bulk -= _conj_dot(2.0 * w * s, jet.value, D, imag=False)
+        charged = A_c is not None and q != 0.0
+        sums = phi._s_sums(grid, s_nodes, s_weights, ("ds_grad", "ds") if charged else ("ds_grad",))
+        bulk -= _raised(sums["ds_grad"])
+        if charged:
+            bulk -= q * A_c * sums["ds"]
     xi = geometric_dilatation_term(p).values + _on_grid(grid, bulk)
     return CurrentField(grid, xi)
 

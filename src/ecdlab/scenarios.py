@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-import jsonschema
 
 from . import __version__
 from .minkowski import AntisymTensor, as_four
@@ -319,7 +318,12 @@ def _prepare(kind, params) -> dict:
 
 
 def _schema_errors(schema, instance, *prefix) -> list:
-    """(path, message) of each schema error of instance, in path order."""
+    """(path, message) of each schema error of instance, in path order.
+
+    jsonschema is imported here, on the first validation: a process that only
+    imports ecdlab or calls the library does not pay for it."""
+    import jsonschema
+
     errors = jsonschema.Draft202012Validator(schema).iter_errors(instance)
     return [(".".join(map(str, (*prefix, *err.absolute_path))) or "<root>",
              "not a known key" if err.schema is _CLOSED else err.message)

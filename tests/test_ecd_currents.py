@@ -13,7 +13,7 @@ from ecdlab.dynamics import Trajectory
 from ecdlab.ecd_core import calibrate
 from ecdlab.ecd_currents import (ConjugatedPhi, FreePhi, GaugeShiftedPhi,
                                  GaussianSolutionPhi, PhiField,
-                                 _conj_dot, _covariant_parts,
+                                 _BILINEARS, _covariant_parts,
                                  charge_profile_shape,
                                  charge_tail, continuity_residual,
                                  covariant_derivative, divergent_coefficient,
@@ -265,33 +265,48 @@ def test_grid_jet_matches_pointwise_jet(name, order, s):
         assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max(), part
 
 
-def free_flow_events():
-    """The reference free wave, events near its worldline x0 + u s_k and s-nodes
-    that include the s_k, so that some a = xi^2 / 2 eps fall below 1e-4."""
-    wave = jet_reference_waves()["free"]
-    rng = np.random.default_rng(7)
-    s_k = np.array([-0.6, 0.15, 0.8])
-    near = wave.x0 + np.outer(s_k, wave.u) + rng.uniform(-1e-3, 1e-3, (3, 4))
-    x = np.concatenate([near, rng.uniform(-1.0, 1.0, (9, 4))])
-    s = np.concatenate([s_k, [-1.3, -0.2, 0.0, 0.45, 1.7]])[:, None]
-    xi = x - wave.x0 - s[..., None] * wave.u
-    a = (xi * xi) @ MD / (2.0 * wave.epsilon)
-    return wave, tuple(x.T), s, a
+def sums_grid():
+    """A non-cubic grid, so that a swapped axis shows."""
+    return EventGrid(origin=(0.13, -0.41, 0.27, -0.09), spacings=(0.11, 0.13, 0.17, 0.19),
+                     extents=(3, 4, 2, 5))
 
 
-def test_free_flow_matches_the_jet_derived_default():
-    """FreePhi's closed-form rho = |C|^2 sinc^2 a and J_mu = u_mu rho agree with
-    the bilinears PhiField derives from the jet, the series branch included."""
-    wave, c, s, a = free_flow_events()
-    assert (np.abs(a) < 1e-4).sum() >= 3 and (np.abs(a) > 1.0).any()
-    rho, J = wave._flow_axes(c, s)
-    rho_jet, J_jet = PhiField._flow_axes(wave, c, s)
-    assert rho.shape == rho_jet.shape == a.shape and J.shape == J_jet.shape == (4,) + a.shape
-    assert np.abs(rho - rho_jet).max() <= 1e-13 * np.abs(rho_jet).max()
-    assert np.abs(J - J_jet).max() <= 1e-13 * np.abs(J_jet).max()
-    u_low = wave.u * MD
-    assert np.array_equal(J, u_low[:, None, None] * rho)
-    assert np.array_equal(wave.abs2(np.stack(c, axis=-1), s[:, 0]), rho)
+def light_cone_nodes(wave, grid, count):
+    """An s-node on the light cone of each of count grid events: there
+    a = xi^2 / 2 eps vanishes to rounding, in sinc's series branch."""
+    pts = grid.points().reshape(-1, 4)
+    y = pts[np.linspace(0, pts.shape[0] - 1, count).astype(int)] - wave.x0
+    uy, y2, u2 = y @ (MD * wave.u), (y * y) @ MD, wave.u @ (MD * wave.u)
+    return (uy + np.sqrt(uy * uy - u2 * y2)) / u2
+
+
+@pytest.mark.parametrize("name", ["free", "gaussian"])
+def test_closed_form_sums_match_the_jet_derived_default(name):
+    """The free wave's sinc moments and the Gaussian's per-axis matrix products
+    give every bilinear's s-sum of the jet-derived default, the free wave's
+    series branch included."""
+    wave = jet_reference_waves()[name]
+    grid = sums_grid()
+    if name == "free":
+        s = np.concatenate([light_cone_nodes(wave, grid, 4), np.linspace(-1.3, 2.1, 13)])
+        xi = grid.points().reshape(1, -1, 4) - wave.x0 - s[:, None, None] * wave.u
+        a = (xi * xi) @ MD / (2.0 * wave.epsilon)
+        assert (np.abs(a) < 1e-4).sum() >= 4 and (np.abs(a) > 1.0).any()
+    else:       # one-sided nodes: on symmetric ones the Gaussian's J sums to ~0
+        s = np.linspace(0.2, 2.6, 17)
+    w = np.random.default_rng(5).uniform(0.1, 0.3, s.size)
+    got = wave._s_sums(grid, s, w, list(_BILINEARS))
+    want = PhiField._s_sums(wave, grid, s, w, list(_BILINEARS))
+    assert sorted(got) == sorted(_BILINEARS)
+    for key, shape in _BILINEARS.items():
+        assert got[key].shape == want[key].shape == shape + (120,), key
+        assert np.abs(got[key] - want[key]).max() <= 1e-13 * np.abs(want[key]).max(), key
+
+
+def conj_dot(w, f, D, imag):
+    """Re (or Im) of sum_n w_n f_n* D_n^mu for D = (Re, Im); shape (4, P)."""
+    re, im = (D[1], -D[0]) if imag else D
+    return np.einsum("n,np,mnp->mp", w, f.real, re) + np.einsum("n,np,mnp->mp", w, f.imag, im)
 
 
 def jet_path_current(phi, A, grid, sn, w, q):
@@ -302,7 +317,7 @@ def jet_path_current(phi, A, grid, sn, w, q):
     for k in range(0, sn.size, 8):
         jet = phi.grid_jet(grid, sn[k:k + 8])
         D = _covariant_parts(jet.grad, jet.value, A_c, q)
-        values += _conj_dot(q * w[k:k + 8], jet.value, D, imag=True)
+        values += conj_dot(q * w[k:k + 8], jet.value, D, imag=True)
     return values.T.reshape(grid.extents + (4,))
 
 
@@ -317,6 +332,57 @@ def test_free_electric_current_matches_the_jet_path(with_potential):
     got = ecd_electric_current(wave, A, grid, sn, w, q=1.3).values
     want = jet_path_current(wave, A, grid, sn, w, 1.3)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def jet_path_currents(phis, A, grid, sn, w, qs):
+    """p, the dilatation bulk and each wave's b from the covariant jets D phi
+    and d_s D phi, 8 s-nodes at a time, as the kernels summed them before they
+    read the waves' bilinear sums."""
+    n_pts = int(np.prod(grid.extents))
+    A_pts = None if A is None else np.moveaxis(A(grid.points().reshape(1, -1, 4)), -1, 0)
+    bilinear, phase = np.zeros((4, 4, n_pts)), np.zeros(n_pts)
+    bulk, bs = np.zeros((4, n_pts)), []
+    for phi, q in zip(phis, qs):
+        A_c = None if q == 0.0 else A_pts
+        b = np.zeros((4, n_pts))
+        for k in range(0, sn.size, 8):
+            s, wk = sn[k:k + 8], w[k:k + 8]
+            jet = phi.grid_jet(grid, s, 2)
+            D = _covariant_parts(jet.grad, jet.value, A_c, q)
+            phase -= conj_dot(wk, jet.value, (jet.ds.real[None], jet.ds.imag[None]), True)[0]
+            for part in D:
+                bilinear += np.einsum("n,mnp,knp->mkp", wk, part, part)
+            b += conj_dot(wk, jet.ds, D, imag=False)
+            bulk -= conj_dot(2.0 * wk * s, jet.value,
+                             _covariant_parts(jet.ds_grad, jet.ds, A_c, q), imag=False)
+        bs.append(b.T.reshape(grid.extents + (4,)))
+    p = np.moveaxis(bilinear, -1, 0)
+    p[:, range(4), range(4)] += (phase - 0.5 * (MD @ np.diagonal(bilinear).T))[:, None] * MD
+    return p.reshape(grid.extents + (4, 4)), bulk.T.reshape(grid.extents + (4,)), bs
+
+
+@pytest.mark.parametrize("with_potential", [False, True], ids=["A=0", "linear-A"])
+def test_currents_match_the_jet_path(with_potential):
+    """p, xi and b from the waves' bilinear sums, with the potential applied
+    once per point, against the jet path for three charged waves: a closed
+    form (free), a separable one (Gaussian) and the jet-derived default."""
+    waves = jet_reference_waves()
+    phis = [waves["gaussian"], waves["free"], waves["gauge_shifted"]]
+    qs = [0.7, 1.3, -0.4]
+    grid = sums_grid()
+    sn = np.linspace(-1.3, 2.1, 19)        # two full s-chunks and a partial one
+    w = np.random.default_rng(11).uniform(0.1, 0.3, sn.size)
+    M = np.random.default_rng(3).uniform(-0.4, 0.4, (4, 4))
+    A = (lambda pts: pts @ M.T + np.array([0.3, -0.1, 0.2, 0.05])) if with_potential else None
+    p_want, bulk_want, b_want = jet_path_currents(phis, A, grid, sn, w, qs)
+    p = ecd_energy_momentum(phis, A, grid, sn, w, qs)
+    assert np.abs(p.values - p_want).max() <= 1e-13 * np.abs(p_want).max()
+    bulk = (ecd_dilatation_current(p, phis, A, sn, w, qs).values
+            - ecd_dilatation_current(p, [], A, sn, w, []).values)
+    assert np.abs(bulk - bulk_want).max() <= 1e-13 * np.abs(bulk_want).max()
+    for phi, q, want in zip(phis, qs, b_want):
+        got = mass_current_b(phi, A, grid, sn, w, q).values
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_jet_rejects_bad_order_and_s_shape():

@@ -481,6 +481,37 @@ def test_kinds_that_call_no_scipy_do_not_import_it(tmp_path):
     assert before == [] and after == list(_SCIPY_PARTS)
 
 
+_JSONSCHEMA_PROBE = """
+import json, sys
+import numpy as np
+from ecdlab.cli import main
+from ecdlab.ecd_currents import FreePhi, ecd_electric_current
+from ecdlab.grids import EventGrid
+loaded = lambda: print("jsonschema:", json.dumps("jsonschema" in sys.modules))
+loaded()
+grid = EventGrid(origin=(0, 0, 0, 0), spacings=(0.1,) * 4, extents=(2, 2, 2, 2))
+ecd_electric_current(FreePhi((1, 0, 0, 0), 1.0, 0.05), None, grid, np.array([-0.1, 0.2]),
+                     np.ones(2), 1.0)
+loaded()
+assert main(["validate", sys.argv[1]]) == 0
+loaded()
+"""
+
+
+def test_only_validation_imports_jsonschema(tmp_path):
+    """Start-up and a library computation with no config load no jsonschema;
+    validating a config does, so the check can fail."""
+    cfg = write(tmp_path, valid_config("free-ecd"), "free-ecd.json")
+    src = str(Path(scenarios.__file__).resolve().parents[1])
+    probe = f"import sys; sys.path.insert(0, {src!r})\n" + _JSONSCHEMA_PROBE
+    proc = subprocess.run([sys.executable, "-c", probe, cfg], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    loaded = [json.loads(line[len("jsonschema:"):]) for line in proc.stdout.splitlines()
+              if line.startswith("jsonschema:")]
+    assert loaded == [False, False, True]
+
+
 class Computed(Exception):
     """Raised by a compute entry point in place of its work."""
 
