@@ -61,13 +61,10 @@ class EpsilonCalibration:
     def N(self) -> float:
         return -1.0 / (2.0 * np.pi ** 2 * self.epsilon)
 
-    def window(self, sigma: float) -> float:
-        """U(eps; sigma) = theta(sigma - eps) - theta(-sigma - eps)."""
-        if sigma > self.epsilon:
-            return 1.0
-        if sigma < -self.epsilon:
-            return -1.0
-        return 0.0
+    def window(self, sigma):
+        """U(eps; sigma) = theta(sigma - eps) - theta(-sigma - eps), elementwise."""
+        sigma = np.asarray(sigma, dtype=float)
+        return (sigma > self.epsilon) * 1.0 - (sigma < -self.epsilon) * 1.0
 
 
 def calibrate(epsilon: float, s_max: float = 50.0) -> EpsilonCalibration:
@@ -83,11 +80,18 @@ def plane_phase(u, C=1.0 + 0j) -> Callable[[float], complex]:
 
 @dataclass(frozen=True)
 class EcdPair:
-    """An extended-charge particle: worldline, boundary wave, propagator, calibration."""
+    """An extended-charge particle: worldline, boundary wave, propagator, calibration.
+
+    phi_eval evaluates a whole round of s'-nodes in one call of each: the
+    ansatz takes an array of s, and the propagator broadcasts the leading axes
+    of the events x (..., 4), the worldline events x' (..., 4) and the proper
+    times sigma against each other, as numpy broadcasts operands.  Each
+    element of a stacked call must be its one-event, one-sigma value.
+    """
 
     trajectory: Trajectory
-    ansatz: Callable[[float], complex]      # phi on the worldline, s -> phi(gamma_s, s)
-    propagator: Callable     # G(x, x', sigma), elementwise over the leading axes of x
+    ansatz: Callable         # phi on the worldline, s -> phi(gamma_s, s), elementwise over s
+    propagator: Callable     # G(x, x', sigma), over the broadcast leading axes of x, x', sigma
     calibration: EpsilonCalibration
 
     @staticmethod
@@ -102,6 +106,126 @@ class QuadratureBudgetError(ArithmeticError):
     """The windowed s'-integral failed to reach the requested accuracy."""
 
 
+# Gauss-Kronrod (7, 15) rule on [-1, 1] (QUADPACK's dqk15): the Kronrod
+# nodes, their weights, and the Gauss weights of the odd-numbered nodes.
+_GK15_NODES = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144838258730, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+    -0.207784955007898467600689403773245, -0.405845151377397166906606412076961,
+    -0.586087235467691130294144838258730, -0.741531185599394439863864773280788,
+    -0.864864423359769072789712788640926, -0.949107912342758524526189684047851,
+    -0.991455371120812639206854697526329])
+_GK15_KRONROD = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+    0.204432940075298892414161999234649, 0.190350578064785409913256402421014,
+    0.169004726639267902826583426598550, 0.140653259715525918745189590510238,
+    0.104790010322250183839876322541518, 0.063092092629978553290700663189204,
+    0.022935322010529224963732008058970])
+_GK15_GAUSS = np.array([
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
+    0.381830050505118944950369775488975, 0.279705391489276667901467771423780,
+    0.129484966168869693270611432679082])
+_QUAD_LIMIT = 300       # intervals at which the s'-quadrature gives up
+_QUAD_BATCH = 128       # most intervals bisected in one round
+_EPSABS = 1e-200        # absolute tolerance: ends an exactly zero integrand at once
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
+
+
+def _gk15(f, spans):
+    """The (7, 15) rule on each interval (a, b) of spans, from one call of f on
+    all their nodes: (integrals, errors, rounding errors), the estimates in
+    the max norm over f's values as QUADPACK forms them."""
+    a, b = np.array(spans).T
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    fv = f((c + h * _GK15_NODES[:, None]).ravel())
+    fv = fv.reshape((15, len(spans)) + fv.shape[1:])       # (node, interval, ...)
+    axes = (1,) * (fv.ndim - 2)
+    wk = _GK15_KRONROD.reshape((15, 1) + axes)
+    h = h.reshape((-1,) + axes)
+    # sums over the node axis add node after node, as the one-node loop does
+    s_k = (wk * fv).sum(axis=0)
+    s_abs = (wk * np.abs(fv)).sum(axis=0)
+    s_g = (_GK15_GAUSS.reshape((7, 1) + axes) * fv[1::2]).sum(axis=0)
+    s_dabs = (wk * np.abs(fv - s_k / 2.0)).sum(axis=0)
+
+    def norm(v):
+        return np.abs(v).reshape(len(spans), -1).max(axis=1).tolist()
+
+    errs, rnds = [], norm(50 * _EPS * h * s_abs)
+    for err, dabs, rnd in zip(norm((s_k - s_g) * h), norm(s_dabs * h), rnds):
+        if dabs != 0 and err != 0:
+            err = dabs * min(1.0, (200 * err / dabs) ** 1.5)
+        if rnd > _TINY:
+            err = max(err, rnd)
+        errs.append(err)
+    return h * s_k, errs, rnds
+
+
+def _integrate(f, a, b, rtol):
+    """Adaptive (7, 15) Gauss-Kronrod integral of f over [a, b] to the relative
+    tolerance rtol in the max norm: (integral, error, evaluations).
+
+    This is scipy 1.17's quad_vec(quadrature="gk15", norm="max", limit=300),
+    which follows QUADPACK's global error control, node for node: each round
+    bisects the intervals of largest error (at most _QUAD_BATCH, until their
+    summed error covers the excess over tol / 8), and the rounds go on until
+    the error is below tol / 8 or below the rounding error, turns non-finite,
+    or the intervals reach _QUAD_LIMIT.  Only the calls of f differ: f maps
+    the nodes t (n,) of a whole round to values (n, ...).  The first round
+    takes the whole interval and its halves at once, as quad_vec always
+    bisects its first interval.  Interval integrals are kept until their
+    interval is bisected (quad_vec's 100 MB cache of them never fills at 300
+    intervals of a phi_eval stack).
+    """
+    import heapq
+
+    heap, cache, neval = [], {}, 0
+    integral = error = rounding = None
+    popped = [(None, a, b, None)]       # (error, a, b, integral or None)
+    while True:
+        spans = []
+        for _, lo, hi, old in popped:
+            mid = 0.5 * (lo + hi)
+            spans += ([(lo, hi)] if old is None else []) + [(lo, mid), (mid, hi)]
+        igs, errs, rnds = _gk15(f, spans)
+        neval += 15 * len(spans)
+        i = 0
+        for old_err, lo, hi, old in popped:
+            if old is None:             # the rule on the whole interval as well
+                old = igs[i]
+                if integral is None:    # the first interval
+                    integral, error, rounding, old_err = old, errs[i], rnds[i], errs[i]
+                i += 1
+            integral = integral + (igs[i] + igs[i + 1] - old)
+            error += errs[i] + errs[i + 1] - old_err
+            rounding += rnds[i] + rnds[i + 1]
+            mid = 0.5 * (lo + hi)
+            for j, span in ((i, (lo, mid)), (i + 1, (mid, hi))):
+                cache[span] = igs[j]
+                heapq.heappush(heap, (-errs[j], *span))
+            i += 2
+        # every round leaves at least the two intervals the stop test needs
+        tol = max(_EPSABS, rtol * float(np.abs(integral).max()))
+        if error < tol / 8 or error < rounding:
+            break
+        if not (np.isfinite(error) and np.isfinite(rounding)) or len(heap) >= _QUAD_LIMIT:
+            break
+        popped, err_sum = [], 0.0
+        while heap and len(popped) < _QUAD_BATCH:
+            if popped and err_sum > error - tol / 8:
+                break
+            neg_err, lo, hi = heapq.heappop(heap)
+            popped.append((-neg_err, lo, hi, cache.pop((lo, hi), None)))
+            err_sum += -neg_err
+    return integral, error + rounding, neval
+
+
 def phi_eval(pair: EcdPair, x, s: float, tol: float = 1e-9,
              full_output: bool = False):
     """Evaluate phi(x, s) from the windowed integral equation at the events
@@ -110,12 +234,13 @@ def phi_eval(pair: EcdPair, x, s: float, tol: float = 1e-9,
     Both half-lines |s - s'| in [eps, s_max] are mapped by sigma -> 1/t onto
     the same finite interval (the integrand grows like sigma^{-2} at the window
     edge, which the substitution flattens); their complex integrands are summed
-    at each node and integrated adaptively in one pass.  The worldline state,
-    the ansatz and the propagator's set-up depend on sigma alone, so a stack
-    of events shares one quadrature: one call of each per branch and node,
-    with the error measured in the max norm over the events.  Each event must
-    meet the error budget.  Close events (a finite-difference stencil) share
-    the subdivision and get their one-event values to rounding; events that
+    at each node and integrated adaptively in one pass (see _integrate).  The
+    worldline state, the ansatz and the propagator take every sigma of a
+    round's nodes and both branches at once, so each round costs one call of
+    each, and a stack of events shares one quadrature, with the error
+    measured in the max norm over the events.  Each event must meet the
+    error budget.  Close events (a finite-difference stencil) share the
+    subdivision and get their one-event values to rounding; events that
     would each be subdivided differently agree with their one-event values
     within the budget.  The reported tail bound is the exact free-integrand
     truncation error eps / s_max.
@@ -123,21 +248,17 @@ def phi_eval(pair: EcdPair, x, s: float, tol: float = 1e-9,
     x = as_events(x)
     cal = pair.calibration
     eps, s_max = cal.epsilon, cal.s_max
+    events = (1,) * (x.ndim - 1)        # the event axes, for broadcasting
 
     def f(t):
         # sigma = 1/t, d sigma = -dt / t^2; t runs over [1/s_max, 1/eps]
-        sigma, total = 1.0 / t, 0j
-        for sig in (sigma, -sigma):
-            gamma, _ = pair.trajectory.state_at(s - sig)
-            total += (pair.propagator(x, gamma, sig) * pair.ansatz(s - sig)
-                      * cal.window(sig))
-        return total / t ** 2
+        sigma = 1.0 / t
+        sig = np.stack([sigma, -sigma]).reshape((2, t.size) + events)
+        gamma, _ = pair.trajectory.state_at(s - sig)
+        terms = pair.propagator(x, gamma, sig) * pair.ansatz(s - sig) * cal.window(sig)
+        return (terms[0] + terms[1]) / (t * t).reshape((t.size,) + events)
 
-    from scipy.integrate import quad_vec
-    # the default epsabs (1e-200) ends an exactly zero integrand at once;
-    # full_output keeps quad_vec silent, as accuracy is checked below
-    integral, err, info = quad_vec(f, 1.0 / s_max, 1.0 / eps, epsrel=tol, limit=300,
-                                   quadrature="gk15", norm="max", full_output=True)
+    integral, err, neval = _integrate(f, 1.0 / s_max, 1.0 / eps, tol)
     value = (1j / cal.N) * integral
     scale = max(float(np.min(np.abs(value))), 1e-300)     # the smallest event's
     if not err / (abs(cal.N) * scale) <= 100 * max(tol, 1e-12):    # NaN fails too
@@ -145,7 +266,7 @@ def phi_eval(pair: EcdPair, x, s: float, tol: float = 1e-9,
             f"s'-quadrature error {err:g} too large for |phi| = {scale:g}")
     if full_output:
         diag = {"tail_bound": eps / s_max, "quad_error": err / abs(cal.N),
-                "evaluations": info.neval}
+                "evaluations": neval}
         return value, diag
     return value
 
@@ -260,6 +381,12 @@ def integrate_guiding(phi, gamma0, s_span, n_steps: int, h: float = 1e-3):
 # classical limit
 
 
+def _cumulative_trapezoid(y, x):
+    """int_{x_0}^{x_i} y dx by the trapezoid rule at every sample, in the
+    arithmetic of scipy's cumulative_trapezoid(y, x, initial=0)."""
+    return np.concatenate([[0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)])
+
+
 def constant_field_pair(F, u0, calibration: EpsilonCalibration, q: float = 1.0,
                         C=1.0 + 0j, s_span=(-200.0, 200.0), step: float = 1e-2) -> EcdPair:
     """ECD pair whose propagator is the (exact) semiclassical constant-field form
@@ -284,15 +411,14 @@ def constant_field_pair(F, u0, calibration: EpsilonCalibration, q: float = 1.0,
     F_lower = METRIC @ np.asarray(F, dtype=float) @ METRIC
     A_low = -0.5 * gammas @ F_lower.T
     lag = np.einsum("ij,ij->i", gdots, 0.5 * gdots @ METRIC + q * A_low)
-    from scipy.integrate import cumulative_trapezoid
-    I_cum = cumulative_trapezoid(lag, s, initial=0.0)
+    I_cum = _cumulative_trapezoid(lag, s)
     I_cum -= np.interp(0.0, s, I_cum)
 
     def G(x, xp, sigma):
         I = provider.action(x, xp, sigma)
         return _pref(sigma) * _van_vleck_of_eigs(eigs, sigma) * np.exp(1j * I)
 
-    ansatz = lambda sv: C * np.exp(1j * float(np.interp(sv, s, I_cum)))
+    ansatz = lambda sv: C * np.exp(1j * np.interp(sv, s, I_cum))
     return EcdPair(traj, ansatz, G, calibration)
 
 

@@ -39,18 +39,19 @@ class NoPathError(ArithmeticError):
     """Boundary-value solver failed to produce a classical path."""
 
 
-def _pref(s: float) -> complex:
+def _pref(s):
     return 1j * np.sign(s) / (2.0 * np.pi) ** 2
 
 
-def free_propagator(x, xp, s: float):
+def free_propagator(x, xp, s):
     """G_f = i sign(s) e^{i (x-x')^2 / (2 s)} / ((2 pi)^2 s^2), elementwise over
-    the leading axes of the events x (a complex scalar for one event)."""
-    if s == 0:
+    the broadcast leading axes of the events x, x' and the proper times s (a
+    complex scalar for one event and one s)."""
+    if np.any(s == 0):
         raise ZeroDivisionError("free propagator is singular at s = 0")
-    d = as_events(x) - as_four(xp)
+    d = as_events(x) - as_events(xp)
     phase = minkowski_dot(d, d) / (2.0 * s)
-    return _pref(s) * np.exp(1j * phase) / s ** 2
+    return _pref(s) * np.exp(1j * phase) / (s * s)
 
 
 def gauge_transform_propagator(G: complex, alpha: Callable, x, xp,
@@ -96,10 +97,10 @@ class ActionProvider:
 
 def free_action_provider() -> ActionProvider:
     """I = (x - x')^2 / (2s) for the straight free path; the action is
-    elementwise over the leading axes of x."""
+    elementwise over the broadcast leading axes of x, x' and s."""
 
     def action(x, xp, s):
-        d = as_events(x) - as_four(xp)
+        d = as_events(x) - as_events(xp)
         return minkowski_dot(d, d) / (2.0 * s)
 
     def grad(x, xp, s):
@@ -129,8 +130,9 @@ def _g(y) -> np.ndarray:
     return np.where(small, series, safe ** 2 / (2.0 - 2.0 * np.cosh(safe)))
 
 
-def constant_field_van_vleck(F, s: float, q: float = 1.0) -> float:
-    """Closed-form prefactor s^{-2} |det g(qFs)|^{1/4} for a constant field.
+def constant_field_van_vleck(F, s, q: float = 1.0):
+    """Closed-form prefactor s^{-2} |det g(qFs)|^{1/4} for a constant field,
+    elementwise over an array s.
 
     g acts as a matrix function of the mixed tensor q F^mu_nu s, evaluated on
     its (possibly complex) eigenvalues.  The eigenvalues come in +/- pairs and
@@ -144,14 +146,17 @@ def constant_field_van_vleck(F, s: float, q: float = 1.0) -> float:
     return _van_vleck_of_eigs(np.linalg.eigvals(M0), s)
 
 
-def _van_vleck_of_eigs(eigs, s: float) -> float:
-    """The prefactor from the eigenvalues of q F^mu_nu: those of q F s are s times them."""
-    if s == 0:
+def _van_vleck_of_eigs(eigs, s):
+    """The prefactor from the eigenvalues of q F^mu_nu: those of q F s are s times
+    them.  Elementwise over an array s; np.power rounds a scalar as it rounds
+    the elements of an array, where the ** operator would not."""
+    s = np.asarray(s, dtype=float)
+    if np.any(s == 0):
         raise ZeroDivisionError("prefactor singular at s = 0")
-    y = s * eigs
+    y = s[..., None] * eigs
     if np.any(np.abs(np.real(y)) > 700):
         raise OverflowError("cosh overflow: |q F s| too large")
-    return float(np.abs(np.prod(_g(y))) ** 0.25 / s ** 2)
+    return np.power(np.abs(np.prod(_g(y), axis=-1)), 0.25) / (s * s)
 
 
 def semiclassical_propagator(paths: Sequence[ClassicalPath], s: float) -> complex:
@@ -214,11 +219,11 @@ def constant_field_action_provider(F, q: float = 1.0) -> ActionProvider:
         I = 1/4 (x - x').g.(e^{M s} + I) v0 - q/2 x^T F_low x',
 
     and grad_x is the endpoint canonical momentum g e^{M s} v0 + q A(x).
-    The action takes a stack of events x (..., 4) for one x' and s: the
-    exponential depends on s alone, so the stack costs one exponential and
-    one broadcast solve with a right-hand side per event.  Every product is
-    batched per event (see _mv), so each event of a stack gets the bits of
-    its one-event call.
+    The action broadcasts over the leading axes of x, x' and s: the
+    exponential depends on s alone, so a stack costs one exponential per s
+    (scipy loops over a stack of them) and one broadcast solve with a
+    right-hand side per event.  Every product is batched per event (see _mv),
+    so each element of a stack gets the bits of its one-event, one-s call.
     """
     F = np.asarray(F, dtype=float)
     M0 = q * (F @ METRIC)                 # mixed tensor acting on velocities
@@ -226,20 +231,22 @@ def constant_field_action_provider(F, q: float = 1.0) -> ActionProvider:
 
     def solve(d, s):
         """(e^{M s}, v0) of the classical paths with x - x' = d (..., 4) in
-        proper time s; v0 has the shape of d."""
-        block = np.zeros((8, 8))
-        block[:4, :4] = M0 * s
-        block[:4, 4:] = np.eye(4)
+        proper times s, which broadcast against the leading axes of d; v0 has
+        their broadcast shape."""
+        s = np.asarray(s, dtype=float)[..., None, None]
+        block = np.zeros(s.shape[:-2] + (8, 8))
+        block[..., :4, :4] = M0 * s
+        block[..., :4, 4:] = np.eye(4)
         E = expm(block)
         try:
-            v0 = np.linalg.solve(s * E[:4, 4:], d[..., None])[..., 0]
+            v0 = np.linalg.solve(s * E[..., :4, 4:], d[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
             raise NoPathError("singular boundary-value map (caustic)") from exc
-        return E[:4, :4], v0
+        return E[..., :4, :4], v0
 
     def action(x, xp, s):
         x = as_events(x)
-        xp = as_four(xp)
+        xp = as_events(xp)
         d = x - xp
         eMs, v0 = solve(d, s)
         return (0.25 * _dot(d @ METRIC, _mv(eMs, v0) + v0)

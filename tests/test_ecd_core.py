@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -90,6 +91,105 @@ def test_phi_eval_matches_frozen_reference(case):
         want = complex(p["re"], p["im"])
         got = phi_eval(pair, p["x"], p["s"], tol=case["tol"])
         assert abs(got - want) <= 100 * case["tol"] * abs(want), p
+
+
+def _quad_vec_phi(pair, x, s, tol):
+    """phi(x, s) and its evaluation count from scipy's quad_vec, one node per
+    integrand call: the oracle of phi_eval's own rule."""
+    from scipy.integrate import quad_vec
+
+    cal, x = pair.calibration, np.asarray(x, dtype=float)
+
+    def f(t):
+        total = 0j
+        for sig in (1.0 / t, -1.0 / t):
+            gamma, _ = pair.trajectory.state_at(s - sig)
+            total += pair.propagator(x, gamma, sig) * pair.ansatz(s - sig) * cal.window(sig)
+        return total / t ** 2
+
+    integral, _, info = quad_vec(f, 1.0 / cal.s_max, 1.0 / cal.epsilon, epsrel=tol, limit=300,
+                                 quadrature="gk15", norm="max", full_output=True)
+    return (1j / cal.N) * integral, info.neval
+
+
+def _rule_case(name):
+    free = EcdPair.free((1.0, 0.0, 0.0, 0.0), calibrate(1e-2, s_max=20.0), C=0.7 + 0.2j)
+    gamma, _ = free.trajectory.state_at(0.7)
+    if name == "free-s0":
+        return free, np.zeros(4), 0.0, 1e-9
+    if name == "free-on-worldline":
+        return free, gamma, 0.7, 1e-9
+    if name == "free-off-worldline":
+        return free, gamma + np.array([0.03, -0.02, 0.01, 0.04]), 0.7, 1e-9
+    if name == "free-stencil":
+        steps = 1e-3 * np.eye(4)
+        return free, np.vstack([gamma, gamma + steps, gamma - steps]), 0.7, 1e-9
+    pair = _stack_pair("constant_field")
+    gamma, _ = pair.trajectory.state_at(-1.0)
+    return pair, gamma + np.array([0.0, 0.05, 0.0, 0.0]), -1.0, 1e-8
+
+
+@pytest.mark.parametrize("name", ["free-s0", "free-on-worldline", "free-off-worldline",
+                                  "free-stencil", "constant-field-off-worldline"])
+def test_phi_eval_takes_quad_vecs_nodes(name):
+    """The s'-rule is quad_vec's gk15 refinement with one integrand call per
+    round: the same evaluations, and values that differ only by the rounding
+    of numpy's array arithmetic against its scalar arithmetic."""
+    pair, x, s, tol = _rule_case(name)
+    got, diag = phi_eval(pair, x, s, tol=tol, full_output=True)
+    want, neval = _quad_vec_phi(pair, x, s, tol)
+    assert diag["evaluations"] == neval
+    assert np.shape(got) == np.shape(want)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+_W = np.array([1.0, 30.0, 400.0])
+RULE_INTEGRANDS = {
+    # several intervals bisected per round
+    "oscillating": (lambda t: np.exp(1j * np.multiply.outer(t, _W)) / (1.0 + t)[..., None],
+                    1e-10),
+    # bisections concentrate on a cusp, round after round
+    "cusp": (lambda t: np.multiply.outer(np.abs(t - 0.3) ** 0.5, [1.0, -2.0]), 1e-12),
+    # unresolvable: full rounds of 128 bisections run past the 300-interval limit
+    "limit": (lambda t: np.multiply.outer(np.exp(2e4j * t), [1.0, 1.0]), 1e-10),
+    "nan": (lambda t: np.multiply.outer(t, [1.0, np.nan]), 1e-8),
+    "zero": (lambda t: np.zeros((t.size, 2), complex), 1e-8),
+}
+
+
+@pytest.mark.parametrize("name", RULE_INTEGRANDS)
+def test_integration_rule_is_quad_vecs_to_the_bit(name):
+    """On vector integrands, where quad_vec's max norm is numpy's array
+    arithmetic too, the rule gives quad_vec's integral, error and evaluation
+    count bit for bit, at its stops by tolerance, limit and NaN alike."""
+    from scipy.integrate import quad_vec
+
+    from ecdlab.ecd_core import _integrate
+
+    f, tol = RULE_INTEGRANDS[name]
+    calls = []
+
+    def stacked(t):
+        calls.append(t.size)
+        return f(t)
+
+    want, want_err, info = quad_vec(lambda t: f(np.array([t]))[0], 0.0, 1.0, epsrel=tol,
+                                    limit=300, quadrature="gk15", norm="max",
+                                    full_output=True)
+    got, err, neval = _integrate(stacked, 0.0, 1.0, tol)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(err, want_err)
+    assert neval == info.neval == sum(calls) and calls[0] == 45
+    assert (info.status == 1) == (name == "limit")
+
+
+def test_phi_eval_raises_past_the_interval_limit():
+    """A kernel oscillating too fast for 300 intervals fails the budget."""
+    free = EcdPair.free((1.0, 0.0, 0.0, 0.0), calibrate(0.1, s_max=20.0))
+    pair = dataclasses.replace(
+        free, propagator=lambda x, xp, sig: free.propagator(x, xp, sig) * np.exp(1e5j * sig))
+    with pytest.raises(QuadratureBudgetError):
+        phi_eval(pair, np.zeros(4), 0.0)
 
 
 def test_phi_eval_zero_wave_is_zero_and_cheap():
@@ -226,6 +326,20 @@ def test_scale_transform_preserves_consistency():
     # dilatation maps solutions to solutions: the relative residual carries over
     assert consistency_residual(scaled, [0.3 * 1.5 ** 2]) == pytest.approx(
         base, rel=1e-3)
+
+
+def test_cumulative_trapezoid_is_scipys_to_the_bit():
+    """The action integral along a constant-field worldline uses scipy's own
+    expression, without importing scipy.integrate."""
+    from scipy.integrate import cumulative_trapezoid
+
+    from ecdlab.ecd_core import _cumulative_trapezoid
+
+    rng = np.random.default_rng(11)
+    x = np.cumsum(rng.uniform(1e-3, 0.1, size=500))
+    y = np.sin(3.0 * x) + rng.normal(size=x.size)
+    np.testing.assert_array_equal(_cumulative_trapezoid(y, x),
+                                  cumulative_trapezoid(y, x, initial=0.0))
 
 
 def test_phase_gradient_check_raises_on_non_finite_figures(monkeypatch):

@@ -30,18 +30,37 @@ def test_free_propagator_singular_at_zero_s():
 
 
 def test_propagators_on_a_stack_equal_their_one_event_calls():
-    """The free kernel and both providers' actions broadcast over the leading
-    axes of x, and each event gets the bits of its own call."""
+    """The free kernel, both providers' actions and the constant-field Van
+    Vleck factor broadcast over the leading axes of x, x' and s (here one
+    worldline event x' per s against a (2, 3) stack of events x), and each
+    element gets the bits of its own one-event, one-s call."""
     rng = np.random.default_rng(7)
     X = rng.uniform(-2.0, 2.0, size=(2, 3, 4))
-    xp, s = rng.uniform(-2.0, 2.0, size=4), -0.7
+    S = np.array([-0.7, 0.3, 1.9, -2.4, 0.05])
+    XP = rng.uniform(-2.0, 2.0, size=(S.size, 4))
     F = np.asarray(AntisymTensor.from_fields((0.3, -0.1, 0.2), (0.1, 0.4, 0.0)))
     for fn in (free_propagator, free_action_provider().action,
                constant_field_action_provider(F, q=1.3).action):
-        got = fn(X, xp, s)
-        assert got.shape == (2, 3)
-        np.testing.assert_array_equal(got, [[fn(x, xp, s) for x in row] for row in X])
-    assert isinstance(free_propagator(X[0, 0], xp, s), complex)
+        got = fn(X, XP[:, None, None], S[:, None, None])
+        assert got.shape == (S.size, 2, 3)
+        np.testing.assert_array_equal(
+            got, [[[fn(x, xp, s) for x in row] for row in X] for xp, s in zip(XP, S)])
+    got = constant_field_van_vleck(F, S[:, None], q=1.3)
+    assert got.shape == (S.size, 1)
+    np.testing.assert_array_equal(got[:, 0], [constant_field_van_vleck(F, s, q=1.3) for s in S])
+    assert isinstance(free_propagator(X[0, 0], XP[0], S[0]), complex)
+
+
+def test_stacked_kernels_refuse_a_singular_or_overflowing_s():
+    """One bad s anywhere in a stack raises as its one-s call does."""
+    F = np.asarray(AntisymTensor.from_fields((0.3, 0.0, 0.0), (0.0, 0.0, 0.2)))
+    S = np.array([[0.5, -1.0], [0.0, 2.0]])
+    with pytest.raises(ZeroDivisionError):
+        free_propagator(np.ones(4), np.zeros((2, 2, 4)), S)
+    with pytest.raises(ZeroDivisionError):
+        constant_field_van_vleck(F, S)
+    with pytest.raises(OverflowError):
+        constant_field_van_vleck(F, np.array([0.5, 1e4, -1.0]))
 
 
 def test_semiclassical_equals_free_for_straight_path():
