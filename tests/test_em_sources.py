@@ -6,8 +6,8 @@ from scipy.optimize import brentq
 
 from ecdlab.dynamics import (IntegratorConfig, Trajectory, charge_conjugate,
                              integrate_worldline)
-from ecdlab.em_sources import (CoverageError, WorldlineSingularity, _brackets,
-                               classical_dilatation_charge,
+from ecdlab.em_sources import (_SCAN_BLOCK, CoverageError, WorldlineSingularity,
+                               _brackets, classical_dilatation_charge,
                                deposit_electric_current, dilatation_current,
                                dilatation_shift_check, geometric_dilatation_term,
                                lw_field, lw_fields, lw_potential, retarded_roots,
@@ -149,26 +149,58 @@ def _brackets_oracle(X, traj):
     return n - 2 - np.argmax(cross[:, ::-1], axis=1), cross.any(axis=1)
 
 
-@pytest.mark.parametrize("m", [0, 5, 16, 37, 200])
-def test_brackets_are_bit_equal_to_the_unbuffered_search(m):
-    # dyadic samples: a sample plus 0, (5, 3, 4, 0)/4 or (0, 1, 0, 0) sits
-    # exactly on its light cone or time slice; a sample plus r (1, n) with a
-    # random unit n sits on it up to rounding, where the summation order decides
+def _falling_worldline():
+    """A rising worldline with gamma^0 lowered by 3 from sample 101 on: it
+    falls on one segment, so each scan starts at the last sample."""
     traj = Trajectory.uniform((1.0, 0.5, 0.0, 0.0), s_span=(-50, 50), n=201)
-    rng = np.random.default_rng(m)
-    at = traj.gammas[rng.integers(0, 201, m)]
+    gammas = traj.gammas.copy()
+    gammas[101:, 0] -= 3.0
+    return Trajectory(traj.s, gammas, traj.gamma_dots)
+
+
+def _bracket_events(traj, rng, m, near):
+    """m events for the bracket search, built on traj's samples near[0] to near[1].
+
+    Dyadic samples: a sample plus 0, (5, 3, 4, 0)/4 or (0, 1, 0, 0) sits
+    exactly on its light cone or time slice, as does a sample plus a dyadic
+    spatial step; a sample plus r (1, n) with a random unit n sits on its
+    light cone up to rounding, where the summation order decides, and more
+    than one scan block behind the event's own time when r is 20 or more."""
+    at = traj.gammas[rng.integers(*near, m)]
     exact = np.array([[0.0, 0.0, 0.0, 0.0], [1.25, 0.75, 1.0, 0.0], [1.25, 0.0, -0.75, 1.0],
                       [0.0, 1.0, 0.0, 0.0]])[rng.integers(0, 4, m)]
+    on_slice = np.hstack([np.zeros((m, 1)), rng.integers(-8, 9, (m, 3)) / 4])
     n = rng.normal(size=(m, 3))
     n /= np.linalg.norm(n, axis=1, keepdims=True)
-    rounded = rng.uniform(0.1, 3, (m, 1)) * np.hstack([np.ones((m, 1)), n])
-    kind = rng.choice(3, (m, 1), p=[0.25, 0.5, 0.25])
-    X = np.where(kind == 0, at + exact, np.where(kind == 1, at + rounded,
-                                                  rng.uniform(-20, 20, (m, 4))))
-    last, found = _brackets(X, traj)
-    want_last, want_found = _brackets_oracle(X, traj)
-    assert np.array_equal(found, want_found) and np.array_equal(last, want_last)
-    assert last.dtype == want_last.dtype and found.dtype == bool
+    cone = np.hstack([np.ones((m, 1)), n])
+    rounded, far = rng.uniform(0.1, 3, (m, 1)) * cone, rng.uniform(20, 60, (m, 1)) * cone
+    kind = rng.choice(5, (m, 1), p=[0.2, 0.3, 0.2, 0.1, 0.2])
+    return np.choose(kind, [at + exact, at + rounded, rng.uniform(-20, 20, (m, 4)),
+                            at + on_slice, at + far])
+
+
+@pytest.mark.parametrize("m", [0, 5, 16, 37, 200])
+def test_brackets_are_bit_equal_to_the_unbuffered_search(m):
+    rising = Trajectory.uniform((1.0, 0.5, 0.0, 0.0), s_span=(-50, 50), n=201)
+    rng = np.random.default_rng(m)
+    # on the light cone of the first sample: before the second, with no root
+    # (and none read off a pair below the first sample); and so far after it
+    # that on the rising worldline the scan's last block starts at the second
+    # sample, with the root on the first pair
+    r = (_SCAN_BLOCK + 1.5) / 2
+    first = rising.gammas[0] + np.array([[0.25, 0.25, 0.0, 0.0], [r, 0.0, r, 0.0]])
+    for traj, near in ((rising, (0, 201)), (_falling_worldline(), (96, 112))):
+        X = np.vstack([_bracket_events(traj, rng, m, near), first])
+        last, found = _brackets(X, traj)
+        want_last, want_found = _brackets_oracle(X, traj)
+        assert np.array_equal(found, want_found) and np.array_equal(last, want_last)
+        assert last.dtype == want_last.dtype and found.dtype == bool
+        assert not found[-2] and found[-1] and last[-1] == 0
+        if traj is rising and m >= 37:
+            # some roots lie more than one block behind the last sample
+            # before x^0, where the scan starts
+            start = np.searchsorted(traj.gammas[:, 0], X[:m, 0]) - 1
+            assert (start - last[:m])[found[:m]].max() > _SCAN_BLOCK
 
 
 def test_worldline_singularity_is_uncovered():

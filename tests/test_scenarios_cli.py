@@ -710,7 +710,16 @@ def test_guiding_run_bytes_are_pinned(tmp_path, capsys):
                          "x0": [0, 0, 0, 0], "u0": [1, 0, 0, 0], "s_span": [0, 2],
                          "step": 0.01, "tolerance": 1e-9}, "trajectory.csv",
      ("4ff4c947c169257668c1562d88763f0c9841c6ecc0f57ff83b49c1078d22449b", 30965)),
-], ids=["free-ecd", "current-regularization", "classical-limit-sweep", "classical-orbit"])
+    ("conservation-audit", {
+        "worldlines": [{"u": [1.0, 0.2, 0.1, 0.0], "x0": [0.0, 0.05, -0.1, 0.03],
+                        "s_span": [-4, 4], "n": 401, "q": 1.0},
+                       {"u": [1.0, -0.1, 0.0, 0.3], "s_span": [-4, 4], "n": 401, "q": -0.7}],
+        "grid": {"origin": [-0.4, -1, -1, -1], "spacings": [0.2, 0.25, 0.25, 0.25],
+                 "extents": [5, 9, 9, 9]},
+        "tolerance": 1e-12}, "charges.csv",
+     ("310f10f02fe06fdde4beb40650750cbb2ea00acb46ad1acd8a4473e4efdb1467", 148)),
+], ids=["free-ecd", "current-regularization", "classical-limit-sweep", "classical-orbit",
+        "conservation-audit"])
 def test_scenario_bytes_are_pinned(kind, parameters, name, digest, tmp_path, capsys):
     """The consistency.csv digest was taken while hbar was still a parameter of
     the propagators, currents and pairs.  The profile.csv digest was retaken
@@ -740,13 +749,42 @@ def test_scenario_bytes_are_pinned(kind, parameters, name, digest, tmp_path, cap
     the central difference divides that by its 2e-3 span: the factor-1
     residual moved by 5.3e-14 relative and its recovery kept its bytes; at
     factor 0.5 the residual and the recovery moved by 7.8e-14 and 7.3e-14
-    absolute (3.0e-10 and 2.9e-10 relative)."""
+    absolute (3.0e-10 and 2.9e-10 relative).
+    The charges.csv digest was taken while csv.writer still formatted each
+    value on its own; it pins the integer slice column written as floats."""
     doc = {"schema_version": "1", "kind": kind, "parameters": parameters}
     cfg = write(tmp_path, doc)
     assert main(["run", cfg, "--out", str(tmp_path / "o"), "--workers", "1"]) == EXIT_OK
     capsys.readouterr()
     data = (tmp_path / "o" / name).read_bytes()
     assert (hashlib.sha256(data).hexdigest(), len(data)) == digest
+
+
+def _csv_writer_oracle(path, header, rows):
+    """The per-value writer that scenarios._write_csv replaced."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([repr(float(v)) if isinstance(v, (int, float, np.floating))
+                        else str(v) for v in row])
+
+
+_LONG = np.random.default_rng(4).standard_normal((2 * scenarios._CSV_BLOCK + 3, 3))
+
+
+@pytest.mark.parametrize("rows", [
+    [[math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2]],
+    [[0, -7, 2 ** 53 + 1, True, False, np.float32(0.1), np.float32(-3e38), 0.5]],
+    [], np.empty((0, 3)), [[1.5], [-2.0], [math.nan]], np.array([[2.5, 1e-300]]),
+    _LONG * np.logspace(-300, 300, len(_LONG))[:, None],
+], ids=["special", "ints-bools-float32", "no-rows", "no-rows-array", "one-column",
+        "one-row", "beyond-one-block"])
+def test_csv_writer_matches_the_per_value_writer(rows, tmp_path):
+    header = ["a", "b", "c"]
+    scenarios._write_csv(tmp_path / "new.csv", header, rows)
+    _csv_writer_oracle(tmp_path / "old.csv", header, rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_guiding_run_singular_later_stage_is_a_violent_event(tmp_path, capsys):
