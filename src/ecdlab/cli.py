@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 
 from .scenarios import (OUT_DIR_ENV, AccuracyFailure, NumericFailure,
-                        ScenarioValidationError, load_scenario, run_scenario,
-                        strict_json, validate_file)
+                        ScenarioValidationError, _load, _run, strict_json,
+                        validate_file)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -63,9 +64,10 @@ def main(argv=None) -> int:
         return EXIT_OK
 
     out_dir = args.out or os.environ.get(OUT_DIR_ENV) or "ecdlab-out"
-    try:
-        manifest = run_scenario(load_scenario(args.config, overrides=args.override),
-                                out_dir, workers=args.workers)
+    t0 = time.time()
+    try:     # load_scenario then run_scenario, with the one set-up that validated the config
+        scenario, prepared = _load(args.config, overrides=args.override)
+        manifest = _run(scenario, prepared, out_dir, t0)
     except ScenarioValidationError as exc:
         for d in exc.diagnostics:
             print(d, file=sys.stderr)

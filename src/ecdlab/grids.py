@@ -133,6 +133,21 @@ def fd_hessian(fun: Callable, z, h: float) -> np.ndarray:
     return H
 
 
+def _simpson(y, x) -> float:
+    """int y dx by composite Simpson's rule over an odd number of samples at
+    increasing, not necessarily even, x: scipy 1.17's integrate.simpson(y, x=x)
+    in its own order of operations, without importing scipy.integrate."""
+    y, x = np.asarray(y, dtype=float), np.asarray(x, dtype=float)
+    if y.size % 2 == 0:
+        raise ValueError(f"Simpson's rule needs an odd number of samples, not {y.size}")
+    h = np.diff(x)
+    h0, h1 = h[0::2], h[1::2]
+    hsum, hprod, h0divh1 = h0 + h1, h0 * h1, h0 / h1
+    return float(np.sum(hsum / 6.0 * (y[:-2:2] * (2.0 - 1.0 / h0divh1)
+                                      + y[1::2] * (hsum * (hsum / hprod))
+                                      + y[2::2] * (2.0 - h0divh1))))
+
+
 def grid_divergence(j: CurrentField) -> np.ndarray:
     """d_mu j^mu by central differences; boundary layer is NaN (excluded from norms)."""
     if any(n < 3 for n in j.grid.extents):

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .minkowski import METRIC, as_events, as_four, minkowski_dot
-from .grids import fd_hessian
+from .grids import _simpson, fd_hessian
 
 
 _HESSIAN_STEP = 1e-3       # coarse step of the Richardson mixed Hessian
@@ -327,8 +327,7 @@ def classical_path_bvp(F, xp, x, s: float, q: float) -> ClassicalPath:
         xdot = traj.gamma_dots[i]
         A = METRIC @ (-0.5 * F_lower @ traj.gammas[i])
         lag[i] = 0.5 * minkowski_dot(xdot, xdot) + q * minkowski_dot(A, xdot)
-    from scipy.integrate import simpson
-    I = float(simpson(lag, x=taus))
+    I = _simpson(lag, taus)
     return ClassicalPath(action=I, van_vleck=np.nan,
                          initial_velocity=traj.gamma_dots[0].copy(),
                          final_velocity=traj.gamma_dots[-1].copy())

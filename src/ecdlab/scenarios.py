@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import sys
 import time
 from dataclasses import dataclass
@@ -67,7 +68,8 @@ class AccuracyFailure(AssertionError):
 
 
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
-# no value meets it: as additionalProperties it fails each unknown key at its own path
+# no value meets it: as additionalProperties it fails each unknown key at its own
+# path (_walk reports "not a known key" there, as a JSON Schema validator would)
 _CLOSED = {"not": {}}
 
 
@@ -287,17 +289,22 @@ def strict_json(obj, **kwargs) -> str:
 
 
 def validate_config(doc) -> list:
-    """Diagnostics of a config document; an empty list means valid.  Past the
-    top-level schema, validation is the run's own set-up: see _prepare."""
-    diags = [f"kind: must be one of {', '.join(SCENARIO_KINDS)}" if path == "kind"
-             else f"{path}: {message}" for path, message in _schema_errors(_TOP_SCHEMA, doc)]
-    if diags:
-        return diags
+    """Diagnostics of a config document; an empty list means valid."""
     try:
-        _prepare(doc["kind"], doc["parameters"])
+        _set_up(doc)
     except ScenarioValidationError as exc:
         return exc.diagnostics
     return []
+
+
+def _set_up(doc) -> dict:
+    """The set-up of a config document: past the top-level schema, validation
+    is the run's own set-up (see _prepare).  Raises ScenarioValidationError."""
+    diags = [f"kind: must be one of {', '.join(SCENARIO_KINDS)}" if path == "kind"
+             else f"{path}: {message}" for path, message in _schema_errors(_TOP_SCHEMA, doc)]
+    if diags:
+        raise ScenarioValidationError(diags)
+    return _prepare(doc["kind"], doc["parameters"])
 
 
 def _prepare(kind, params) -> dict:
@@ -316,17 +323,70 @@ def _prepare(kind, params) -> dict:
     return _PREPARERS[kind](_with_defaults(params, _DEFAULTS[kind]))
 
 
+# the keywords _walk knows (it visits them in this order)
+_KEYWORDS = frozenset(("type", "enum", "minimum", "exclusiveMinimum", "minItems", "maxItems",
+                       "items", "required", "properties", "additionalProperties"))
+_TYPES = {"number": numbers.Number, "string": str, "array": list, "object": dict}
+
+
+def _is_type(instance, name) -> bool:
+    """JSON Schema 2020-12's type test: a bool is not a number, and 1.0 is an integer."""
+    if isinstance(instance, bool) and name in ("number", "integer"):
+        return False
+    if name == "integer":
+        return isinstance(instance, int) or isinstance(instance, float) and instance.is_integer()
+    return isinstance(instance, _TYPES[name])
+
+
+def _walk(schema, instance, path=()):
+    """Yield (path, message) of each error of instance under schema, in
+    jsonschema's wording.  A keyword outside _KEYWORDS raises, and so does a
+    value of one that the walker would misjudge or word differently: a type
+    other than one name of _TYPES or "integer", an enum member that is not a
+    string (True == 1 in Python) or a maxItems of 0 ("is expected to be empty")."""
+    unknown = schema.keys() - _KEYWORDS
+    if unknown:
+        raise ValueError(f"schema keywords {sorted(unknown)} are not validated")
+    if (schema.get("type", "integer") not in (*_TYPES, "integer") or schema.get("maxItems") == 0
+            or not all(isinstance(member, str) for member in schema.get("enum", ()))):
+        raise ValueError(f"schema {schema!r} has a type, enum or maxItems that is not validated")
+    if "type" in schema and not _is_type(instance, schema["type"]):
+        yield path, f"{instance!r} is not of type {schema['type']!r}"
+    if "enum" in schema and instance not in schema["enum"]:
+        yield path, f"{instance!r} is not one of {schema['enum']!r}"
+    if _is_type(instance, "number"):
+        if "minimum" in schema and instance < schema["minimum"]:
+            yield path, f"{instance!r} is less than the minimum of {schema['minimum']!r}"
+        if "exclusiveMinimum" in schema and instance <= schema["exclusiveMinimum"]:
+            yield path, (f"{instance!r} is less than or equal to the minimum of "
+                         f"{schema['exclusiveMinimum']!r}")
+    if isinstance(instance, list):
+        if len(instance) < schema.get("minItems", 0):
+            yield path, f"{instance!r} " + ("should be non-empty" if schema["minItems"] == 1
+                                            else "is too short")
+        if len(instance) > schema.get("maxItems", math.inf):
+            yield path, f"{instance!r} is too long"
+        for i, item in enumerate(instance if "items" in schema else ()):
+            yield from _walk(schema["items"], item, (*path, i))
+    if isinstance(instance, dict):
+        for key in schema.get("required", ()):
+            if key not in instance:
+                yield path, f"{key!r} is a required property"
+        known = schema.get("properties", {})
+        for key, sub in known.items():
+            if key in instance:
+                yield from _walk(sub, instance[key], (*path, key))
+        if "additionalProperties" in schema:
+            if schema["additionalProperties"] is not _CLOSED:
+                raise ValueError("additionalProperties other than _CLOSED is not validated")
+            yield from (((*path, key), "not a known key") for key in instance if key not in known)
+
+
 def _schema_errors(schema, instance, *prefix) -> list:
-    """(path, message) of each schema error of instance, in path order.
-
-    jsonschema is imported here, on the first validation: a process that only
-    imports ecdlab or calls the library does not pay for it."""
-    import jsonschema
-
-    errors = jsonschema.Draft202012Validator(schema).iter_errors(instance)
-    return [(".".join(map(str, (*prefix, *err.absolute_path))) or "<root>",
-             "not a known key" if err.schema is _CLOSED else err.message)
-            for err in sorted(errors, key=lambda e: list(e.absolute_path))]
+    """(path, message) of each schema error of instance, stably sorted by path."""
+    errors = sorted(_walk(schema, instance), key=lambda error: error[0])
+    return [(".".join(map(str, (*prefix, *path))) or "<root>", message)
+            for path, message in errors]
 
 
 def _float_overflows(obj, path) -> list:
@@ -384,6 +444,13 @@ def validate_file(path) -> list:
 
 
 def load_scenario(path, overrides=()) -> Scenario:
+    """The config at path, overrides applied, validated."""
+    return _load(path, overrides)[0]
+
+
+def _load(path, overrides=()) -> tuple:
+    """load_scenario's Scenario and the set-up (see _prepare) that validated
+    it, which _run takes, so that ecdlab run sets its config up once."""
     doc = _read_config(path)
     for key, raw in overrides:
         *parents, last = key.split(".")
@@ -396,10 +463,8 @@ def load_scenario(path, overrides=()) -> Scenario:
             node[last] = json.loads(raw)
         except json.JSONDecodeError:
             node[last] = raw
-    diags = validate_config(doc)
-    if diags:
-        raise ScenarioValidationError(diags)
-    return Scenario(kind=doc["kind"], parameters=doc["parameters"])
+    prepared = _set_up(doc)
+    return Scenario(kind=doc["kind"], parameters=doc["parameters"]), prepared
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +766,11 @@ def run_scenario(scenario: Scenario, out_dir, workers: Optional[int] = None) -> 
     (exit 2).  Every numeric error of the library is an ArithmeticError; those
     and LinAlgError become a NumericFailure (exit 3)."""
     t0 = time.time()
-    prepared = _prepare(scenario.kind, scenario.parameters)
+    return _run(scenario, _prepare(scenario.kind, scenario.parameters), out_dir, t0)
+
+
+def _run(scenario: Scenario, prepared: dict, out_dir, t0: float) -> RunManifest:
+    """run_scenario from scenario's set-up prepared, timed from t0."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:

@@ -1,3 +1,4 @@
+import copy
 import csv
 import hashlib
 import json
@@ -460,6 +461,8 @@ for cfg in cfgs.values():
 for kind in kinds:
     assert main(["run", cfgs[kind], "--out", out + "/" + kind, "--workers", "1"]) == 0
 print("scipy:", json.dumps(loaded()))
+assert main(["run", cfgs["current-regularization"], "--out", out + "/reg", "--workers", "1"]) == 0
+print("scipy:", json.dumps(loaded()))
 assert main(["run", cfgs["classical-limit-sweep"], "--out", out + "/sweep", "--workers", "1"]) == 0
 print("scipy:", json.dumps(loaded()))
 """ % (_SCIPY_PARTS,)
@@ -467,9 +470,10 @@ print("scipy:", json.dumps(loaded()))
 
 def test_kinds_that_call_no_scipy_do_not_import_it(tmp_path):
     """Start-up, validate of every kind and a run of each kind that calls no
-    scipy function load none of scipy's subpackages; a classical-limit-sweep
-    run loads scipy.linalg alone (the constant-field kernel's matrix
-    exponential), so the check can fail."""
+    scipy function load none of scipy's subpackages.  A current-regularization
+    run then loads scipy.special alone (the Fresnel moments; its Simpson smear
+    needs no scipy.integrate), and a classical-limit-sweep run scipy.linalg
+    (the constant-field kernel's matrix exponential), so the check can fail."""
     cfgs = {kind: write(tmp_path, valid_config(kind), f"{kind}.json") for kind in SCENARIO_KINDS}
     kinds = ["lw-field-map", "conservation-audit", "classical-orbit", "guiding-run", "free-ecd"]
     src = str(Path(scenarios.__file__).resolve().parents[1])
@@ -477,9 +481,9 @@ def test_kinds_that_call_no_scipy_do_not_import_it(tmp_path):
     proc = subprocess.run([sys.executable, "-c", probe, json.dumps(cfgs), str(tmp_path / "o"),
                            json.dumps(kinds)], capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    before, after = (json.loads(line[len("scipy:"):]) for line in proc.stdout.splitlines()
-                     if line.startswith("scipy:"))
-    assert before == [] and after == ["scipy.linalg"]
+    loaded = [json.loads(line[len("scipy:"):]) for line in proc.stdout.splitlines()
+              if line.startswith("scipy:")]
+    assert loaded == [[], ["scipy.special"], ["scipy.linalg", "scipy.special"]]
 
 
 _JSONSCHEMA_PROBE = """
@@ -496,21 +500,26 @@ ecd_electric_current(FreePhi((1, 0, 0, 0), 1.0, 0.05), None, grid, np.array([-0.
 loaded()
 assert main(["validate", sys.argv[1]]) == 0
 loaded()
+assert main(["run", sys.argv[1], "--out", sys.argv[2], "--workers", "1"]) == 0
+loaded()
+import jsonschema
+loaded()
 """
 
 
-def test_only_validation_imports_jsonschema(tmp_path):
-    """Start-up and a library computation with no config load no jsonschema;
-    validating a config does, so the check can fail."""
+def test_no_run_imports_jsonschema(tmp_path):
+    """Start-up, a library computation, validating a config and running it
+    load no jsonschema: ecdlab's own walker checks configs.  Importing it at
+    the end shows the probe would see it."""
     cfg = write(tmp_path, valid_config("free-ecd"), "free-ecd.json")
     src = str(Path(scenarios.__file__).resolve().parents[1])
     probe = f"import sys; sys.path.insert(0, {src!r})\n" + _JSONSCHEMA_PROBE
-    proc = subprocess.run([sys.executable, "-c", probe, cfg], capture_output=True, text=True,
-                          timeout=300)
+    proc = subprocess.run([sys.executable, "-c", probe, cfg, str(tmp_path / "o")],
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     loaded = [json.loads(line[len("jsonschema:"):]) for line in proc.stdout.splitlines()
               if line.startswith("jsonschema:")]
-    assert loaded == [False, False, True]
+    assert loaded == [False, False, False, False, True]
 
 
 class Computed(Exception):
@@ -553,6 +562,111 @@ def test_defaults_table_matches_the_schemas():
     assert set(scenarios._DEFAULTS) == set(SCENARIO_KINDS)
     for kind, schema in scenarios._PARAM_SCHEMAS.items():
         check(schema, scenarios._DEFAULTS[kind], kind)
+
+
+def _jsonschema_errors(schema, instance, *prefix):
+    """_schema_errors as jsonschema's Draft 2020-12 validator gives them."""
+    errors = jsonschema.Draft202012Validator(schema).iter_errors(instance)
+    return [(".".join(map(str, (*prefix, *err.absolute_path))) or "<root>",
+             "not a known key" if err.schema is scenarios._CLOSED else err.message)
+            for err in sorted(errors, key=lambda e: list(e.absolute_path))]
+
+
+# values of the wrong type, kind, sign or length for some key; 1e400 is how
+# JSON spells an infinite float
+_JUNK = st.one_of(
+    st.sampled_from([True, False, None, 0, 1, -1, 2, 10 ** 400, 1.0, 2.0, -0.0, 0.5, -2.5,
+                     1e400, -1e400, math.nan, "x", "1", "", {}, {"u": [1, 0, 0, 0]}]),
+    st.lists(st.sampled_from([0.0, 1, -1.0, 1.0, True, "x", None, [1.0]]), max_size=6))
+
+
+@st.composite
+def mutated_configs(draw):
+    """(kind, a config of kind with every optional key set, then given up to
+    four edits anywhere in it, the nested objects too: a key or item deleted,
+    an unknown key or an item added, or a value swapped for _JUNK)."""
+    kind = draw(st.sampled_from(SCENARIO_KINDS))
+    doc = valid_config(kind)
+    doc["parameters"] = json.loads(json.dumps(
+        scenarios._with_defaults(doc["parameters"], scenarios._DEFAULTS[kind])))
+    for _ in range(draw(st.integers(0, 4))):
+        nodes, stack = [], [doc]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (dict, list)):
+                nodes.append(node)
+                stack.extend(node.values() if isinstance(node, dict) else node)
+        node = draw(st.sampled_from(nodes))
+        keys = sorted(node) if isinstance(node, dict) else list(range(len(node)))
+        edit = draw(st.sampled_from(["delete", "add", "swap"] if keys else ["add"]))
+        junk = copy.deepcopy(draw(_JUNK))
+        if edit == "add" and isinstance(node, dict):
+            node[draw(st.sampled_from(["typo", "mass", "fd_step", "u", "n", "kind"]))] = junk
+        elif edit == "add":
+            node.append(junk)
+        elif edit == "delete":
+            del node[draw(st.sampled_from(keys))]
+        else:
+            node[draw(st.sampled_from(keys))] = junk
+    return kind, doc
+
+
+@given(case=mutated_configs())
+@example(case=("lw-field-map", {"schema_version": 1.0, "kind": [], "parameters": {
+    "worldline": {"u": [1, True, 0], "n": 1.0, "q": "x", "mass": 1},
+    "grid": {"origin": 1e400, "spacings": [0, -0.0, 1e400, -1], "extents": [1.0, 0, 0.5]}}}))
+@example(case=("free-ecd", ["a document", "that is not an object"]))
+@settings(max_examples=400, deadline=None)
+def test_schema_walker_matches_jsonschema(case):
+    """The walker gives jsonschema's (path, message) list, in its order, for
+    the top-level schema and for each kind's parameter schema."""
+    kind, doc = case
+    assert (scenarios._schema_errors(scenarios._TOP_SCHEMA, doc)
+            == _jsonschema_errors(scenarios._TOP_SCHEMA, doc))
+    if "parameters" in doc:
+        params, schema = doc["parameters"], scenarios._PARAM_SCHEMAS[kind]
+        assert (scenarios._schema_errors(schema, params, "parameters")
+                == _jsonschema_errors(schema, params, "parameters"))
+
+
+def test_schema_walker_rejects_keywords_it_does_not_check():
+    """A schema edit that the walker would skip raises instead."""
+    with pytest.raises(ValueError, match="maximum"):
+        scenarios._schema_errors({"type": "number", "maximum": 1}, 2)
+    with pytest.raises(ValueError, match="additionalProperties"):
+        scenarios._schema_errors({"type": "object", "additionalProperties": False}, {"a": 1})
+    for schema, instance in [({"type": "boolean"}, True), ({"type": "null"}, None),
+                             ({"type": ["number", "null"]}, 1.0),
+                             ({"type": "integer", "enum": [1, 2]}, True),
+                             ({"type": "array", "maxItems": 0}, [1])]:
+        with pytest.raises(ValueError, match="not validated"):
+            scenarios._schema_errors(schema, instance)
+
+
+@pytest.mark.parametrize("doc, code", [(lw_config(), EXIT_OK),
+                                       ({**lw_config(), "parameters": {"worldline": {}}},
+                                        EXIT_VALIDATION)], ids=["valid", "invalid"])
+def test_a_cli_run_sets_up_its_config_once(doc, code, tmp_path, monkeypatch, capsys):
+    """ecdlab run validates its config in the set-up that the run then uses."""
+    kinds, prepare = [], scenarios._prepare
+    monkeypatch.setattr(scenarios, "_prepare",
+                        lambda kind, params: kinds.append(kind) or prepare(kind, params))
+    assert main(["run", write(tmp_path, doc), "--out", str(tmp_path / "o"),
+                 "--workers", "1"]) == code
+    capsys.readouterr()
+    assert kinds == ["lw-field-map"]
+
+
+@pytest.mark.parametrize("doc", [{"schema_version": "1", "parameters": {}},
+                                 {"schema_version": "1", "kind": "free-ecd"},
+                                 [], "x"], ids=["no-kind", "no-parameters", "list", "string"])
+def test_a_cli_run_reports_a_config_without_kind_or_parameters(doc, tmp_path, capsys):
+    """ecdlab run checks the top-level schema before it reads kind and
+    parameters: each diagnostic of validate, and exit status 2."""
+    diags = validate_config(doc)
+    assert diags and all(d.startswith("<root>: ") for d in diags)
+    assert main(["run", write(tmp_path, doc), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines() == diags
 
 
 @pytest.mark.parametrize("kind, params, tolerances", [
@@ -897,6 +1011,11 @@ def guiding_configs(draw):
 
 
 @given(doc=guiding_configs())
+@example(doc={"schema_version": "1", "kind": "guiding-run", "parameters": {    # an RK4 probe
+    "packet": {"M_diag": [1.0, 461.0, 950.0, 1.0], "x0": [0.0, 0.0, 0.0, 0.0],  # solves to inf
+               "u": [0.0, -0.25, 1.1875, 0.0], "wobble_amp": [0.25, -0.61328125, 0.265625, 0.0],
+               "wobble_freq": 2.7421875},
+    "s_span": [0.0, 2.7421875], "steps": 2, "tolerance": 1.0}})
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_guiding_run_exit_codes_fuzz(doc, capsys):
