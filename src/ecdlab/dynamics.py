@@ -131,24 +131,29 @@ def step_count(s_span, step: float) -> int:
     return n_steps
 
 
-def _flow(K, t: float) -> np.ndarray:
-    """e^{K t} for K = [[0, I], [0, M]] by scaling and squaring a Taylor series.
+def _flow(M, t) -> np.ndarray:
+    """e^{K t} = [[I, t phi_1(M t)], [0, e^{M t}]] for K = [[0, I], [0, M]] and
+    each element of t (shape t.shape + (8, 8)), phi_1(Z) = (e^Z - I) Z^{-1}.
 
     (K t)^k = [[0, t (M t)^(k-1)], [0, (M t)^k]], so the series converges as
-    that of M t does, whatever t itself: t is halved j times until M t has
-    1-norm below 1, where the remainder of the degree-18 series is below
-    1/19! ~ 8e-18, and the result is squared j times.  A non-finite M t, or
+    that of M t does, whatever t itself: each t is halved j times until its
+    M t has 1-norm below 1, where the remainder of the degree-18 Taylor series
+    is below 1/19! ~ 8e-18, and its result is squared j times (Higham, SIAM J.
+    Matrix Anal. Appl. 26 (2005) 1179).  Every product is one matrix's, so an
+    element of a stack has the bits of its one-t call.  A non-finite M t, or
     one too large for the squarings to stay finite, gives non-finite entries
     rather than an error."""
-    A = K * t
-    j = max(0, int(np.frexp(np.abs(A[4:, 4:]).sum(axis=0).max())[1]))
-    B = np.ldexp(A, -j)
-    eye = np.eye(len(A))
-    E = eye
+    t = np.asarray(t, dtype=float)
+    K = np.block([[np.zeros((4, 4)), np.eye(4)], [np.zeros((4, 4)), M]])
+    A = K * t[..., None, None]
+    j = np.maximum(np.frexp(np.abs(A[..., 4:, 4:]).sum(axis=-2).max(axis=-1))[1], 0)
+    B = np.ldexp(A, -j[..., None, None])
+    E = eye = np.eye(8)
     for k in range(_TAYLOR_DEGREE, 0, -1):
         E = eye + (B @ E) / k
-    for _ in range(j):
-        E = E @ E
+    for i in range(j.max(initial=0)):
+        todo = j > i
+        E[todo] = E[todo] @ E[todo]
     return E
 
 
@@ -161,8 +166,8 @@ def integrate_worldline(initial, F, q: float, s_span,
     acting on y = (gamma, gamma_dot), so y(s0 + k h) = e^{K k h} y(s0) exactly
     (Schwinger's proper-time solution).  The samples are built by doubling:
     samples m .. 2m-1 are samples 0 .. m-1 propagated by e^{K m h}, for
-    m = 1, 2, 4, ...; each level's exponential is computed afresh, so sample k
-    carries the rounding of one exponential per binary digit of k.
+    m = 1, 2, 4, ...; one stacked call computes each level's exponential on its
+    own, so sample k carries the rounding of one per binary digit of k.
 
     Raises IntegrationBlowup at the first non-finite sample, and at s_span[1]
     when the sampled gamma_dot^2 drifts by more than cfg.tolerance or leaves
@@ -173,17 +178,13 @@ def integrate_worldline(initial, F, q: float, s_span,
     n_steps = step_count(s_span, cfg.step)
 
     h = cfg.step
-    K = np.zeros((8, 8))
-    K[:4, 4:] = np.eye(4)
     samples = np.empty((n_steps + 1, 8))
     samples[0] = y0
-    m = 1
+    levels = 2 ** np.arange(n_steps.bit_length())     # m = 1, 2, 4, ... <= n_steps
     with np.errstate(over="ignore", invalid="ignore"):
-        K[4:, 4:] = q * (F @ METRIC)
-        while m <= n_steps:
+        for m, flow in zip(levels, _flow(q * (F @ METRIC), levels * h)):
             k = min(m, n_steps + 1 - m)
-            samples[m:m + k] = samples[:k] @ _flow(K, m * h).T
-            m *= 2
+            samples[m:m + k] = samples[:k] @ flow.T
     s_vals = s0 + np.arange(n_steps + 1) * h
     s_vals[0] = s0                  # keeps a -0.0 start, which -0.0 + 0.0 would not
     finite = np.isfinite(samples).all(axis=1)

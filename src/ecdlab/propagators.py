@@ -25,6 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .minkowski import METRIC, as_events, as_four, minkowski_dot
+from .dynamics import _flow as expm
 from .grids import _simpson, fd_hessian
 
 
@@ -186,12 +187,6 @@ def delta_potential_propagator(x, xp, s: float) -> complex:
     return free_propagator(x, xp, s) + bounce
 
 
-def expm(a):
-    """scipy.linalg.expm, imported on the first call."""
-    from scipy.linalg import expm
-    return expm(a)
-
-
 def _mv(a, v):
     """a @ v for every vector of the stack v (..., n).  numpy rounds each
     product of the batch as it rounds the one-vector a @ v, where a single
@@ -210,20 +205,20 @@ def constant_field_action_provider(F, q: float = 1.0) -> ActionProvider:
     Gauge choice A_nu = -1/2 F_{nu mu} x^mu (so F = dA holds exactly).  The
     path solves d^2x/dtau^2 = M dx/dtau with M = q F^mu_nu, so its velocity is
     e^{M tau} v0 and x - x' = s phi_1(M s) v0 with phi_1(Z) = (e^Z - I) Z^{-1}
-    (Schwinger's proper-time solution, Phys. Rev. 82, 664 (1951)).  One
-    exponential of the 8x8 block [[M s, I], [0, 0]] gives e^{M s} (top left)
-    and phi_1(M s) (top right) without an eigendecomposition, so null fields
-    (|E| = |B|, E.B = 0) need no special case.  The action of the quadratic
-    Lagrangian is then
+    (Schwinger's proper-time solution, Phys. Rev. 82, 664 (1951)).  The
+    worldline flow e^{K s} of K = [[0, I], [0, M]] (expm) holds both: s
+    phi_1(M s) top right and e^{M s} bottom right, without an
+    eigendecomposition, so null fields (|E| = |B|, E.B = 0) need no special
+    case.  The action of the quadratic Lagrangian is then
 
         I = 1/4 (x - x').g.(e^{M s} + I) v0 - q/2 x^T F_low x',
 
     and grad_x is the endpoint canonical momentum g e^{M s} v0 + q A(x).
     The action broadcasts over the leading axes of x, x' and s: the
-    exponential depends on s alone, so a stack costs one exponential per s
-    (scipy loops over a stack of them) and one broadcast solve with a
-    right-hand side per event.  Every product is batched per event (see _mv),
-    so each element of a stack gets the bits of its one-event, one-s call.
+    exponential depends on s alone, so a stack costs one stacked exponential
+    over its s and one broadcast solve with a right-hand side per event.
+    Every product is batched per event (see _mv), so each element of a stack
+    gets the bits of its one-event, one-s call.
     """
     F = np.asarray(F, dtype=float)
     M0 = q * (F @ METRIC)                 # mixed tensor acting on velocities
@@ -233,16 +228,12 @@ def constant_field_action_provider(F, q: float = 1.0) -> ActionProvider:
         """(e^{M s}, v0) of the classical paths with x - x' = d (..., 4) in
         proper times s, which broadcast against the leading axes of d; v0 has
         their broadcast shape."""
-        s = np.asarray(s, dtype=float)[..., None, None]
-        block = np.zeros(s.shape[:-2] + (8, 8))
-        block[..., :4, :4] = M0 * s
-        block[..., :4, 4:] = np.eye(4)
-        E = expm(block)
+        E = expm(M0, s)
         try:
-            v0 = np.linalg.solve(s * E[..., :4, 4:], d[..., None])[..., 0]
+            v0 = np.linalg.solve(E[..., :4, 4:], d[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
             raise NoPathError("singular boundary-value map (caustic)") from exc
-        return E[..., :4, :4], v0
+        return E[..., 4:, 4:], v0
 
     def action(x, xp, s):
         x = as_events(x)

@@ -226,15 +226,10 @@ def test_criterion_07_scale_covariance(capsys):
     x = np.array([0.15, 0.3, -0.2, 0.1])
 
     def point_currents(phi, x, nodes, wts):
-        j = np.zeros(4)
-        b = np.zeros(4)
-        for s, wt in zip(nodes, wts):
-            v = phi.value(x, s)
-            dv = phi.ds(x, s)
-            D = covariant_derivative(phi, x, s, None, 1.0)
-            j += wt * np.imag(np.conj(v) * D)
-            b += wt * np.real(np.conj(dv) * D)
-        return j, b
+        jet = phi.jet(x, nodes)
+        D = covariant_derivative(phi, x, nodes, None, 1.0)
+        return (wts @ np.imag(np.conj(jet.value)[:, None] * D),
+                wts @ np.real(np.conj(jet.ds)[:, None] * D))
 
     j1, b1 = point_currents(phi1, x, nodes, w)
     j2, b2 = point_currents(phi2, lam * x, lam ** 2 * nodes, lam ** 2 * w)
