@@ -30,8 +30,7 @@ import numpy as np
 from .minkowski import METRIC, as_events, as_four, minkowski_dot
 from .dynamics import Trajectory
 from .grids import fd_grad, fd_hessian
-from .propagators import (constant_field_action_provider, free_propagator, _pref,
-                          _van_vleck_of_eigs)
+from .propagators import constant_field_propagator, free_propagator
 
 KAPPA_MAX = 1e8         # guiding-Hessian condition number that flags a violent event
 _PHASE_FD_STEP = 1e-3   # finite-difference step of classical_phase_gradient_check
@@ -397,8 +396,6 @@ def constant_field_pair(F, u0, calibration: EpsilonCalibration, q: float = 1.0,
     which passes the origin at s = 0 with velocity u0."""
     from .dynamics import IntegratorConfig, integrate_worldline
 
-    provider = constant_field_action_provider(F, q)
-    eigs = np.linalg.eigvals(q * (np.asarray(F, dtype=float) @ METRIC))
     span = max(abs(s_span[0]), abs(s_span[1]), 2 * calibration.s_max)
     cfg = IntegratorConfig(step=step, tolerance=1e-6)
     fwd = integrate_worldline((np.zeros(4), u0), F, q, (0.0, span), cfg)
@@ -417,12 +414,8 @@ def constant_field_pair(F, u0, calibration: EpsilonCalibration, q: float = 1.0,
     I_cum = _cumulative_trapezoid(lag, s)
     I_cum -= np.interp(0.0, s, I_cum)
 
-    def G(x, xp, sigma):
-        I = provider.action(x, xp, sigma)
-        return _pref(sigma) * _van_vleck_of_eigs(eigs, sigma) * np.exp(1j * I)
-
     ansatz = lambda sv: C * np.exp(1j * np.interp(sv, s, I_cum))
-    return EcdPair(traj, ansatz, G, calibration)
+    return EcdPair(traj, ansatz, constant_field_propagator(F, q), calibration)
 
 
 def classical_phase_gradient_check(pair: EcdPair, F, q: float, s_samples,

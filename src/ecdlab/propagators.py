@@ -121,43 +121,32 @@ def van_vleck(action: ActionProvider, x, xp, s: float) -> float:
     return float(np.sqrt(abs(det)))
 
 
-def _g(y) -> np.ndarray:
-    """g(y) = y^2 / (2 - 2 cosh y) elementwise; -> -1 as y -> 0 (2 - 2cosh y ~ -y^2)."""
-    y = np.asarray(y, dtype=complex)
-    small = np.abs(y) < 1e-3
-    safe = np.where(small, 1.0, y)
-    # series of (2 - 2 cosh y)/(-y^2) = 1 + y^2/12 + y^4/360 + ...
-    series = -1.0 / (1.0 + y ** 2 / 12.0 + y ** 4 / 360.0)
-    return np.where(small, series, safe ** 2 / (2.0 - 2.0 * np.cosh(safe)))
-
-
 def constant_field_van_vleck(F, s, q: float = 1.0):
-    """Closed-form prefactor s^{-2} |det g(qFs)|^{1/4} for a constant field,
-    elementwise over an array s.
-
-    g acts as a matrix function of the mixed tensor q F^mu_nu s, evaluated on
-    its (possibly complex) eigenvalues.  The eigenvalues come in +/- pairs and
-    each pair contributes one factor |g|^{1/2} to the prefactor, i.e. the
-    fourth root of the 4x4 determinant.  This is the version consistent with
-    the defining mixed-Hessian determinant of the exact quadratic action (and
-    with the familiar (w s/2)/sin(w s/2) magnetic kernel); taking the square
-    root of the full 4x4 determinant instead double-counts every pair.
-    """
-    M0 = q * (np.asarray(F, dtype=float) @ METRIC)
-    return _van_vleck_of_eigs(np.linalg.eigvals(M0), s)
-
-
-def _van_vleck_of_eigs(eigs, s):
-    """The prefactor from the eigenvalues of q F^mu_nu: those of q F s are s times
-    them.  Elementwise over an array s; np.power rounds a scalar as it rounds
-    the elements of an array, where the ** operator would not."""
-    s = np.asarray(s, dtype=float)
-    if np.any(s == 0):
+    """|det(-d_x d_x' I)|^{1/2} of the constant-field action, elementwise over
+    an array s.  The mixed Hessian is -g e^{M s} (s phi_1(M s))^{-1} (see
+    constant_field_action_provider), and g and e^{M s} (M is traceless) have
+    unit |det|, so this is |det s phi_1(M s)|^{-1/2}, read from the flow's
+    top-right block: s^{-2} (qEs/2) / sinh(qEs/2) for a pure E field and
+    s^{-2} |(qBs/2) / sin(qBs/2)| for a pure B field.  The block's condition
+    number grows as e^{|qEs|}, and the determinant's relative error with it."""
+    if np.any(np.asarray(s) == 0):
         raise ZeroDivisionError("prefactor singular at s = 0")
-    y = s[..., None] * eigs
-    if np.any(np.abs(np.real(y)) > 700):
-        raise OverflowError("cosh overflow: |q F s| too large")
-    return np.power(np.abs(np.prod(_g(y), axis=-1)), 0.25) / (s * s)
+    return _flow_van_vleck(_checked_flow(q * (np.asarray(F, dtype=float) @ METRIC), s))
+
+
+def _checked_flow(M0, s):
+    """The worldline flow e^{K s} (expm) of each element of s; raises
+    OverflowError where |q F s| is too large for it to stay finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = expm(M0, s)
+    if not np.isfinite(E).all():
+        raise OverflowError("worldline flow overflows: |q F s| too large")
+    return E
+
+
+def _flow_van_vleck(E):
+    """|det s phi_1(M s)|^{-1/2} from the top-right blocks of the flows E."""
+    return np.exp(-0.5 * np.linalg.slogdet(E[..., :4, 4:])[1])
 
 
 def semiclassical_propagator(paths: Sequence[ClassicalPath], s: float) -> complex:
@@ -199,6 +188,40 @@ def _dot(u, v):
     return (u[..., None, :] @ v[..., None])[..., 0, 0]
 
 
+def _constant_field_kernel(F, q):
+    """constant_field_action_provider's action, which also returns the flow
+    stack it read, and its grad_x."""
+    F = np.asarray(F, dtype=float)
+    M0 = q * (F @ METRIC)                 # mixed tensor acting on velocities
+    F_lower = METRIC @ F @ METRIC
+
+    def solve(d, s):
+        """(e^{K s}, v0) of the classical paths with x - x' = d (..., 4) in
+        proper times s, which broadcast against the leading axes of d; v0 has
+        their broadcast shape."""
+        E = _checked_flow(M0, s)
+        try:
+            v0 = np.linalg.solve(E[..., :4, 4:], d[..., None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise NoPathError("singular boundary-value map (caustic)") from exc
+        return E, v0
+
+    def action(x, xp, s):
+        x = as_events(x)
+        xp = as_events(xp)
+        d = x - xp
+        E, v0 = solve(d, s)
+        return (0.25 * _dot(d @ METRIC, _mv(E[..., 4:, 4:], v0) + v0)
+                - 0.5 * q * _dot(_mv(F_lower.T, x), xp)), E
+
+    def grad(x, xp, s):
+        x = as_four(x)
+        E, v0 = solve(x - as_four(xp), s)
+        return METRIC @ (E[..., 4:, 4:] @ v0) - 0.5 * q * (F_lower @ x)
+
+    return action, grad
+
+
 def constant_field_action_provider(F, q: float = 1.0) -> ActionProvider:
     """Closed-form boundary-value action for a constant field in the linear gauge.
 
@@ -218,37 +241,25 @@ def constant_field_action_provider(F, q: float = 1.0) -> ActionProvider:
     exponential depends on s alone, so a stack costs one stacked exponential
     over its s and one broadcast solve with a right-hand side per event.
     Every product is batched per event (see _mv), so each element of a stack
-    gets the bits of its one-event, one-s call.
+    gets the bits of its one-event, one-s call.  Where the flow leaves the
+    float range, both raise OverflowError.
     """
-    F = np.asarray(F, dtype=float)
-    M0 = q * (F @ METRIC)                 # mixed tensor acting on velocities
-    F_lower = METRIC @ F @ METRIC
+    action, grad = _constant_field_kernel(F, q)
+    return ActionProvider(lambda x, xp, s: action(x, xp, s)[0], grad)
 
-    def solve(d, s):
-        """(e^{M s}, v0) of the classical paths with x - x' = d (..., 4) in
-        proper times s, which broadcast against the leading axes of d; v0 has
-        their broadcast shape."""
-        E = expm(M0, s)
-        try:
-            v0 = np.linalg.solve(E[..., :4, 4:], d[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise NoPathError("singular boundary-value map (caustic)") from exc
-        return E[..., 4:, 4:], v0
 
-    def action(x, xp, s):
-        x = as_events(x)
-        xp = as_events(xp)
-        d = x - xp
-        eMs, v0 = solve(d, s)
-        return (0.25 * _dot(d @ METRIC, _mv(eMs, v0) + v0)
-                - 0.5 * q * _dot(_mv(F_lower.T, x), xp))
+def constant_field_propagator(F, q: float = 1.0) -> Callable:
+    """The exact constant-field kernel G(x, x'; s) = i sign(s) / (2 pi)^2
+    |det(-d_x d_x' I)|^{1/2} e^{i I}, broadcast as the action of
+    constant_field_action_provider; the action and the prefactor of one call
+    read one flow stack, and G raises as that action does."""
+    action, _ = _constant_field_kernel(F, q)
 
-    def grad(x, xp, s):
-        x = as_four(x)
-        eMs, v0 = solve(x - as_four(xp), s)
-        return METRIC @ (eMs @ v0) - 0.5 * q * (F_lower @ x)
+    def G(x, xp, s):
+        I, E = action(x, xp, s)
+        return _pref(s) * _flow_van_vleck(E) * np.exp(1j * I)
 
-    return ActionProvider(action, grad)
+    return G
 
 
 def hamilton_jacobi_residual(action: ActionProvider, A: Callable, x, xp, s: float,
@@ -311,14 +322,9 @@ def classical_path_bvp(F, xp, x, s: float, q: float) -> ClassicalPath:
         raise NoPathError(f"shooting did not converge; endpoint miss {np.abs(miss).max():g}")
 
     # action by Simpson quadrature of the Lagrangian along the path
-    taus = traj.s
-    lag = np.empty(taus.size)
-    F_lower = METRIC @ np.asarray(F, dtype=float) @ METRIC
-    for i in range(taus.size):
-        xdot = traj.gamma_dots[i]
-        A = METRIC @ (-0.5 * F_lower @ traj.gammas[i])
-        lag[i] = 0.5 * minkowski_dot(xdot, xdot) + q * minkowski_dot(A, xdot)
-    I = _simpson(lag, taus)
+    A_low = -0.5 * traj.gammas @ (METRIC @ np.asarray(F, dtype=float) @ METRIC).T
+    lag = np.einsum("ij,ij->i", traj.gamma_dots, 0.5 * traj.gamma_dots @ METRIC + q * A_low)
+    I = _simpson(lag, traj.s)
     return ClassicalPath(action=I, van_vleck=np.nan,
                          initial_velocity=traj.gamma_dots[0].copy(),
                          final_velocity=traj.gamma_dots[-1].copy())

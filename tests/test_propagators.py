@@ -1,12 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecdlab.minkowski import METRIC, AntisymTensor
-from ecdlab.propagators import (ActionProvider, ClassicalPath, NoPathError,
+from ecdlab.propagators import (ActionProvider, ClassicalPath, NoPathError, _pref,
                                 classical_path_bvp, constant_field_action_provider,
-                                constant_field_van_vleck, delta_potential_propagator,
+                                constant_field_propagator, constant_field_van_vleck,
+                                delta_potential_propagator,
                                 free_action_provider, free_propagator,
                                 gauge_transform_propagator,
                                 hamilton_jacobi_residual, semiclassical_propagator,
@@ -30,7 +33,7 @@ def test_free_propagator_singular_at_zero_s():
 
 
 def test_propagators_on_a_stack_equal_their_one_event_calls():
-    """The free kernel, both providers' actions and the constant-field Van
+    """Both kernels, both providers' actions and the constant-field Van
     Vleck factor broadcast over the leading axes of x, x' and s (here one
     worldline event x' per s against a (2, 3) stack of events x), and each
     element gets the bits of its own one-event, one-s call."""
@@ -40,7 +43,8 @@ def test_propagators_on_a_stack_equal_their_one_event_calls():
     XP = rng.uniform(-2.0, 2.0, size=(S.size, 4))
     F = np.asarray(AntisymTensor.from_fields((0.3, -0.1, 0.2), (0.1, 0.4, 0.0)))
     for fn in (free_propagator, free_action_provider().action,
-               constant_field_action_provider(F, q=1.3).action):
+               constant_field_action_provider(F, q=1.3).action,
+               constant_field_propagator(F, q=1.3)):
         got = fn(X, XP[:, None, None], S[:, None, None])
         assert got.shape == (S.size, 2, 3)
         np.testing.assert_array_equal(
@@ -52,15 +56,69 @@ def test_propagators_on_a_stack_equal_their_one_event_calls():
 
 
 def test_stacked_kernels_refuse_a_singular_or_overflowing_s():
-    """One bad s anywhere in a stack raises as its one-s call does."""
+    """One bad s anywhere in a stack raises as its one-s call does; where the
+    flow overflows, every constant-field kernel raises OverflowError without
+    a warning."""
     F = np.asarray(AntisymTensor.from_fields((0.3, 0.0, 0.0), (0.0, 0.0, 0.2)))
     S = np.array([[0.5, -1.0], [0.0, 2.0]])
     with pytest.raises(ZeroDivisionError):
         free_propagator(np.ones(4), np.zeros((2, 2, 4)), S)
     with pytest.raises(ZeroDivisionError):
         constant_field_van_vleck(F, S)
-    with pytest.raises(OverflowError):
-        constant_field_van_vleck(F, np.array([0.5, 1e4, -1.0]))
+    with pytest.raises(NoPathError):
+        constant_field_propagator(F)(np.ones(4), np.zeros((2, 2, 4)), S)
+    prov = constant_field_action_provider(F)
+    x, xp = np.array([1.1, 0.4, -0.3, 0.2]), np.zeros(4)
+    for kernel in (lambda s: constant_field_van_vleck(F, s),
+                   lambda s: prov.action(x, xp, s),
+                   lambda s: prov.grad_x(x, xp, s),
+                   lambda s: constant_field_propagator(F)(x, xp, s)):
+        for s in (1e4, np.array([0.5, 1e4, -1.0])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(OverflowError):
+                    kernel(s)
+
+
+def test_constant_field_propagator_reads_one_flow(monkeypatch):
+    """G is the sign factor times the Van Vleck prefactor times e^{i I}, bit
+    for bit, and the action and the prefactor of one call read one flow."""
+    import ecdlab.propagators as propagators
+
+    F = np.asarray(AntisymTensor.from_fields((0.3, -0.1, 0.2), (0.1, 0.4, 0.0)))
+    rng = np.random.default_rng(11)
+    X = rng.uniform(-2.0, 2.0, size=(2, 3, 4))
+    S = np.array([-0.7, 0.3, 1.9, -2.4, 0.05])[:, None, None]
+    XP = rng.uniform(-2.0, 2.0, size=(S.size, 1, 1, 4))
+    want = (_pref(S) * constant_field_van_vleck(F, S, q=1.3)
+            * np.exp(1j * constant_field_action_provider(F, q=1.3).action(X, XP, S)))
+    calls = []
+    expm = propagators.expm
+    monkeypatch.setattr(propagators, "expm", lambda *a: calls.append(1) or expm(*a))
+    got = constant_field_propagator(F, q=1.3)(X, XP, S)
+    assert got.shape == (S.size, 2, 3)
+    np.testing.assert_array_equal(got, want)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("axis, y_max", [("electric", 5.0), ("magnetic", 9.0)])
+def test_constant_field_van_vleck_matches_the_one_axis_closed_forms(axis, y_max):
+    """s^{-2} (qEs/2) / sinh(qEs/2) for a pure E, s^{-2} |(qBs/2) / sin(qBs/2)|
+    for a pure B, to 1e-13 relative over |qFs| from 1e-3, where 2 - 2 cosh(qFs)
+    cancels, to y_max, for both signs of s.  The flow's top-right block has
+    condition number ~e^{|qEs|}, so past |qEs| ~ 6 its determinant's error
+    outgrows the bound (2.9e-13 at 9)."""
+    q, field = 1.3, 0.4
+    y = np.geomspace(1e-3, y_max, 13)
+    s = np.concatenate([y, -y]) / (q * field)
+    if axis == "electric":
+        F = AntisymTensor.from_fields((field, 0.0, 0.0), (0.0, 0.0, 0.0))
+        closed = (q * field * s / 2) / np.sinh(q * field * s / 2) / s ** 2
+    else:
+        F = AntisymTensor.from_fields((0.0, 0.0, 0.0), (0.0, 0.0, field))
+        closed = np.abs((q * field * s / 2) / np.sin(q * field * s / 2)) / s ** 2
+    got = constant_field_van_vleck(np.asarray(F), s, q=q)
+    np.testing.assert_allclose(got, closed, rtol=1e-13, atol=0)
 
 
 def test_semiclassical_equals_free_for_straight_path():

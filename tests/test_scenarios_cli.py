@@ -818,7 +818,7 @@ def test_guiding_run_bytes_are_pinned(tmp_path, capsys):
      ("2dfa28ea493af5178a73e6cf8b4443feeddb084a3dfb989a7e79847fe813002f", 1536)),
     ("classical-limit-sweep", {"electric": [0.1, 0.0, 0.0], "factors": [1.0, 0.5],
                                "ratio_bound": 1.0}, "sweep.csv",
-     ("41eb89294a8a87c5c6d75a339d2a3e3c1c00b924a657b2777654dd3c93da81c9", 153)),
+     ("6449cd34afadebfc923859954bb2ea3f18c36263459557fb92d8e0d13f7133ab", 151)),
     ("classical-orbit", {"electric": [0.3, 0, 0], "magnetic": [0, 0, 0.2], "charge": 1,
                          "x0": [0, 0, 0, 0], "u0": [1, 0, 0, 0], "s_span": [0, 2],
                          "step": 0.01, "tolerance": 1e-9}, "trajectory.csv",
@@ -862,7 +862,16 @@ def test_scenario_bytes_are_pinned(kind, parameters, name, digest, tmp_path, cap
     the central difference divides that by its 2e-3 span: the factor-1
     residual moved by 5.3e-14 relative and its recovery kept its bytes; at
     factor 0.5 the residual and the recovery moved by 7.8e-14 and 7.3e-14
-    absolute (3.0e-10 and 2.9e-10 relative).
+    absolute (3.0e-10 and 2.9e-10 relative).  It was retaken once more (from
+    41eb8929..., 153 B to 151 B) when the constant-field Van Vleck prefactor
+    moved from a cosh closed form on the eigenvalues of qF to the determinant
+    of the flow's top-right block: over this E = 0.1 and the sweep's window
+    |s| <= 10 its worst error against a 40-digit evaluation fell from 7.4e-11
+    to 1.1e-15 relative.  The factor column kept its bytes; the residuals
+    moved by 1.5e-11 and 2.7e-10 relative and the velocity recoveries by
+    3.4e-10 and 4.1e-10: each is a difference of O(1) terms, taken by a
+    central difference over a 2e-3 span, so the prefactor's last-bit changes
+    grow by that much.
     The charges.csv digest was taken while csv.writer still formatted each
     value on its own; it pins the integer slice column written as floats."""
     doc = {"schema_version": "1", "kind": kind, "parameters": parameters}
