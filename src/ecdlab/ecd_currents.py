@@ -200,6 +200,8 @@ class FreePhi(PhiField):
         self.u = as_four(u)
         self.C = complex(C)
         self.epsilon = float(epsilon)
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
         self.x0 = as_four(x0)
         self.u2 = minkowski_dot(self.u, self.u)
 
@@ -208,7 +210,7 @@ class FreePhi(PhiField):
         a = xi^2 / 2 eps."""
         y = [cm - x0m for cm, x0m in zip(c, self.x0)]
         xi = [ym - um * s for ym, um in zip(y, self.u)]
-        return (y, xi, *_sinc(_sinc_arg(xi, self._scale())))
+        return (y, xi, *_sinc(sum(xm * (xm * g) for xm, g in zip(xi, self._scale()))))
 
     def _scale(self):
         """The factors g_mm / 2 eps of a = sum_m xi_m (xi_m g_mm / 2 eps)."""
@@ -253,27 +255,53 @@ class FreePhi(PhiField):
         """sum_n w_n S^2, then with_dS sum_n w_n s_n^k S'^2 for k = 0, 1, 2, at
         the events c (4, K): shape (4 or 1, K).
 
-        Each block of s-nodes works in (s-node x event) buffers made once per
-        call.  With a fresh set per block, whether glibc handed those pages
-        back to the kernel after each block depended on what the process had
-        allocated before: with only ecdlab and numpy loaded, the 1,080-event
-        wave-currents solve took 17,000 page faults and a third more time
-        (2-core x86-64 VM)."""
-        moments = np.zeros((4 if with_dS else 1, c.shape[1]))
-        step = max(1, _SUM_ELEMENTS // c.shape[1])
+        S = sin a / a and S' = (cos a - S) / a take sin a and cos a from unit
+        phasors, not from a sine of the assembled a: a = sum_m t_m with
+        t_m = xi_m (xi_m g_mm / 2 eps) and xi_m = y_m - u_m s, so
+        e^{ia} = prod_m e^{i t_m}.  The axes with u_m = 0 fold into one phasor
+        per event.  Each other axis has a table of e^{i t_m} over (s-node x
+        distinct y_m), gathered per event, so a sine of a large argument is
+        taken per table entry, not per (s-node x event).  In the light-cone
+        band |a| < 1, where a phasor's rounding divided by a small a would
+        grow, S and S' come from _sinc and _dsinc of a, series branch
+        included.  Blocks of _SUM_ELEMENTS (s-node x event) elements work in
+        three float, two complex and one bool buffer made once per call,
+        0.9 MB in all."""
+        n_events = c.shape[1]
+        moments = np.zeros((4 if with_dS else 1, n_events))
+        step = max(1, _SUM_ELEMENTS // n_events)
         y, scale = [cm - x0m for cm, x0m in zip(c, self.x0)], self._scale()
-        buffers = np.empty((5, min(step, s_nodes.size), c.shape[1]))
-        small_buffer = np.empty(buffers.shape[1:], dtype=bool)
+        moving = [m for m in range(4) if self.u[m] != 0.0] or [0]
+        rest = sum((y[m] * (y[m] * scale[m]) for m in range(4) if m not in moving),
+                   start=np.zeros(n_events))
+        rest_phase = np.exp(1j * rest)
+        tables = [(self.u[m], scale[m], *np.unique(y[m], return_inverse=True)) for m in moving]
+        shape = (min(step, s_nodes.size), n_events)
+        a_buf, sinc_buf, dS_buf = np.empty((3,) + shape)
+        phase_buf, gather_buf = np.empty((2,) + shape, dtype=complex)
+        band_buf = np.empty(shape, dtype=bool)
         for k in range(0, s_nodes.size, step):
             s, w = s_nodes[k:k + step], s_weights[k:k + step]
-            xi, a, *parts = buffers[:, :s.size]
-            xi_axes = (np.subtract(ym, um * s[:, None], out=xi) for ym, um in zip(y, self.u))
-            small, a_small, safe, sin_a, sinc = _sinc(_sinc_arg(xi_axes, scale, a, parts[0]),
-                                                      (*parts, small_buffer[:s.size]))
-            moments[0] += w @ np.multiply(sinc, sinc, out=sin_a)
+            a_out, phase_out, gather, sinc, dS2, band = (
+                b[:s.size] for b in (a_buf, phase_buf, gather_buf, sinc_buf, dS_buf, band_buf))
+            a, phase = rest, rest_phase
+            for um, gm, values, inverse in tables:
+                xi = values - um * s[:, None]
+                t = xi * (xi * gm)
+                # mode="clip": the default "raise" gathers into a temporary, not into out
+                a = np.add(a, np.take(t, inverse, axis=1, mode="clip", out=sinc), out=a_out)
+                phase = np.multiply(phase, np.take(np.exp(1j * t), inverse, axis=1, mode="clip",
+                                                   out=gather), out=phase_out)
+            # the band's elements by flat index; a = 1 there keeps the divisions finite
+            band = np.flatnonzero(np.less(np.abs(a, out=sinc), 1.0, out=band))
+            small, a_small, safe, _, band_sinc = _sinc(a.ravel()[band])
+            a.ravel()[band] = 1.0
+            np.divide(phase.imag, a, out=sinc).ravel()[band] = band_sinc
+            moments[0] += w @ np.multiply(sinc, sinc, out=dS2)
             if with_dS:
-                dS = _dsinc(small, a_small, safe, sinc, out=xi)
-                dS2 = np.multiply(dS, dS, out=dS)
+                dS = np.subtract(phase.real, sinc, out=dS2)
+                np.divide(dS, a, out=dS).ravel()[band] = _dsinc(small, a_small, safe, band_sinc)
+                np.multiply(dS, dS, out=dS2)
                 for out, ws in zip(moments[1:], (w, w * s, w * s * s)):
                     out += ws @ dS2
         return moments
@@ -310,37 +338,24 @@ class FreePhi(PhiField):
         return WaveJet(value, grad, ds, ds_grad)
 
 
-def _sinc_arg(xi, scale, a=None, term=None):
-    """a = sum_m xi_m (xi_m scale_m) over the axes xi, added in their order.
-    Into the buffers a and term when given (xi may then be one buffer that
-    each axis overwrites), else into new arrays, each term of its axis's shape."""
-    total = 0.0
-    for xm, g in zip(xi, scale):
-        total = np.add(total, np.multiply(xm, np.multiply(xm, g, out=term), out=term), out=a)
-    return total
-
-
-def _sinc(a, out=None):
+def _sinc(a):
     """(small, a_small, safe, sin_a, sinc) of a: the mask |a| < 1e-4 and a
     under it, where sinc and its derivatives take their Taylor series (exact
     to rounding there), a with 1 in its place (safe to divide by), sin of that
-    and sinc a.  Into out = (safe, sin_a, sinc, small), buffers of a's shape,
-    when given."""
-    safe, sin_a, sinc, small = out if out is not None else (*np.empty((3,) + a.shape),
-                                                            np.empty(a.shape, dtype=bool))
-    np.less(np.abs(a, out=safe), 1e-4, out=small)
-    np.copyto(safe, a)
-    safe[small] = 1.0
-    np.divide(np.sin(safe, out=sin_a), safe, out=sinc)
+    and sinc a."""
+    small = np.abs(a) < 1e-4
+    safe = np.where(small, 1.0, a)
+    sin_a = np.sin(safe)
+    sinc = sin_a / safe
     a_small = a[small]
     sinc[small] = 1.0 - a_small * a_small / 6.0
     return small, a_small, safe, sin_a, sinc
 
 
-def _dsinc(small, a_small, safe, sinc, out=None):
+def _dsinc(small, a_small, safe, sinc):
     """S' = (cos a - S) / a for _sinc's parts, by its Taylor series where
-    |a| < 1e-4; into out when given."""
-    dS = np.cos(safe, out=out)
+    |a| < 1e-4."""
+    dS = np.cos(safe)
     dS -= sinc
     dS /= safe
     dS[small] = a_small * (a_small * a_small / 30.0 - 1.0 / 3.0)
@@ -542,7 +557,7 @@ def s_panels(s_range, epsilon: float):
 # s-nodes per jet evaluation in PhiField._s_sums
 _S_CHUNK = 8
 # (s-node x event) elements per block of the free wave's sinc moments
-_SUM_ELEMENTS = 1 << 16
+_SUM_ELEMENTS = 1 << 14
 
 
 def _potential(A: Optional[Callable], x, q: float):

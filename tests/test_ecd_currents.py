@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
+from ecdlab import ecd_currents
 from ecdlab.dynamics import Trajectory
 from ecdlab.ecd_core import calibrate
 from ecdlab.ecd_currents import (ConjugatedPhi, FreePhi, GaugeShiftedPhi,
@@ -271,13 +272,14 @@ def sums_grid():
                      extents=(3, 4, 2, 5))
 
 
-def light_cone_nodes(wave, grid, count):
-    """An s-node on the light cone of each of count grid events: there
-    a = xi^2 / 2 eps vanishes to rounding, in sinc's series branch."""
+def light_cone_nodes(wave, grid, count, a=0.0):
+    """An s-node where a = xi^2 / 2 eps takes the value a at each of count
+    grid events.  At a = 0 they lie on the light cone, where a vanishes to
+    rounding, in sinc's series branch."""
     pts = grid.points().reshape(-1, 4)
     y = pts[np.linspace(0, pts.shape[0] - 1, count).astype(int)] - wave.x0
     uy, y2, u2 = y @ (MD * wave.u), (y * y) @ MD, wave.u @ (MD * wave.u)
-    return (uy + np.sqrt(uy * uy - u2 * y2)) / u2
+    return (uy + np.sqrt(uy * uy - u2 * (y2 - 2.0 * wave.epsilon * a))) / u2
 
 
 @pytest.mark.parametrize("name", ["free", "gaussian"])
@@ -301,6 +303,95 @@ def test_closed_form_sums_match_the_jet_derived_default(name):
     for key, shape in _BILINEARS.items():
         assert got[key].shape == want[key].shape == shape + (120,), key
         assert np.abs(got[key] - want[key]).max() <= 1e-13 * np.abs(want[key]).max(), key
+
+
+def direct_sine_moments(wave, c, s_nodes, s_weights, with_dS):
+    """The free wave's sinc moments from one sine and one cosine of the
+    assembled a per (s-node x event), 64 s-nodes at a time."""
+    moments = np.zeros((4 if with_dS else 1, c.shape[1]))
+    y = c - wave.x0[:, None]
+    for k in range(0, s_nodes.size, 64):
+        s, w = s_nodes[k:k + 64], s_weights[k:k + 64]
+        xi = y[:, None, :] - wave.u[:, None, None] * s[:, None]
+        a = sum(xm * (xm * (g / (2.0 * wave.epsilon))) for xm, g in zip(xi, MD))
+        small = np.abs(a) < 1e-4
+        safe = np.where(small, 1.0, a)
+        S = np.where(small, 1.0 - a * a / 6.0, np.sin(safe) / safe)
+        dS = np.where(small, a * (a * a / 30.0 - 1.0 / 3.0), (np.cos(safe) - S) / safe)
+        moments[0] += w @ (S * S)
+        if with_dS:
+            for out, ws in zip(moments[1:], (w, w * s, w * s * s)):
+                out += ws @ (dS * dS)
+    return moments
+
+
+def sinc_moment_case(name):
+    """(wave, events (4, K), s-nodes, weights) of a test_sinc_moments case."""
+    if name == "rest-frame":    # wave-currents' free j on a shifted grid
+        wave = FreePhi((1, 0, 0, 0), 1.0, EPS)
+        grid = EventGrid(origin=(-0.4, -0.364, -0.382, -0.369),
+                         spacings=(0.2, 0.15, 0.15, 0.15), extents=(5, 6, 6, 6))
+        s, w = s_panels((-8.0, 8.0), EPS)
+    else:
+        wave = (FreePhi((1.2, 0.4, 0.0, -0.3), 0.8 + 0.3j, EPS, x0=(0.1, 0.0, -0.05, 0.02))
+                if name == "one-zero-axis" else jet_reference_waves()["free"])
+        grid = sums_grid()
+        if name == "band-edges":
+            s = np.concatenate([light_cone_nodes(wave, grid, 4, a)
+                                for a in (0.0, 1.0 - 1e-6, 1.0 + 1e-6)])
+        else:
+            s = np.linspace(-1.3, 2.1, 13)
+        w = np.random.default_rng(17).uniform(0.1, 0.3, s.size)
+    return wave, grid.points().reshape(-1, 4).T, s, w
+
+
+@pytest.mark.parametrize("name", ["rest-frame", "boosted", "one-zero-axis", "band-edges"])
+def test_sinc_moments_match_the_direct_sine(name):
+    """The moments from per-axis phases equal those from a sine of the
+    assembled a: at |a| up to ~700, with all four u_m nonzero, with one
+    zero, and on the light cone and either side of the band edge |a| = 1."""
+    wave, c, s, w = sinc_moment_case(name)
+    xi = c[:, None, :] - wave.x0[:, None, None] - wave.u[:, None, None] * s[:, None]
+    a = np.abs(np.einsum("m,mnk,mnk->nk", MD, xi, xi)) / (2.0 * EPS)
+    if name == "rest-frame":
+        assert a.max() > 600.0
+    elif name == "boosted":
+        assert np.all(wave.u != 0.0)
+    elif name == "one-zero-axis":
+        assert np.sum(wave.u == 0.0) == 1
+    else:
+        assert (a < 1e-4).sum() >= 4
+        assert ((a > 1.0 - 1e-5) & (a < 1.0)).sum() >= 4
+        assert ((a > 1.0) & (a < 1.0 + 1e-5)).sum() >= 4
+    for with_dS in (False, True):
+        got = wave._sinc_moments(c, s, w, with_dS)
+        want = direct_sine_moments(wave, c, s, w, with_dS)
+        assert got.shape == want.shape == (4 if with_dS else 1, c.shape[1])
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), with_dS
+
+
+@pytest.mark.parametrize("name", ["rest-frame", "boosted", "one-zero-axis"])
+def test_sinc_moments_permute_with_their_events(name, monkeypatch):
+    """Each event's moments come from its own columns of the per-axis tables,
+    so permuting the events permutes the moments.  A block's matrix-vector
+    s-sum may round a column by its position; with one s-node per block the
+    blocks add element by element, and the permutation holds bit for bit."""
+    wave, c, s, w = sinc_moment_case(name)
+    perm = np.random.default_rng(29).permutation(c.shape[1])
+    for with_dS in (False, True):
+        got = wave._sinc_moments(c[:, perm], s, w, with_dS)
+        want = wave._sinc_moments(c, s, w, with_dS)[:, perm]
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), with_dS
+    monkeypatch.setattr(ecd_currents, "_SUM_ELEMENTS", 1)
+    for with_dS in (False, True):
+        assert np.array_equal(wave._sinc_moments(c[:, perm], s, w, with_dS),
+                              wave._sinc_moments(c, s, w, with_dS)[:, perm]), with_dS
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -0.05, np.inf, np.nan])
+def test_free_phi_rejects_a_bad_epsilon(epsilon):
+    with pytest.raises(ValueError, match="epsilon"):
+        FreePhi((1, 0, 0, 0), 1.0, epsilon)
 
 
 def conj_dot(w, f, D, imag):
