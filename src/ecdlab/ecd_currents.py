@@ -728,10 +728,14 @@ def _fresnel_moments(beta, n_max: int):
     K_-(sqrt(2 beta))) with the modified Fresnel integral K_- (Abramowitz &
     Stegun 7.3), whose phase comes from beta itself rather than a rounded
     argument; parts integration then raises n:
-    I_n = (i / 2 beta) [2^{n-1/2} e^{-2i beta} - (2n-1) I_{n-1}].  That
-    recursion loses digits as beta -> 0, so below _SERIES_BETA the power series
-    I_n = sum_m (-i beta)^m / m! 2^{n+m+1/2} / (2n+2m+1) is summed instead.
-    Returns shape (n_max + 1,) + beta.shape.
+    I_n = (i / 2 beta) [2^{n-1/2} e^{-2i beta} - (2n-1) I_{n-1}].  K_- is
+    _modfresnel_k, a numpy port of routine FFK of Zhang & Jin, Computation of
+    Special Functions (1996), the routine behind scipy.special.modfresnelm,
+    and equals scipy's value bit for bit.  The recursion loses digits as
+    beta -> 0, so below _SERIES_BETA the power series
+    I_n = sum_m (-i beta)^m / m! 2^{n+m+1/2} / (2n+2m+1) is summed instead;
+    _SERIES_BETA = 1.125 puts that switch at FFK's own x = sqrt(2 beta) = 1.5
+    boundary.  Returns shape (n_max + 1,) + beta.shape.
     """
     beta = np.asarray(beta, dtype=float)
     out = np.empty((n_max + 1,) + beta.shape, dtype=complex)
@@ -743,16 +747,101 @@ def _fresnel_moments(beta, n_max: int):
         acc += term / (2 * n + 2 * m + 1)
         term = term * z / (m + 1)
     out[:, small] = 2.0 ** (n + 0.5) * acc
-    from scipy.special import modfresnelm
     b = beta[~small]
     phase = np.exp(-2j * b)
     moment = (np.sqrt(np.pi / b) * np.exp(-0.25j * np.pi)
-              * (0.5 - phase * modfresnelm(np.sqrt(2.0 * b))[1]))
+              * (0.5 - phase * _modfresnel_k(np.sqrt(2.0 * b))))
     out[0, ~small] = moment
     for k in range(1, n_max + 1):
         moment = 0.5j / b * (2.0 ** (k - 0.5) * phase - (2 * k - 1) * moment)
         out[k, ~small] = moment
     return out
+
+
+# FFK's constants as its source spells them (PP2 is sqrt(pi/2) to 13 digits)
+_FFK_PI = 3.141592653589793
+_FFK_PP2 = 1.2533141373155
+_FFK_P2P = 0.7978845608028654
+_FFK_EPS = 1e-15
+
+
+def _modfresnel_k(x):
+    """K_-(x) = pi^{-1/2} e^{i(x^2 + pi/4)} F_-(x) for x > 0 (Abramowitz &
+    Stegun 7.3): routine FFK with ks = 1 (Zhang & Jin 1996), each region of x
+    vectorised with FFK's operations in FFK's order, so it equals
+    scipy.special.modfresnelm(x)[1] to the bit.  A NaN gives NaN."""
+    x = np.asarray(x, dtype=float)
+    xa = np.abs(x)
+    x2 = x * x
+    x4 = x2 * x2
+    c1, s1 = np.empty_like(xa), np.empty_like(xa)
+    series, miller = xa <= 2.5, (xa > 2.5) & (xa < 5.5)
+    asymptotic = ~(series | miller)                 # x >= 5.5, and NaN
+    a, a4 = xa[series], x4[series]
+    c1[series] = _ffk_series(_FFK_P2P * a, a4, (-3.0, -1.0, 1.0))
+    s1[series] = _ffk_series(_FFK_P2P * a * a * a / 3.0, a4, (-1.0, 1.0, 3.0))
+    c1[miller], s1[miller] = _ffk_miller(xa[miller], x2[miller])
+    c1[asymptotic], s1[asymptotic] = _ffk_asymptotic(xa[asymptotic], x2[asymptotic],
+                                                     x4[asymptotic])
+    fr = _FFK_PP2 * (0.5 - c1)
+    fi0 = _FFK_PP2 * (0.5 - s1)
+    xp = x2 + _FFK_PI / 4.0
+    cs, ss = np.cos(xp), np.sin(xp)
+    xq2 = 1.0 / np.sqrt(_FFK_PI)
+    return xq2 * (fr * cs + fi0 * ss) + 1j * (xq2 * (fr * ss - fi0 * cs))
+
+
+def _ffk_series(first, x4, shifts):
+    """FFK's power series for x <= 2.5: term k is term k-1 times
+    -(4k + p) x^4 / (2 k (2k + q) (4k + r)) for shifts (p, q, r); each element
+    stops at its own first term below 1e-15 of its sum."""
+    p, q, r = shifts
+    term, total = first, first
+    going = np.ones(first.shape, dtype=bool)
+    for k in range(1, 51):
+        if not going.any():
+            break
+        term = np.where(going, -0.5 * term * (4.0 * k + p) / k / (2.0 * k + q)
+                        / (4.0 * k + r) * x4, term)
+        total = np.where(going, total + term, total)
+        going &= ~(np.abs(term / total) < _FFK_EPS)
+    return total
+
+
+def _ffk_miller(xa, x2):
+    """FFK's Miller backward recurrence for 2.5 < x < 5.5, each element
+    started at its own m = int(42 + 1.75 x^2)."""
+    m = (42 + 1.75 * x2).astype(int)
+    xc, xs, xsu, xf1 = (np.zeros_like(xa) for _ in range(4))
+    xf0 = np.full_like(xa, 1e-100)
+    for k in range(int(m.max(initial=0)), -1, -1):
+        on = k <= m
+        xf = np.where(on, (2.0 * k + 3.0) * xf0 / x2 - xf1, xf0)
+        if k % 2 == 0:
+            xc = np.where(on, xc + xf, xc)
+        else:
+            xs = np.where(on, xs + xf, xs)
+        xsu = np.where(on, xsu + (2.0 * k + 1.0) * xf * xf, xsu)
+        xf1 = np.where(on, xf0, xf1)
+        xf0 = xf
+    xw = _FFK_P2P * xa / np.sqrt(xsu)
+    return xc * xw, xs * xw
+
+
+def _ffk_asymptotic(xa, x2, x4):
+    """FFK's 12-term asymptotic sums for x >= 5.5."""
+    xr = xf = 1.0
+    for k in range(1, 13):
+        xr = -0.25 * xr * (4.0 * k - 1.0) * (4.0 * k - 3.0) / x4
+        xf = xf + xr
+    xr = xg = 1.0 / (2.0 * xa * xa)
+    for k in range(1, 13):
+        xr = -0.25 * xr * (4.0 * k + 1.0) * (4.0 * k - 1.0) / x4
+        xg = xg + xr
+    sn, cs = np.sin(x2), np.cos(x2)
+    root = np.sqrt(2.0 * _FFK_PI)
+    return (0.5 + (xf * sn - xg * cs) / root / xa,
+            0.5 - (xf * cs + xg * sn) / root / xa)
 
 
 def _profile(moments, coeffs):
@@ -844,9 +933,12 @@ def mass_truncation_tail(C, s_range) -> float:
 
 
 def radial_smear(fn, r0, width):
-    """Average fn over [r0 - width/2, r0 + width/2] (Simpson)."""
-    rs = np.linspace(r0 - width / 2.0, r0 + width / 2.0, _SMEAR_POINTS)
-    return _simpson(np.asarray(fn(rs), dtype=float).ravel(), rs) / width
+    """Average fn over [r0 - width/2, r0 + width/2] (Simpson) for each of the
+    centres r0, with one call of fn on the (len(r0), _SMEAR_POINTS) samples."""
+    r0 = np.asarray(r0, dtype=float)
+    rs = np.linspace(r0 - width / 2.0, r0 + width / 2.0, _SMEAR_POINTS, axis=-1)
+    ys = np.asarray(fn(rs), dtype=float).reshape(rs.shape)
+    return np.array([_simpson(y, r) / width for y, r in zip(ys, rs)])
 
 
 def fit_loglog_slope(r, values):
@@ -888,7 +980,7 @@ def smeared_remainder(C, cal: EpsilonCalibration, q: float, rs, width):
     of the given width around each of rs."""
     def remainder(r):
         return free_charge_j0(r, (1, 0, 0, 0), C, cal, q) - charge_tail(r, C, cal, q)
-    return np.array([radial_smear(remainder, r, width) for r in rs])
+    return radial_smear(remainder, rs, width)
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,35 @@ def test_profile_kernel_keeps_the_callers_errstate():
         charge_profile_shape([np.inf])
 
 
+def test_modified_fresnel_k_is_scipys_to_the_bit():
+    """The numpy port of FFK is scipy.special.modfresnelm's K_- bit for bit:
+    on a dense grid, at random sqrt(2 beta) over the recursion's beta range,
+    and at the edges of FFK's three regions.  A NaN gives NaN, as in scipy."""
+    from scipy.special import modfresnelm
+    edges = [2.5, np.nextafter(2.5, 3.0), np.nextafter(5.5, 0.0), 5.5]
+    betas = np.random.default_rng(29).uniform(1.125, 8000.0, 200_000)
+    for x in (np.linspace(1.5, 120.0, 200_001), np.sqrt(2.0 * betas), np.array(edges)):
+        assert np.array_equal(ecd_currents._modfresnel_k(x), modfresnelm(x)[1])
+    assert np.isnan(ecd_currents._modfresnel_k(np.array([np.nan]))).all()
+    assert np.isnan(modfresnelm(np.nan)[1])
+
+
+def test_radial_smear_takes_one_call_for_all_centres():
+    """An array of centres is smeared with one call of fn, and each row is
+    the smear of its centre alone, bit for bit."""
+    calls = []
+
+    def fn(r):
+        calls.append(np.shape(r))
+        return np.cos(r ** 2 / EPS) / r ** 4
+
+    centres, width = np.geomspace(0.5, 9.0, 14), 2.0 * np.sqrt(EPS)
+    smeared = ecd_currents.radial_smear(fn, centres, width)
+    assert calls == [(14, 81)]
+    alone = [ecd_currents.radial_smear(fn, [r], width)[0] for r in centres]
+    assert np.array_equal(smeared, alone)
+
+
 def test_charge_profile_input_validation():
     cal = calibrate(EPS)
     with pytest.raises(ValueError):
