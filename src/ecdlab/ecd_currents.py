@@ -947,7 +947,9 @@ def fit_loglog_slope(r, values):
     v = np.abs(np.asarray(values, dtype=float))
     if np.any(v == 0):          # a profile that underflowed: a numeric failure
         raise FloatingPointError("cannot fit a power law through zero values")
-    coef = np.polyfit(np.log(r), np.log(v), 1)
+    coef, _, rank, _, _ = np.polyfit(np.log(r), np.log(v), 1, full=True)
+    if rank < 2:                # radii a few ulps apart: polyfit's RankWarning
+        raise FloatingPointError("the fit radii are too close together for a slope")
     return float(coef[0]), float(coef[1])
 
 

@@ -30,6 +30,7 @@ from .ecd_core import (EcdPair, calibrate, classical_phase_gradient_check,
 from .ecd_currents import (SMEAR_WIDTH_X, TAIL_WINDOW_X, charge_tail,
                            divergent_coefficient, fit_loglog_slope, fit_radii,
                            free_charge_j0, smeared_remainder)
+from .floattext import csv_rows
 
 SCHEMA_VERSION = "1"
 OUT_DIR_ENV = "ECDLAB_OUT_DIR"
@@ -470,25 +471,28 @@ def _load(path, overrides=()) -> tuple:
 # ---------------------------------------------------------------------------
 # CSV helpers: repr() round-trips doubles exactly
 
-# Rows per formatted block: only one block's Python floats and text are alive
-# at a time.  On cli-suite (seed 11; its trajectory.csv has 10,001 rows) peak
-# RSS read 49.4 MB in blocks of 2,048 rows and 57.3 MB in one block.
-_CSV_BLOCK = 2048
+# Values per formatted block: only one block's arrays, about 240 bytes a
+# value, are alive at a time.  At seed 11, peak RSS of cli-suite (whose
+# trajectory.csv has 10,001 rows of 10 values) read 45.5 MB in blocks of
+# 4,096 values and 46.1 MB in blocks of 8,192, against 46.6 MB for the
+# list-repr writer of earlier versions; lw-map (fields.csv, 432 rows of 14)
+# read 41.4 MB, 41.7 MB and 41.3 MB.
+_CSV_BLOCK = 4096
 
 
 def _write_csv(path, header, rows):
     """header, then one CRLF line per row of numbers (an array or nested
     sequences; no caller writes anything else), each as repr(float(v)).
 
-    Formatting a list calls float.__repr__ from C, so each block of rows is
-    one repr, its brackets and spaces replaced by commas and line ends: the
-    bytes csv.writer wrote value by value."""
+    floattext.csv_rows lays out each block of rows at once in numpy, from
+    Schubfach's shortest digits: byte for byte what repr and csv.writer give
+    value by value."""
     table = np.asarray(rows, dtype=float)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for start in range(0, len(table), _CSV_BLOCK):
-            text = repr(table[start:start + _CSV_BLOCK].tolist())[2:-2]
-            fh.write(text.replace("], [", "\r\n").replace(", ", ",") + "\r\n")
+    step = max(1, _CSV_BLOCK // max(1, table.shape[-1]))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        for start in range(0, len(table), step):
+            fh.write(csv_rows(table[start:start + step]))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -891,6 +892,11 @@ def _csv_writer_oracle(path, header, rows):
 
 
 _LONG = np.random.default_rng(4).standard_normal((2 * scenarios._CSV_BLOCK + 3, 3))
+_POWERS_OF_TWO = np.ldexp(1.0, np.arange(-1074, 1024))
+
+
+def _rows_of_8(values):
+    return np.resize(np.asarray(values, dtype=float), (-(-len(values) // 8), 8))
 
 
 @pytest.mark.parametrize("rows", [
@@ -898,13 +904,39 @@ _LONG = np.random.default_rng(4).standard_normal((2 * scenarios._CSV_BLOCK + 3, 
     [[0, -7, 2 ** 53 + 1, True, False, np.float32(0.1), np.float32(-3e38), 0.5]],
     [], np.empty((0, 3)), [[1.5], [-2.0], [math.nan]], np.array([[2.5, 1e-300]]),
     _LONG * np.logspace(-300, 300, len(_LONG))[:, None],
+    # every kind of double: random bit patterns (NaNs among them),
+    # both neighbours of each power of two, and each side of the switches
+    # between fixed and exponent form
+    _rows_of_8(np.random.default_rng(30).integers(0, 2 ** 64, 200_000, dtype=np.uint64)
+               .view(float)),
+    _rows_of_8(np.concatenate([np.nextafter(_POWERS_OF_TWO, 0), _POWERS_OF_TWO,
+                               np.nextafter(_POWERS_OF_TWO, math.inf)])),
+    _rows_of_8([float(f"1e{e}") for e in range(-323, 309)]),
+    [[9999999999999998.0, 1e16, 1e-4, 1e-5, 2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 53 + 2,
+      -math.nan, 5e-324, 2.2250738585072014e-308]],
 ], ids=["special", "ints-bools-float32", "no-rows", "no-rows-array", "one-column",
-        "one-row", "beyond-one-block"])
+        "one-row", "beyond-one-block", "random-bits", "powers-of-two", "powers-of-ten",
+        "format-boundaries"])
 def test_csv_writer_matches_the_per_value_writer(rows, tmp_path):
     header = ["a", "b", "c"]
     scenarios._write_csv(tmp_path / "new.csv", header, rows)
     _csv_writer_oracle(tmp_path / "old.csv", header, rows)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_csv_writer_raises_no_warning_and_keeps_errstate(tmp_path):
+    """The digits take wrapping uint64 arithmetic; on numpy scalars it would
+    warn, on arrays it does not, and the caller's error state is its own."""
+    before = np.geterr()
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        inner = np.geterr()
+        for rows in ([[0.1]], _LONG):
+            scenarios._write_csv(tmp_path / "new.csv", ["a", "b", "c"], rows)
+            _csv_writer_oracle(tmp_path / "old.csv", ["a", "b", "c"], rows)
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert np.geterr() == inner
+    assert np.geterr() == before
 
 
 def test_guiding_run_singular_later_stage_is_a_violent_event(tmp_path, capsys):
@@ -940,6 +972,10 @@ def test_lw_field_map_event_on_worldline_is_nan_row(tmp_path, capsys):
     nan_rows = [row for row in rows if any(math.isnan(v) for v in row)]
     assert [row[:4] for row in nan_rows] == [[0.0, 0.0, 0.0, 0.0]]
     assert all(math.isnan(v) for v in nan_rows[0][4:])
+    # the NaN row goes through the array writer too, to the same bytes
+    header = (tmp_path / "o" / "fields.csv").read_text().splitlines()[0].split(",")
+    _csv_writer_oracle(tmp_path / "old.csv", header, rows)
+    assert (tmp_path / "old.csv").read_bytes() == (tmp_path / "o" / "fields.csv").read_bytes()
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert manifest["residuals"]["covered_points"] == 26
 
@@ -1191,6 +1227,10 @@ def regularization_configs(draw):
 @example(doc={"schema_version": "1", "kind": "current-regularization",
               "parameters": {"epsilon": 1e-3, "c0": 1e-3, "charge": 1.0,
                              "tail_window_x": [5.0, 5.0]}})
+@example(doc={"schema_version": "1", "kind": "current-regularization",
+              "parameters": {"epsilon": 1.0, "c0": 1.0, "charge": 1e-170,
+                             "tail_window_x": [0.1, 0.10000000000000002],
+                             "smear_width_x": 0.125}})
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_current_regularization_exit_codes_fuzz(doc, capsys):
