@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 import time
+from functools import cache
 
 from .scenarios import (OUT_DIR_ENV, AccuracyFailure, NumericFailure,
                         ScenarioValidationError, _load, _run, strict_json,
@@ -30,7 +31,10 @@ def _parse_override(text: str):
     return key, value
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parse_args leaves it unchanged
+    (append copies its default before it adds to it)."""
     ap = argparse.ArgumentParser(prog="ecdlab",
                                  description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)

@@ -329,9 +329,10 @@ def _abs2(phi, x, s):
 
 
 def guiding_hessian(phi, gamma, s, h):
-    """H_mn = d_m d_n |phi|^2 and f_m = d_s d_m |phi|^2 at (gamma, s)."""
+    """H_mn = d_m d_n |phi|^2 and f_m = d_s d_m |phi|^2 at (gamma, s);
+    phi takes events (m, 4) and s (m,) and returns m values."""
     z = np.append(as_four(gamma), s)
-    hess = fd_hessian(lambda w: _abs2(phi, w[:4], float(w[4])), z, h)
+    hess = fd_hessian(lambda w: _abs2(phi, w[..., :4], w[..., 4]), z, h)
     return hess[:4, :4], hess[:4, 4]
 
 

@@ -184,7 +184,6 @@ def _records(table):
 
 
 def csv_rows(table):
-    """The bytes (as uint8) of a 2-D block's CSV lines: every value as
-    repr(float(v)), a comma between the values of a row, CRLF after each."""
-    flat = _records(table).ravel()
-    return flat.compress(flat != 0)     # 2-4x faster than flat[flat != 0]
+    """The bytes of a 2-D block's CSV lines: every value as repr(float(v)),
+    a comma between the values of a row, CRLF after each."""
+    return _records(table).tobytes().translate(None, b"\0")

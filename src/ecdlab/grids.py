@@ -7,14 +7,16 @@ their values in C-order arrays whose leading four axes are the grid axes.
 Derivatives are always second-order central differences and integrals are
 midpoint (Riemann) sums with a fixed summation order, so that every residual
 reported by the package is reproducible bit-for-bit.  The same stencils act
-on callables: fd_grad and fd_hessian difference a function of an event (or of
-any point whose coordinates sit on the last axis) along each unit vector.
+on callables whose points sit on the last axis: fd_grad differences a
+function along each unit vector, and fd_hessian evaluates its whole stencil
+in one call on a stack of points, so the function must broadcast over rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -114,22 +116,39 @@ def fd_grad(fun: Callable, x, h: float) -> np.ndarray:
     return np.array([(fun(x + e) - fun(x - e)) / (2 * h) for e in h * np.eye(x.shape[-1])])
 
 
+@cache
+def _pairs(n: int):
+    """The pairs i < j of an n-D stencil in triu order, and the a and b
+    that pick from the 2n single steps S (+h e_i, then -h e_i) their points
+    (z + S[a]) + S[b], in four blocks: ++, +-, -+ and --."""
+    i, j = np.triu_indices(n, 1)
+    a, b = np.concatenate([i, i, n + i, n + i]), np.concatenate([j, n + j, j, n + j])
+    for arr in (a, b, i, j):
+        arr.setflags(write=False)
+    return a, b, i, j
+
+
 def fd_hessian(fun: Callable, z, h: float) -> np.ndarray:
     """Symmetric Hessian of a scalar fun at the point z by central differences.
 
     The diagonal is the 3-point (f(z + h e_i) - 2 f(z) + f(z - h e_i)) / h^2;
     each pair i < j takes the 4-point (f(++) - f(+-) - f(-+) + f(--)) / 4h^2.
+    fun is called once, on the (1 + 2n^2, n) stack of the stencil's points,
+    and returns their 1 + 2n^2 values.  Each point is z + h e_i (+ h e_j)
+    added in that order, with z - h e_i as z + (-h e_i): the same bits,
+    signed zeros included, as the point taken one at a time.
     """
     z = np.asarray(z, dtype=float)
-    steps = h * np.eye(z.size)
-    f0 = fun(z)
-    H = np.empty((z.size, z.size))
-    for i, ei in enumerate(steps):
-        H[i, i] = (fun(z + ei) - 2 * f0 + fun(z - ei)) / h ** 2
-        for j in range(i + 1, z.size):
-            ej = steps[j]
-            H[i, j] = H[j, i] = (fun(z + ei + ej) - fun(z + ei - ej)
-                                 - fun(z - ei + ej) + fun(z - ei - ej)) / (4 * h ** 2)
+    n = z.size
+    steps = h * np.eye(n)
+    S = np.concatenate([steps, -steps])
+    a, b, i, j = _pairs(n)
+    single = z + S
+    f = fun(np.concatenate([z[None], single, single[a] + S[b]]))
+    f0, fs, (pp, pm, mp, mm) = f[0], f[1:2 * n + 1], f[2 * n + 1:].reshape(4, -1)
+    H = np.empty((n, n))
+    H[np.diag_indices(n)] = (fs[:n] - 2 * f0 + fs[n:]) / h ** 2
+    H[i, j] = H[j, i] = (pp - pm - mp + mm) / (4 * h ** 2)
     return H
 
 

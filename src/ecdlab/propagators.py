@@ -76,7 +76,8 @@ class ActionProvider:
     """Evaluators for the classical two-point action I(x, x'; s).
 
     grad_x returns the lower-index endpoint momentum p_mu = dI/dx^mu; without
-    a mixed_hessian, hessian_x_xp takes central differences of `action`.
+    a mixed_hessian, hessian_x_xp takes central differences of `action`,
+    which then must take stacks of x and x' (m, 4) and return m values.
     """
 
     action: Callable[[np.ndarray, np.ndarray, float], float]
@@ -90,7 +91,7 @@ class ActionProvider:
         z = np.concatenate([as_four(x), as_four(xp)])
 
         def mixed(step):
-            return fd_hessian(lambda w: self.action(w[:4], w[4:], s), z, step)[:4, 4:]
+            return fd_hessian(lambda w: self.action(w[..., :4], w[..., 4:], s), z, step)[:4, 4:]
 
         coarse, fine = mixed(_HESSIAN_STEP), mixed(_HESSIAN_STEP / 2)
         return (4.0 * fine - coarse) / 3.0     # Richardson: kills the O(h^2) term

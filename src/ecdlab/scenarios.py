@@ -473,11 +473,11 @@ def _load(path, overrides=()) -> tuple:
 
 # Values per formatted block: only one block's arrays, about 240 bytes a
 # value, are alive at a time.  At seed 11, peak RSS of cli-suite (whose
-# trajectory.csv has 10,001 rows of 10 values) read 45.5 MB in blocks of
-# 4,096 values and 46.1 MB in blocks of 8,192, against 46.6 MB for the
-# list-repr writer of earlier versions; lw-map (fields.csv, 432 rows of 14)
-# read 41.4 MB, 41.7 MB and 41.3 MB.
-_CSV_BLOCK = 4096
+# trajectory.csv has 10,001 rows of 10 values) read 46.2 MB in blocks of
+# 8,192 values and 45.5 MB in blocks of 4,096; lw-map (fields.csv, 432 rows
+# of 14) read 41.9 MB and 41.5 MB.  The larger blocks write a 10,001 x 10
+# body in 29.8 ms against 31.7 ms (2-core x86-64 VM, medians of 40).
+_CSV_BLOCK = 8192
 
 
 def _write_csv(path, header, rows):
@@ -666,12 +666,15 @@ def _run_guiding_run(p, out: Path):
     x0, u, amp = as_four(pk["x0"]), as_four(pk["u"]), as_four(pk["wobble_amp"])
 
     def center(s):
+        s = np.asarray(s, dtype=float)[..., None]
         return x0 + u * s + amp * np.sin(pk["wobble_freq"] * s)
 
     def packet_phi(x, s):
-        # integrate_guiding squares this amplitude to get |phi|^2 = e^{-d M d}
+        # integrate_guiding squares this amplitude to get |phi|^2 = e^{-d M d};
+        # each row's d M d is one 1-D dot product (BLAS may fuse its
+        # multiply-adds, np.sum does not), so it has a one-event call's bits
         d = np.asarray(x, dtype=float) - center(s)
-        return float(np.exp(-0.5 * d @ M @ d))
+        return np.exp(-0.5 * (d @ M)[..., None, :] @ d[..., None])[..., 0, 0]
 
     s0, s1 = p["s_span"]
     states, event = integrate_guiding(packet_phi, center(s0), (s0, s1),

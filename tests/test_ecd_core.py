@@ -283,9 +283,9 @@ def test_guiding_tracks_gaussian_packet_center():
     M = np.diag([1.0, 2.0, 1.5, 1.0])
     u = np.array([1.0, 0.25, 0.0, 0.1])
 
-    def phi(x, s):
-        d = np.asarray(x, float) - u * s
-        return float(np.exp(-0.5 * d @ M @ d))
+    def phi(x, s):      # events (m, 4) and s (m,), as fd_hessian stacks them
+        d = np.asarray(x, float) - u * np.asarray(s, float)[..., None]
+        return np.exp(-0.5 * np.sum((d @ M) * d, axis=-1))
 
     states, event = integrate_guiding(phi, np.zeros(4), (0.0, 1.0), 20, h=1e-3)
     assert event is None
@@ -297,8 +297,8 @@ def test_singular_hessian_is_reported_not_raised():
     # packet flat along x^3: the Hessian of |phi|^2 is singular everywhere
     def phi(x, s):
         x = np.asarray(x, float)
-        return float(np.exp(-0.5 * (x[0] - s) ** 2 - 0.5 * x[1] ** 2
-                            - 0.5 * x[2] ** 2))
+        return np.exp(-0.5 * (x[..., 0] - s) ** 2 - 0.5 * x[..., 1] ** 2
+                      - 0.5 * x[..., 2] ** 2)
 
     v, kappa = guiding_velocity(phi, np.zeros(4), 0.0, 1e-3)
     assert v is None and kappa > 1e8

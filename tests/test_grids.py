@@ -176,9 +176,39 @@ def test_fd_stencils_on_a_quadratic_form():
     A = A + A.T
     b = rng.normal(size=5)
     z = rng.normal(size=5)
-    f = lambda w: 0.5 * w @ A @ w + b @ w
+    f = lambda w: 0.5 * np.sum((w @ A) * w, axis=-1) + w @ b     # over rows of a stack
     assert np.abs(fd_grad(f, z, 1e-3) - (A @ z + b)).max() < 1e-9
     assert np.abs(fd_hessian(f, z, 1e-2) - A).max() < 1e-9
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_fd_hessian_is_the_per_point_loop_in_one_call(n, fd_hessian_per_point):
+    """On a cubic and on exp(-quadratic), at a z with +0.0 and -0.0 entries:
+    one call on a (1 + 2n^2, n) stack whose rows are the loop's points bit
+    for bit, and the loop's Hessian bit for bit.  Both functions work one
+    column at a time, so a row's value does not depend on the stack (and
+    cube as x * x * x: numpy's scalar and array ** may round differently)."""
+    rng = np.random.default_rng(n)
+    c, A = rng.normal(size=n), rng.normal(size=(n, n))
+    z = rng.normal(size=n)
+    z[::3], z[2::3] = -0.0, 0.0
+
+    def cubic(w):
+        x = np.moveaxis(w, -1, 0)
+        return sum(c[k] * x[k] * x[k] * x[k] + A[k, k - 1] * x[k] * x[k - 1] * x[k - n // 2]
+                   for k in range(n))
+
+    def gauss(w):
+        x = np.moveaxis(w, -1, 0)
+        return np.exp(-0.5 * sum(A[k, l] * x[k] * x[l] for k in range(n) for l in range(n)))
+
+    for fun in (cubic, gauss):
+        stacks, points = [], []
+        H = fd_hessian(lambda w: stacks.append(w.copy()) or fun(w), z, 1e-2)
+        ref = fd_hessian_per_point(lambda w: points.append(w.copy()) or fun(w), z, 1e-2)
+        assert len(stacks) == 1 and stacks[0].shape == (1 + 2 * n * n, n)
+        assert sorted(r.tobytes() for r in stacks[0]) == sorted(p.tobytes() for p in points)
+        assert H.tobytes() == ref.tobytes()
 
 
 def test_simpson_is_scipys_to_the_bit():

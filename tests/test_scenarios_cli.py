@@ -15,9 +15,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from ecdlab import scenarios
+from ecdlab import ecd_core, scenarios
 from ecdlab.cli import (EXIT_ACCURACY, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION,
-                        main)
+                        build_parser, main)
 from ecdlab.dynamics import IntegrationBlowup
 from ecdlab.ecd_core import QuadratureBudgetError
 from ecdlab.em_sources import CoverageError, WorldlineSingularity
@@ -727,6 +727,28 @@ def test_cli_run_accuracy_failure_via_override(tmp_path, capsys):
     assert main(["run", cfg, "--out", str(out), "--workers", "1"]) == EXIT_OK
 
 
+def test_cli_parser_is_built_once_and_keeps_no_run_state(tmp_path, capsys):
+    """main parses with one parser per process: an override given to one
+    run reaches neither the next run nor validate, and validate leaves the
+    run after it as it was."""
+    assert build_parser() is build_parser()
+    cfg = write(tmp_path, guiding_config())
+
+    def run(name, *extra):
+        out = tmp_path / name
+        assert main(["run", cfg, "--out", str(out), "--workers", "1", *extra]) == EXIT_OK
+        return json.loads((out / "manifest.json").read_text())["scenario"]
+
+    assert run("a", "--override", "parameters.tolerance=0.5")["parameters"]["tolerance"] == 0.5
+    plain = run("b")
+    assert plain["parameters"]["tolerance"] == guiding_config()["parameters"]["tolerance"]
+    assert main(["validate", cfg]) == EXIT_OK
+    assert run("c") == plain
+    csvs = [(tmp_path / name / "guiding.csv").read_bytes() for name in "bc"]
+    assert csvs[0] == csvs[1]
+    capsys.readouterr()
+
+
 def test_cli_out_dir_env(tmp_path, capsys, monkeypatch):
     cfg = write(tmp_path, guiding_config())
     envdir = tmp_path / "envout"
@@ -808,6 +830,52 @@ def test_guiding_run_bytes_are_pinned(tmp_path, capsys):
     data = (tmp_path / "o" / "guiding.csv").read_bytes()
     assert (hashlib.sha256(data).hexdigest(), len(data)) == (
         "bc91a20b6c02c0a401b66ec45ec8983bbd696acc05c92c6e82a0ede115582854", 1259)
+
+
+def test_guiding_run_bytes_of_a_wobbling_packet_are_pinned(tmp_path, capsys):
+    """guiding.csv of a packet with unequal widths, off-origin and wobbling,
+    taken while packet_phi was called one event at a time.  Its d M d values
+    round differently if summed with np.sum instead of the 1-D dot product."""
+    doc = guiding_config(tolerance=1.0)
+    doc["parameters"].update({
+        "packet": {"M_diag": [2.234, 2.97, 4.5, 4.9636], "x0": [0.0456, -1.0681, 1.3733, 0.5899],
+                   "u": [1.0, 0.1013, 0.0798, 0.31],
+                   "wobble_amp": [-0.0349, -0.1614, 0.0256, 0.0989], "wobble_freq": -3.1614},
+        "s_span": [-0.467, 1.9106], "steps": 3})
+    cfg = write(tmp_path, doc)
+    assert main(["run", cfg, "--out", str(tmp_path / "o"), "--workers", "1"]) == EXIT_OK
+    capsys.readouterr()
+    data = (tmp_path / "o" / "guiding.csv").read_bytes()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == (
+        "1a444e1a4b864226395accf27afe6ea4b354d1530a62f4f85d53029149207144", 809)
+
+
+def test_guiding_bytes_match_the_per_point_stencil(tmp_path, monkeypatch, capsys,
+                                                   fd_hessian_per_point):
+    """guiding.csv of 20 random packets, wobbling or not, is the same bytes
+    whether the guiding Hessian takes its stencil in one call or one point
+    at a time."""
+    rng = np.random.default_rng(2024)
+    for k in range(20):
+        packet = {"M_diag": rng.uniform(0.3, 3.0, 4).tolist(),
+                  "x0": rng.uniform(-1.0, 1.0, 4).tolist(),
+                  "u": [1.0, *rng.uniform(-0.4, 0.4, 3)]}
+        if k % 2:
+            packet["wobble_amp"] = rng.uniform(-0.2, 0.2, 4).tolist()
+            packet["wobble_freq"] = float(rng.uniform(-3.0, 3.0))
+        doc = guiding_config()
+        doc["parameters"]["packet"] = packet
+        cfg = write(tmp_path, doc)
+        data = []
+        for oracle in (False, True):
+            with monkeypatch.context() as m:
+                if oracle:
+                    m.setattr(ecd_core, "fd_hessian", fd_hessian_per_point)
+                out = tmp_path / f"o{k}{oracle:d}"
+                assert main(["run", cfg, "--out", str(out), "--workers", "1"]) == EXIT_OK
+            data.append((out / "guiding.csv").read_bytes())
+        assert data[0] == data[1], packet
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("kind, parameters, name, digest", [
