@@ -255,43 +255,62 @@ class FreePhi(PhiField):
         """sum_n w_n S^2, then with_dS sum_n w_n s_n^k S'^2 for k = 0, 1, 2, at
         the events c (4, K): shape (4 or 1, K).
 
-        S = sin a / a and S' = (cos a - S) / a take sin a and cos a from unit
-        phasors, not from a sine of the assembled a: a = sum_m t_m with
-        t_m = xi_m (xi_m g_mm / 2 eps) and xi_m = y_m - u_m s, so
-        e^{ia} = prod_m e^{i t_m}.  The axes with u_m = 0 fold into one phasor
-        per event.  Each other axis has a table of e^{i t_m} over (s-node x
-        distinct y_m), gathered per event, so a sine of a large argument is
-        taken per table entry, not per (s-node x event).  In the light-cone
+        a = xi^2 / 2 eps = sum_m t_m with t_m = xi_m (xi_m g_mm / 2 eps) and
+        xi_m = y_m - u_m s splits into T(s), the sum over the axes with
+        u_m != 0, and the rest phase R of the other axes.  The events that
+        share their moving-axis coordinates form a group with one T(s).  S and
+        S' are band-limited to |omega| <= 1, so for each group every moment is
+        an entire function of R of exponential type 2: on [min R, max R], of
+        half-width L, its Chebyshev coefficients are bounded by
+        2 W |J_k(2L)| <= 2 W L^k / k!, W = sum_n |w_n s_n^k| (Trefethen,
+        Approximation Theory and Approximation Practice, SIAM 2013, ch. 7-8).
+        So the moments are taken at the rest-phase nodes of _rest_nodes (n
+        Chebyshev points, n the least count with L^n / n! <= 2^-64, or the
+        distinct R themselves where those are no more) and, on Chebyshev
+        points, carried to the events by _barycentric.
+
+        At each (s-node x group x node) element, S = sin a / a and
+        S' = (cos a - S) / a take sin a and cos a from unit phasors, not from
+        a sine of the assembled a = R_k + T(s): e^{ia} = e^{i R_k} e^{iT} and
+        e^{iT} = prod_m e^{i t_m}, from a table of e^{i t_m} over (s-node x
+        distinct y_m) per moving axis, gathered per group.  In the light-cone
         band |a| < 1, where a phasor's rounding divided by a small a would
         grow, S and S' come from _sinc and _dsinc of a, series branch
-        included.  Blocks of _SUM_ELEMENTS (s-node x event) elements work in
-        three float, two complex and one bool buffer made once per call,
-        0.9 MB in all."""
-        n_events = c.shape[1]
-        moments = np.zeros((4 if with_dS else 1, n_events))
-        step = max(1, _SUM_ELEMENTS // n_events)
+        included.  Blocks of _SUM_ELEMENTS elements work in three float, one
+        complex and one bool buffer made once per call, 0.7 MB in all."""
         y, scale = [cm - x0m for cm, x0m in zip(c, self.x0)], self._scale()
         moving = [m for m in range(4) if self.u[m] != 0.0] or [0]
         rest = sum((y[m] * (y[m] * scale[m]) for m in range(4) if m not in moving),
-                   start=np.zeros(n_events))
-        rest_phase = np.exp(1j * rest)
-        tables = [(self.u[m], scale[m], *np.unique(y[m], return_inverse=True)) for m in moving]
-        shape = (min(step, s_nodes.size), n_events)
+                   start=np.zeros(c.shape[1]))
+        axes = [np.unique(y[m], return_inverse=True) for m in moving]
+        _, first, group = np.unique(
+            np.ravel_multi_index([inverse for _, inverse in axes], [v.size for v, _ in axes]),
+            return_index=True, return_inverse=True)
+        # per moving axis: u_m, g_mm / 2 eps, the distinct y_m and each group's index among them
+        tables = [(self.u[m], scale[m], values, inverse[first])
+                  for m, (values, inverse) in zip(moving, axes)]
+        nodes, node_of = _rest_nodes(rest)
+        n_groups, n_nodes = first.size, nodes.size
+        moments = np.zeros((4 if with_dS else 1, n_groups * n_nodes))
+        step = max(1, _SUM_ELEMENTS // moments.shape[1])
+        node_phase = np.exp(1j * nodes)
+        shape = (min(step, s_nodes.size), moments.shape[1])
         a_buf, sinc_buf, dS_buf = np.empty((3,) + shape)
-        phase_buf, gather_buf = np.empty((2,) + shape, dtype=complex)
+        phase_buf = np.empty(shape, dtype=complex)
         band_buf = np.empty(shape, dtype=bool)
         for k in range(0, s_nodes.size, step):
             s, w = s_nodes[k:k + step], s_weights[k:k + step]
-            a_out, phase_out, gather, sinc, dS2, band = (
-                b[:s.size] for b in (a_buf, phase_buf, gather_buf, sinc_buf, dS_buf, band_buf))
-            a, phase = rest, rest_phase
-            for um, gm, values, inverse in tables:
+            a, phase, sinc, dS2, band = (
+                b[:s.size] for b in (a_buf, phase_buf, sinc_buf, dS_buf, band_buf))
+            T, phase_T = 0.0, 1.0
+            for um, gm, values, of_group in tables:
                 xi = values - um * s[:, None]
                 t = xi * (xi * gm)
-                # mode="clip": the default "raise" gathers into a temporary, not into out
-                a = np.add(a, np.take(t, inverse, axis=1, mode="clip", out=sinc), out=a_out)
-                phase = np.multiply(phase, np.take(np.exp(1j * t), inverse, axis=1, mode="clip",
-                                                   out=gather), out=phase_out)
+                T = T + t[:, of_group]
+                phase_T = phase_T * np.exp(1j * t)[:, of_group]
+            cube = (s.size, n_groups, n_nodes)
+            np.add(T[:, :, None], nodes, out=a.reshape(cube))
+            np.multiply(phase_T[:, :, None], node_phase, out=phase.reshape(cube))
             # the band's elements by flat index; a = 1 there keeps the divisions finite
             band = np.flatnonzero(np.less(np.abs(a, out=sinc), 1.0, out=band))
             small, a_small, safe, _, band_sinc = _sinc(a.ravel()[band])
@@ -304,7 +323,10 @@ class FreePhi(PhiField):
                 np.multiply(dS, dS, out=dS2)
                 for out, ws in zip(moments[1:], (w, w * s, w * s * s)):
                     out += ws @ dS2
-        return moments
+        moments = moments.reshape(-1, n_groups, n_nodes)
+        if node_of is not None:
+            return moments[:, group, node_of]
+        return _barycentric(moments, nodes, rest, group)
 
     def _jet_axes(self, c, s, order):
         eps, u2 = self.epsilon, self.u2
@@ -360,6 +382,53 @@ def _dsinc(small, a_small, safe, sinc):
     dS /= safe
     dS[small] = a_small * (a_small * a_small / 30.0 - 1.0 / 3.0)
     return dS
+
+
+def _rest_nodes(rest):
+    """(nodes, None) with the n first-kind Chebyshev points on [min, max] of
+    the rest phases, n the least count with L^n / n! <= 2^-64 for the
+    half-width L, if n is below the number of distinct rest phases; else
+    (the distinct rest phases, each event's index among them)."""
+    values, inverse = np.unique(rest, return_inverse=True)
+    half = 0.5 * (values[-1] - values[0])
+    n, term = 1, half           # term = half^n / n!
+    while term > 2.0 ** -64 and n < values.size:
+        n += 1
+        term *= half / n
+    if n >= values.size:
+        return values, inverse
+    return values[0] + half + half * np.cos(_chebyshev_angles(n)), None
+
+
+def _chebyshev_angles(n: int):
+    """(2k + 1) pi / 2n for k < n: cos of them are the n first-kind Chebyshev points."""
+    return (2 * np.arange(n) + 1) * (np.pi / (2 * n))
+
+
+def _barycentric(values, nodes, x, group):
+    """values (M, G, n) at the n first-kind Chebyshev nodes, interpolated to
+    the points x (K,) of groups `group` (K,): shape (M, K).
+
+    The second-kind barycentric formula with weights (-1)^k sin((2k + 1) pi / 2n)
+    (Berrut & Trefethen, SIAM Review 46, 2004) sums over the nodes in their
+    order, point by point, so a point's value does not depend on the others.
+    A point equal to a node takes that node's value."""
+    weights = np.sin(_chebyshev_angles(nodes.size))
+    weights[1::2] *= -1.0
+    num, den = np.zeros((values.shape[0], x.size)), np.zeros(x.size)
+    on_node = np.full(x.size, -1)
+    for k, (node, weight) in enumerate(zip(nodes, weights)):
+        d = x - node
+        hit = d == 0.0
+        on_node[hit] = k
+        d[hit] = 1.0
+        q = weight / d
+        num += q * values[:, :, k][:, group]
+        den += q
+    out = num / den
+    hit = on_node >= 0
+    out[:, hit] = values[:, group[hit], on_node[hit]]
+    return out
 
 
 class GaussianSolutionPhi(PhiField):
@@ -556,7 +625,7 @@ def s_panels(s_range, epsilon: float):
 
 # s-nodes per jet evaluation in PhiField._s_sums
 _S_CHUNK = 8
-# (s-node x event) elements per block of the free wave's sinc moments
+# (s-node x group x rest-phase node) elements per block of the free wave's sinc moments
 _SUM_ELEMENTS = 1 << 14
 
 
@@ -794,38 +863,43 @@ def _modfresnel_k(x):
 def _ffk_series(first, x4, shifts):
     """FFK's power series for x <= 2.5: term k is term k-1 times
     -(4k + p) x^4 / (2 k (2k + q) (4k + r)) for shifts (p, q, r); each element
-    stops at its own first term below 1e-15 of its sum."""
+    stops at its own first term below 1e-15 of its sum, and later terms
+    are taken only for the elements still going."""
     p, q, r = shifts
-    term, total = first, first
-    going = np.ones(first.shape, dtype=bool)
+    total = first.copy()
+    going, term, acc = np.arange(first.size), first, first
     for k in range(1, 51):
-        if not going.any():
+        if not going.size:
             break
-        term = np.where(going, -0.5 * term * (4.0 * k + p) / k / (2.0 * k + q)
-                        / (4.0 * k + r) * x4, term)
-        total = np.where(going, total + term, total)
-        going &= ~(np.abs(term / total) < _FFK_EPS)
+        term = -0.5 * term * (4.0 * k + p) / k / (2.0 * k + q) / (4.0 * k + r) * x4
+        acc = acc + term
+        total[going] = acc
+        on = ~(np.abs(term / acc) < _FFK_EPS)
+        going, term, acc, x4 = going[on], term[on], acc[on], x4[on]
     return total
 
 
 def _ffk_miller(xa, x2):
     """FFK's Miller backward recurrence for 2.5 < x < 5.5, each element
-    started at its own m = int(42 + 1.75 x^2)."""
+    started at its own m = int(42 + 1.75 x^2).  With the elements in
+    decreasing m, step k updates the leading slice of those with m >= k."""
     m = (42 + 1.75 * x2).astype(int)
+    order = np.argsort(-m, kind="stable")
+    xa, x2 = xa[order], x2[order]
+    on = m.size - np.searchsorted(np.sort(m), np.arange(m.max(initial=-1) + 1))
     xc, xs, xsu, xf1 = (np.zeros_like(xa) for _ in range(4))
     xf0 = np.full_like(xa, 1e-100)
-    for k in range(int(m.max(initial=0)), -1, -1):
-        on = k <= m
-        xf = np.where(on, (2.0 * k + 3.0) * xf0 / x2 - xf1, xf0)
-        if k % 2 == 0:
-            xc = np.where(on, xc + xf, xc)
-        else:
-            xs = np.where(on, xs + xf, xs)
-        xsu = np.where(on, xsu + (2.0 * k + 1.0) * xf * xf, xsu)
-        xf1 = np.where(on, xf0, xf1)
-        xf0 = xf
+    for k in range(on.size - 1, -1, -1):
+        j = on[k]
+        xf = (2.0 * k + 3.0) * xf0[:j] / x2[:j] - xf1[:j]
+        (xs if k % 2 else xc)[:j] += xf
+        xsu[:j] += (2.0 * k + 1.0) * xf * xf
+        xf1[:j] = xf0[:j]
+        xf0[:j] = xf
     xw = _FFK_P2P * xa / np.sqrt(xsu)
-    return xc * xw, xs * xw
+    c1, s1 = np.empty_like(xa), np.empty_like(xa)
+    c1[order], s1[order] = xc * xw, xs * xw
+    return c1, s1
 
 
 def _ffk_asymptotic(xa, x2, x4):

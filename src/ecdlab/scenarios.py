@@ -30,7 +30,6 @@ from .ecd_core import (EcdPair, calibrate, classical_phase_gradient_check,
 from .ecd_currents import (SMEAR_WIDTH_X, TAIL_WINDOW_X, charge_tail,
                            divergent_coefficient, fit_loglog_slope, fit_radii,
                            free_charge_j0, smeared_remainder)
-from .floattext import csv_rows
 
 SCHEMA_VERSION = "1"
 OUT_DIR_ENV = "ECDLAB_OUT_DIR"
@@ -486,7 +485,9 @@ def _write_csv(path, header, rows):
 
     floattext.csv_rows lays out each block of rows at once in numpy, from
     Schubfach's shortest digits: byte for byte what repr and csv.writer give
-    value by value."""
+    value by value.  It is imported here, so that a run writing no CSV does
+    not compile it."""
+    from .floattext import csv_rows
     table = np.asarray(rows, dtype=float)
     step = max(1, _CSV_BLOCK // max(1, table.shape[-1]))
     with open(path, "wb") as fh:

@@ -1,4 +1,6 @@
 import json
+import math
+from fractions import Fraction
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -354,12 +356,25 @@ def direct_sine_moments(wave, c, s_nodes, s_weights, with_dS):
     return moments
 
 
+# the rest-frame grids of sinc_moment_case: (origin, spacings, extents)
+REST_FRAME_GRIDS = {
+    "rest-frame": ((-0.4, -0.364, -0.382, -0.369), (0.2, 0.15, 0.15, 0.15), (5, 6, 6, 6)),
+    "criterion-size": ((-0.4, -0.811, -0.832, -0.819), (0.2, 0.15, 0.15, 0.15), (5, 12, 12, 12)),
+    "symmetric": ((-0.4, -0.375, -0.375, -0.375), (0.2, 0.15, 0.15, 0.15), (5, 6, 6, 6)),
+    "wide-sparse": ((-0.4, -3.1, -2.9, -3.05), (0.2, 1.3, 1.7, 1.1), (3, 3, 3, 3)),
+}
+
+
 def sinc_moment_case(name):
-    """(wave, events (4, K), s-nodes, weights) of a test_sinc_moments case."""
-    if name == "rest-frame":    # wave-currents' free j on a shifted grid
+    """(wave, events (4, K), s-nodes, weights) of a test_sinc_moments case.
+
+    The rest-frame grids are wave-currents' free j on a shifted 5x6^3 grid,
+    criterion 5's shifted 5x12^3 grid, a 5x6^3 grid symmetric about the
+    worldline and a wide, sparse 3^4 grid."""
+    if name in REST_FRAME_GRIDS:
         wave = FreePhi((1, 0, 0, 0), 1.0, EPS)
-        grid = EventGrid(origin=(-0.4, -0.364, -0.382, -0.369),
-                         spacings=(0.2, 0.15, 0.15, 0.15), extents=(5, 6, 6, 6))
+        origin, spacings, extents = REST_FRAME_GRIDS[name]
+        grid = EventGrid(origin=origin, spacings=spacings, extents=extents)
         s, w = s_panels((-8.0, 8.0), EPS)
     else:
         wave = (FreePhi((1.2, 0.4, 0.0, -0.3), 0.8 + 0.3j, EPS, x0=(0.1, 0.0, -0.05, 0.02))
@@ -374,37 +389,148 @@ def sinc_moment_case(name):
     return wave, grid.points().reshape(-1, 4).T, s, w
 
 
-@pytest.mark.parametrize("name", ["rest-frame", "boosted", "one-zero-axis", "band-edges"])
+def rest_phase(wave, c):
+    """The events' rest phase: a's terms from the axes with u_m = 0."""
+    y = c - wave.x0[:, None]
+    still = (wave.u == 0.0) & np.any(wave.u != 0.0)
+    return sum((y[m] * (y[m] * (MD[m] / (2.0 * wave.epsilon))) for m in np.flatnonzero(still)),
+               start=np.zeros(c.shape[1]))
+
+
+def least_node_count(half):
+    """The least n with half^n / n! <= 2^-64, in exact rational arithmetic."""
+    half, n = Fraction(float(half)), 1
+    while half ** n / math.factorial(n) > Fraction(1, 2 ** 64):
+        n += 1
+    return n
+
+
+SINC_MOMENT_CASES = ["rest-frame", "boosted", "one-zero-axis", "band-edges",
+                     "criterion-size", "symmetric", "wide-sparse"]
+
+
+@pytest.mark.parametrize("name", SINC_MOMENT_CASES)
 def test_sinc_moments_match_the_direct_sine(name):
-    """The moments from per-axis phases equal those from a sine of the
-    assembled a: at |a| up to ~700, with all four u_m nonzero, with one
-    zero, and on the light cone and either side of the band edge |a| = 1."""
+    """The moments from per-axis phases and rest-phase nodes equal those from
+    a sine of the assembled a: at |a| up to ~700, with all four u_m nonzero,
+    with one zero, on the light cone and either side of the band edge
+    |a| = 1, on ~60 Chebyshev nodes, and on the distinct rest phases of a
+    symmetric and of a wide, sparse grid."""
     wave, c, s, w = sinc_moment_case(name)
     xi = c[:, None, :] - wave.x0[:, None, None] - wave.u[:, None, None] * s[:, None]
     a = np.abs(np.einsum("m,mnk,mnk->nk", MD, xi, xi)) / (2.0 * EPS)
+    nodes, node_of = ecd_currents._rest_nodes(rest_phase(wave, c))
     if name == "rest-frame":
-        assert a.max() > 600.0
+        assert a.max() > 600.0 and node_of is None and nodes.size == 28
     elif name == "boosted":
         assert np.all(wave.u != 0.0)
     elif name == "one-zero-axis":
         assert np.sum(wave.u == 0.0) == 1
-    else:
+    elif name == "band-edges":
         assert (a < 1e-4).sum() >= 4
         assert ((a > 1.0 - 1e-5) & (a < 1.0)).sum() >= 4
         assert ((a > 1.0) & (a < 1.0 + 1e-5)).sum() >= 4
+    elif name == "criterion-size":
+        assert node_of is None and 50 <= nodes.size <= 70
+    else:       # the distinct rest phases are the nodes
+        assert node_of is not None and nodes.size < 30
+    all_moments = direct_sine_moments(wave, c, s, w, True)    # its row 0 is the S^2 sum
     for with_dS in (False, True):
         got = wave._sinc_moments(c, s, w, with_dS)
-        want = direct_sine_moments(wave, c, s, w, with_dS)
+        want = all_moments[:4 if with_dS else 1]
         assert got.shape == want.shape == (4 if with_dS else 1, c.shape[1])
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), with_dS
 
 
+@pytest.mark.parametrize("name", SINC_MOMENT_CASES)
+def test_rest_nodes_are_the_least_chebyshev_count(name):
+    """n is the least count with L^n / n! <= 2^-64 for the rest phases'
+    half-width L; below the number of distinct rest phases the nodes are n
+    first-kind Chebyshev points on their range, else the distinct rest
+    phases themselves, each event pointing at its own."""
+    wave, c, _, _ = sinc_moment_case(name)
+    rest = rest_phase(wave, c)
+    distinct = np.unique(rest)
+    half = 0.5 * (distinct[-1] - distinct[0])
+    n = least_node_count(half)
+    nodes, node_of = ecd_currents._rest_nodes(rest)
+    if n < distinct.size:
+        assert node_of is None and nodes.size == n
+        x = np.cos((2 * np.arange(n) + 1) * np.pi / (2 * n))
+        assert np.allclose(nodes, distinct[0] + half * (1.0 + x), rtol=0.0,
+                           atol=4e-16 * np.abs(distinct).max())
+    else:
+        assert np.array_equal(nodes, distinct) and np.array_equal(nodes[node_of], rest)
+    if name == "symmetric":
+        assert distinct.size < n and half < 3.0
+    elif name == "wide-sparse":
+        assert distinct.size < n and half > 50.0
+
+
+def event_on_a_node(wave, c):
+    """c with one more event of a rest-frame wave at x0 = 0: in the first
+    event's group, at a rest phase equal to a Chebyshev node k.  Returns
+    (events, k)."""
+    nodes, node_of = ecd_currents._rest_nodes(rest_phase(wave, c))
+    assert node_of is None and not wave.x0.any()
+    scale = MD[1] / (2.0 * wave.epsilon)
+    for k, node in enumerate(nodes):
+        y = np.sqrt(node / scale) - 8 * np.spacing(np.sqrt(node / scale))
+        for _ in range(16):
+            if y * (y * scale) == node:
+                return np.column_stack([c, (c[0, 0], y, 0.0, 0.0)]), k
+            y = np.nextafter(y, np.inf)
+    raise AssertionError("no event lands on a node")
+
+
+def test_an_event_on_a_node_takes_its_value(monkeypatch):
+    """An event whose rest phase equals a Chebyshev node gets the moments
+    summed at that node in its group, bit for bit."""
+    wave, c, s, w = sinc_moment_case("rest-frame")
+    c, k = event_on_a_node(wave, c)
+    seen = {}
+    barycentric = ecd_currents._barycentric
+
+    def spy(values, nodes, x, group):
+        seen.update(values=values, group=group)
+        return barycentric(values, nodes, x, group)
+    monkeypatch.setattr(ecd_currents, "_barycentric", spy)
+    for with_dS in (False, True):
+        got = wave._sinc_moments(c, s, w, with_dS)
+        assert np.array_equal(got[:, -1], seen["values"][:, seen["group"][-1], k]), with_dS
+        want = direct_sine_moments(wave, c[:, -1:], s, w, with_dS)
+        assert np.abs(got[:, -1:] - want).max() <= 1e-14 * np.abs(want).max(), with_dS
+
+
+@pytest.mark.parametrize("name", ["exact-node", "one-rest-phase", "one-group"])
+def test_sinc_moments_raise_no_floating_point_error(name):
+    """An event on a node, one rest phase (L = 0) and one group raise no
+    warning and no floating-point error, and leave the caller's errstate
+    as it was."""
+    wave, c, s, w = sinc_moment_case("rest-frame")
+    if name == "exact-node":
+        c, _ = event_on_a_node(wave, c)
+    elif name == "one-rest-phase":
+        c = c[:, np.all(c[1:] == c[1:, :1], axis=0)]
+        assert np.unique(rest_phase(wave, c)).size == 1 < np.unique(c[0]).size
+    else:
+        c = c[:, c[0] == c[0, 0]]
+        assert np.unique(rest_phase(wave, c)).size > 28
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        before = np.geterr()
+        for with_dS in (False, True):
+            got = wave._sinc_moments(c, s, w, with_dS)
+            assert np.all(np.isfinite(got))
+        assert np.geterr() == before
+
+
 @pytest.mark.parametrize("name", ["rest-frame", "boosted", "one-zero-axis"])
 def test_sinc_moments_permute_with_their_events(name, monkeypatch):
-    """Each event's moments come from its own columns of the per-axis tables,
-    so permuting the events permutes the moments.  A block's matrix-vector
-    s-sum may round a column by its position; with one s-node per block the
-    blocks add element by element, and the permutation holds bit for bit."""
+    """Each event's moments come from node sums that do not depend on the
+    order of the events and from the event's own rest phase and group, so
+    permuting the events permutes the moments, bit for bit also with one
+    s-node per block."""
     wave, c, s, w = sinc_moment_case(name)
     perm = np.random.default_rng(29).permutation(c.shape[1])
     for with_dS in (False, True):

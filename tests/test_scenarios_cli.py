@@ -520,6 +520,33 @@ def test_no_run_imports_jsonschema(tmp_path):
     assert loaded == [False, False, False, False, True]
 
 
+_FLOATTEXT_PROBE = """
+import json, sys
+import ecdlab.cli, ecdlab.scenarios
+loaded = lambda: print("floattext:", json.dumps("ecdlab.floattext" in sys.modules))
+loaded()
+assert ecdlab.cli.main(["validate", sys.argv[1]]) == 0
+loaded()
+assert ecdlab.cli.main(["run", sys.argv[1], "--out", sys.argv[2], "--workers", "1"]) == 0
+loaded()
+"""
+
+
+def test_csv_writer_is_imported_at_the_first_csv_write(tmp_path):
+    """Importing the CLI and the scenarios and validating a config leave
+    ecdlab.floattext unloaded, so a process that writes no CSV does not
+    compile it; a classical-orbit run, which writes CSVs, loads it."""
+    cfg = write(tmp_path, valid_config("classical-orbit"), "orbit.json")
+    src = str(Path(scenarios.__file__).resolve().parents[1])
+    probe = f"import sys; sys.path.insert(0, {src!r})\n" + _FLOATTEXT_PROBE
+    proc = subprocess.run([sys.executable, "-c", probe, cfg, str(tmp_path / "o")],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    loaded = [json.loads(line[len("floattext:"):]) for line in proc.stdout.splitlines()
+              if line.startswith("floattext:")]
+    assert loaded == [False, False, True]
+
+
 class Computed(Exception):
     """Raised by a compute entry point in place of its work."""
 
