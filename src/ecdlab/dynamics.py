@@ -144,7 +144,8 @@ def _flow(M, t) -> np.ndarray:
     one too large for the squarings to stay finite, gives non-finite entries
     rather than an error."""
     t = np.asarray(t, dtype=float)
-    K = np.block([[np.zeros((4, 4)), np.eye(4)], [np.zeros((4, 4)), M]])
+    K = np.eye(8, k=4)
+    K[4:, 4:] = M
     A = K * t[..., None, None]
     j = np.maximum(np.frexp(np.abs(A[..., 4:, 4:]).sum(axis=-2).max(axis=-1))[1], 0)
     B = np.ldexp(A, -j[..., None, None])
@@ -155,6 +156,41 @@ def _flow(M, t) -> np.ndarray:
         todo = j > i
         E[todo] = E[todo] @ E[todo]
     return E
+
+
+def _sampled_flows(initials, F, q: float, s_span, cfg: IntegratorConfig):
+    """s values (n,) and samples (len(initials), n, 8) of y = (gamma, gamma_dot)
+    for the worldlines from each initial (x, u) state, with integrate_worldline's
+    arithmetic and checks; the checks take the worldlines in order, so the
+    first one that fails raises."""
+    F = np.asarray(AntisymTensor(np.asarray(F, dtype=float)))
+    y0 = [np.concatenate([as_four(x), as_four(u)]) for x, u in initials]
+    s0, s1 = float(s_span[0]), float(s_span[1])
+    n_steps = step_count(s_span, cfg.step)
+
+    h = cfg.step
+    samples = np.empty((len(y0), n_steps + 1, 8))
+    samples[:, 0] = y0
+    levels = 2 ** np.arange(n_steps.bit_length())     # m = 1, 2, 4, ... <= n_steps
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m, flow in zip(levels, _flow(q * (F @ METRIC), levels * h)):
+            k = min(m, n_steps + 1 - m)
+            samples[:, m:m + k] = samples[:, :k] @ flow.T
+    s_vals = s0 + np.arange(n_steps + 1) * h
+    s_vals[0] = s0                  # keeps a -0.0 start, which -0.0 + 0.0 would not
+    finite = np.isfinite(samples).all(axis=2)
+    gd = samples[..., 4:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm2 = gd[..., 0] ** 2 - np.sum(gd[..., 1:] ** 2, axis=-1)
+        drifts = np.abs(norm2 - norm2[:, :1]).max(axis=1)
+    for ok, drift in zip(finite, drifts):
+        if not ok.all():
+            raise IntegrationBlowup(float(s_vals[np.argmin(ok)]))
+        if not drift <= cfg.tolerance:      # NaN where gamma_dot^2 overflows
+            reason = (f"gamma_dot^2 drift {drift:g} exceeds tolerance {cfg.tolerance:g}"
+                      if np.isfinite(drift) else "gamma_dot^2 leaves the float range")
+            raise IntegrationBlowup(s1, reason)
+    return s_vals, samples
 
 
 def integrate_worldline(initial, F, q: float, s_span,
@@ -172,32 +208,8 @@ def integrate_worldline(initial, F, q: float, s_span,
     Raises IntegrationBlowup at the first non-finite sample, and at s_span[1]
     when the sampled gamma_dot^2 drifts by more than cfg.tolerance or leaves
     the float range."""
-    F = np.asarray(AntisymTensor(np.asarray(F, dtype=float)))
-    y0 = np.concatenate([as_four(initial[0]), as_four(initial[1])])
-    s0, s1 = float(s_span[0]), float(s_span[1])
-    n_steps = step_count(s_span, cfg.step)
-
-    h = cfg.step
-    samples = np.empty((n_steps + 1, 8))
-    samples[0] = y0
-    levels = 2 ** np.arange(n_steps.bit_length())     # m = 1, 2, 4, ... <= n_steps
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m, flow in zip(levels, _flow(q * (F @ METRIC), levels * h)):
-            k = min(m, n_steps + 1 - m)
-            samples[m:m + k] = samples[:k] @ flow.T
-    s_vals = s0 + np.arange(n_steps + 1) * h
-    s_vals[0] = s0                  # keeps a -0.0 start, which -0.0 + 0.0 would not
-    finite = np.isfinite(samples).all(axis=1)
-    if not finite.all():
-        raise IntegrationBlowup(float(s_vals[np.argmin(finite)]))
-    traj = Trajectory(s_vals, samples[:, :4], samples[:, 4:], q=q)
-    with np.errstate(over="ignore", invalid="ignore"):
-        drift = np.abs(traj.norm2_samples() - traj.norm2_samples()[0]).max()
-    if not drift <= cfg.tolerance:      # NaN where gamma_dot^2 overflows
-        reason = (f"gamma_dot^2 drift {drift:g} exceeds tolerance {cfg.tolerance:g}"
-                  if np.isfinite(drift) else "gamma_dot^2 leaves the float range")
-        raise IntegrationBlowup(s1, reason)
-    return traj
+    s_vals, (y,) = _sampled_flows([initial], F, q, s_span, cfg)
+    return Trajectory(s_vals, y[:, :4], y[:, 4:], q=q)
 
 
 def effective_mass(traj: Trajectory):

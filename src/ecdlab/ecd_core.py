@@ -394,17 +394,24 @@ def constant_field_pair(F, u0, calibration: EpsilonCalibration, q: float = 1.0,
                         C=1.0 + 0j, s_span=(-200.0, 200.0), step: float = 1e-2) -> EcdPair:
     """ECD pair whose propagator is the (exact) semiclassical constant-field form
     and whose ansatz carries the classical action phase along the worldline,
-    which passes the origin at s = 0 with velocity u0."""
-    from .dynamics import IntegratorConfig, integrate_worldline
+    which passes the origin at s = 0 with velocity u0.
+
+    The worldline is sampled every step over [-span, span], span the largest of
+    |s_span| and 2 s_max.  Its s >= 0 half is the worldline from (0, u0) with
+    charge q.  Its s <= 0 half is the worldline from (0, -u0), also with charge
+    q, reversed in s with its velocity negated.  That reversal solves the
+    equation of motion of charge -q, not q: the acceleration changes sign at
+    s = 0.  Both halves come from one stacked flow pass and raise as
+    integrate_worldline would, the s >= 0 half first."""
+    from .dynamics import IntegratorConfig, _sampled_flows
 
     span = max(abs(s_span[0]), abs(s_span[1]), 2 * calibration.s_max)
     cfg = IntegratorConfig(step=step, tolerance=1e-6)
-    fwd = integrate_worldline((np.zeros(4), u0), F, q, (0.0, span), cfg)
-    bwd = integrate_worldline((np.zeros(4), -np.asarray(u0, dtype=float)), F, q,
-                              (0.0, span), cfg)
-    s = np.concatenate([-bwd.s[::-1][:-1], fwd.s])
-    gammas = np.concatenate([bwd.gammas[::-1][:-1], fwd.gammas])
-    gdots = np.concatenate([-bwd.gamma_dots[::-1][:-1], fwd.gamma_dots])
+    origin, u0 = np.zeros(4), np.asarray(u0, dtype=float)
+    s_half, (fwd, bwd) = _sampled_flows(((origin, u0), (origin, -u0)), F, q, (0.0, span), cfg)
+    s = np.concatenate([-s_half[:0:-1], s_half])
+    gammas = np.concatenate([bwd[:0:-1, :4], fwd[:, :4]])
+    gdots = np.concatenate([-bwd[:0:-1, 4:], fwd[:, 4:]])
     traj = Trajectory(s, gammas, gdots, q=q)
 
     # classical action along the worldline, I(0) = 0; the Lagrangian is

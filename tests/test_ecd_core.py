@@ -10,6 +10,7 @@ from ecdlab.ecd_core import (EcdPair, EpsilonCalibration, QuadratureBudgetError,
                              free_phi_closed_form, guiding_velocity,
                              integrate_guiding, phi_eval, plane_phase,
                              scale_transform_pair, surfing_residual)
+from ecdlab.dynamics import IntegrationBlowup, Trajectory, eom_residual
 from ecdlab.ecd_currents import FreePhi
 from ecdlab.minkowski import AntisymTensor
 
@@ -359,3 +360,96 @@ def test_phase_gradient_check_raises_on_non_finite_figures(monkeypatch):
                         lambda pair, x, s, tol: np.zeros(x.shape[:-1], complex))
     with pytest.raises(FloatingPointError):
         ecd_core.classical_phase_gradient_check(pair, F, 1.0, [0.0])
+
+
+def _two_call_pair(F, u0, cal, q, s_span, step):
+    """constant_field_pair's worldline and action phase from one
+    integrate_worldline call per half, spliced: the backward half reversed,
+    its s and gamma_dot negated and its duplicate s = 0 row dropped."""
+    from ecdlab.dynamics import IntegratorConfig, integrate_worldline
+    from ecdlab.ecd_core import _cumulative_trapezoid
+    from ecdlab.minkowski import METRIC
+
+    span = max(abs(s_span[0]), abs(s_span[1]), 2 * cal.s_max)
+    cfg = IntegratorConfig(step=step, tolerance=1e-6)
+    fwd = integrate_worldline((np.zeros(4), u0), F, q, (0.0, span), cfg)
+    bwd = integrate_worldline((np.zeros(4), -np.asarray(u0, dtype=float)), F, q,
+                              (0.0, span), cfg)
+    s = np.concatenate([-bwd.s[::-1][:-1], fwd.s])
+    gammas = np.concatenate([bwd.gammas[::-1][:-1], fwd.gammas])
+    gdots = np.concatenate([-bwd.gamma_dots[::-1][:-1], fwd.gamma_dots])
+    F_lower = METRIC @ F @ METRIC
+    A_low = -0.5 * gammas @ F_lower.T
+    lag = np.einsum("ij,ij->i", gdots, 0.5 * gdots @ METRIC + q * A_low)
+    I_cum = _cumulative_trapezoid(lag, s)
+    I_cum -= np.interp(0.0, s, I_cum)
+    return s, gammas, gdots, I_cum
+
+
+PAIR_FIELDS = {"pure-E": ((0.3, -0.1, 0.2), (0.0, 0.0, 0.0)),
+               "pure-B": ((0.0, 0.0, 0.0), (0.0, 0.4, 0.1)),
+               "crossed": ((0.2, 0.0, 0.0), (0.0, 0.0, 0.35)),
+               "null": ((0.25, 0.0, 0.0), (0.0, 0.0, 0.25))}
+
+
+@pytest.mark.parametrize("s_max", [0.5, 2.0])       # 2 s_max below and above the span
+@pytest.mark.parametrize("q", [1.0, -0.7, 2.3])
+@pytest.mark.parametrize("field", PAIR_FIELDS)
+def test_constant_field_pair_equals_two_spliced_worldlines(field, q, s_max):
+    """Both halves from one stacked flow pass carry the bits of one
+    integrate_worldline call each, and so does the action phase built on them."""
+    F = np.asarray(AntisymTensor.from_fields(*PAIR_FIELDS[field]))
+    u0, cal, C = (1.3, 0.2, -0.4, 0.5), calibrate(0.1, s_max=s_max), 0.5 - 0.2j
+    pair = constant_field_pair(F, u0, cal, q=q, C=C, s_span=(-1.5, 2.5), step=1e-2)
+    s, gammas, gdots, I_cum = _two_call_pair(F, u0, cal, q, (-1.5, 2.5), 1e-2)
+    traj = pair.trajectory
+    assert s[-1] == max(2.5, 2 * s_max) and traj.q == q
+    assert np.array_equal(traj.s, s)
+    assert np.array_equal(traj.gammas, gammas)
+    assert np.array_equal(traj.gamma_dots, gdots)
+    sv = np.linspace(-1.2 * s[-1], 1.2 * s[-1], 41)
+    assert np.array_equal(pair.ansatz(sv), C * np.exp(1j * np.interp(sv, s, I_cum)))
+
+
+@pytest.mark.parametrize("E, step, s_span", [
+    ((100.0, 0.0, 0.0), 1.0, (-20.0, 20.0)),    # non-finite from s = 8
+    ((100.0, 0.0, 0.0), 1.0, (-7.0, 7.0)),      # gamma_dot^2 overflows from s = 4
+    ((100.0, 0.0, 0.0), 1.0, (-3.0, 3.0)),      # drift beyond 1e-6
+    ((0.1, 0.0, 0.0), 0.3, (-1.0, 1.0)),        # the step does not divide the span
+], ids=["non-finite", "overflow", "drift", "step"])
+def test_constant_field_pair_raises_as_two_spliced_worldlines(E, step, s_span):
+    F = np.asarray(AntisymTensor.from_fields(E, (0.0, 0.0, 0.0)))
+    cal, u0 = calibrate(0.1, s_max=0.25), (1.0, 0.0, 0.0, 0.0)
+    with pytest.raises((IntegrationBlowup, ValueError)) as want:
+        _two_call_pair(F, u0, cal, 1.0, s_span, step)
+    with pytest.raises(want.type) as got:
+        constant_field_pair(F, u0, cal, s_span=s_span, step=step)
+    assert str(got.value) == str(want.value)
+
+
+def test_constant_field_pair_makes_one_flow_call(monkeypatch):
+    from ecdlab import dynamics
+
+    calls, flow = [], dynamics._flow
+    monkeypatch.setattr(dynamics, "_flow", lambda M, t: calls.append(t) or flow(M, t))
+    F = np.asarray(AntisymTensor.from_fields((0.1, 0.0, 0.0), (0.0, 0.0, 0.3)))
+    constant_field_pair(F, (1.0, 0.0, 0.0, 0.0), calibrate(0.1, s_max=1.0), s_span=(-5.0, 5.0))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("half", [
+    "s >= 0",
+    pytest.param("s <= 0", marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="the s <= 0 half is the worldline from -u0 with charge q, reversed in "
+               "s, which solves the equation of motion of charge -q")),
+])
+def test_constant_field_pair_halves_solve_the_equation_of_motion(half):
+    """cf-wave's seed-0 pair: the s >= 0 half's residual is about 1.9e-8 and
+    the s <= 0 half's about 0.225, where the acceleration changes sign."""
+    F = np.asarray(AntisymTensor.from_fields((0.1, 0.0, 0.0), (0.0, 0.0, 0.0)))
+    traj = constant_field_pair(F, (1.0, 0.0, 0.0, 0.0), calibrate(0.1, s_max=1.0),
+                               s_span=(-5.0, 5.0), step=1e-2).trajectory
+    keep = traj.s >= 0 if half == "s >= 0" else traj.s <= 0
+    part = Trajectory(traj.s[keep], traj.gammas[keep], traj.gamma_dots[keep], q=traj.q)
+    assert eom_residual(part, F) < 1e-6
